@@ -3,7 +3,9 @@
 Capacity is computed by Blahut-Arimoto with a certified stopping rule: the
 iteration stops when the standard upper bound (max over inputs of the
 divergence D(p(y|x) || q(y))) and the achieved mutual information differ by
-at most tol, so the returned gap is a real bound, not a heuristic.
+at most tol, so the returned gap is a real bound, not a heuristic. A caller
+that only needs to compare capacity with a threshold can also stop the loop
+as soon as that certified bracket lies on one side of it.
 """
 
 from __future__ import annotations
@@ -101,7 +103,12 @@ class Dmc:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Certified capacity estimate: the achieved lower bound and its gap."""
+    """Certified capacity bracket: capacity <= C <= capacity + gap.
+
+    capacity is an achieved rate (a lower bound on C) and capacity + gap an
+    upper bound. gap <= tol unless blahut_arimoto stopped early on its
+    threshold rule, in which case gap may exceed tol.
+    """
 
     capacity: float
     optimal_input: ProbVector
@@ -136,6 +143,7 @@ def blahut_arimoto(
     tol: float = 1e-9,
     max_iter: int = 100_000,
     start: ProbVector | None = None,
+    threshold: float | None = None,
 ) -> CapacityResult:
     """Capacity of a DMC in bits per use, with a certified gap <= tol.
 
@@ -144,11 +152,19 @@ def blahut_arimoto(
     bound) and their maximum is an upper bound on capacity; the loop stops
     when the two differ by at most tol and reports the lower bound.
 
+    With a threshold, the loop also stops as soon as the bracket decides
+    C >= threshold (capacity >= threshold) or C < threshold
+    (capacity + gap < threshold); the returned gap may then exceed tol. The
+    lower bound never decreases across iterations, so a "C >= threshold"
+    decision also holds for the fully converged value.
+
     Raises ConvergenceError carrying the best-so-far CapacityResult when
     max_iter is exhausted.
     """
     if tol <= 0:
         raise ValidationError(f"blahut_arimoto: tol must be > 0, got {tol}")
+    if threshold is not None and math.isnan(threshold):
+        raise ValidationError("blahut_arimoto: threshold must not be NaN")
     if max_iter < 1:
         raise ValidationError(f"blahut_arimoto: max_iter must be >= 1, got {max_iter}")
     m = ch.matrix
@@ -167,7 +183,10 @@ def blahut_arimoto(
         upper = float(d.max())
         lower = float(np.dot(p, d))
         gap = upper - lower
-        if gap <= tol:
+        decided = threshold is not None and (
+            max(lower, 0.0) >= threshold or upper < threshold
+        )
+        if gap <= tol or decided:
             return CapacityResult(
                 capacity=max(lower, 0.0),
                 optimal_input=ProbVector(ch.input_labels, p),
@@ -193,23 +212,29 @@ def blahut_arimoto(
     )
 
 
-def semantic_capacity(ch: Dmc, alpha: float, tol: float = 1e-9) -> float:
-    """C_s = max_p I(X;Y) / alpha, in bits per channel use.
+def _check_alpha(alpha: float, where: str) -> None:
+    """Reject an alpha outside (0, 1]; `where` prefixes the message.
 
-    alpha is the fraction of message bits that carry semantic content; it
-    must lie in (0, 1]. alpha = 0 would make every rate achievable for the
-    (empty) semantic content, so it is rejected as a distinguished
-    "infinite semantic capacity" condition rather than returning a number.
+    alpha = 0 would make every rate achievable for the (empty) semantic
+    content, so it is rejected as a distinguished "infinite semantic
+    capacity" condition rather than returning a number.
     """
     if not (0.0 < alpha <= 1.0):
         if alpha == 0.0:
             raise ValidationError(
-                "semantic_capacity: alpha = 0 means infinite semantic capacity "
+                f"{where}: alpha = 0 means infinite semantic capacity "
                 "(no semantic content to protect); choose alpha in (0, 1]"
             )
-        raise ValidationError(
-            f"semantic_capacity: alpha must be in (0, 1], got {alpha}"
-        )
+        raise ValidationError(f"{where}: alpha must be in (0, 1], got {alpha}")
+
+
+def semantic_capacity(ch: Dmc, alpha: float, tol: float = 1e-9) -> float:
+    """C_s = max_p I(X;Y) / alpha, in bits per channel use.
+
+    alpha is the fraction of message bits that carry semantic content; it
+    must lie in (0, 1].
+    """
+    _check_alpha(alpha, "semantic_capacity")
     return blahut_arimoto(ch, tol=tol).capacity / alpha
 
 

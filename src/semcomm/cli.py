@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import (
-    CapacityResult, Dmc, awgn_capacity, blahut_arimoto, semantic_capacity,
+    CapacityResult, Dmc, _check_alpha, awgn_capacity, blahut_arimoto,
+    semantic_capacity,
 )
 from .channels import PskConfig, bsc, mpsk_hard_dmc
 from .coding import (
@@ -191,9 +192,11 @@ def cmd_capacity(ns) -> int:
         else:
             raise ConfigError("--snr-db applies only to mpsk and awgn channels")
 
-    if (isinstance(chspec, str) and chspec.startswith("awgn:")) or (
+    awgn = (isinstance(chspec, str) and chspec.startswith("awgn:")) or (
         isinstance(chspec, dict) and chspec.get("kind") == "awgn"
-    ):
+    )
+    _check_alpha(alpha, "capacity" if awgn else "semantic_capacity")
+    if awgn:
         snr = (
             float(chspec.split(":", 1)[1])
             if isinstance(chspec, str)
@@ -204,13 +207,11 @@ def cmd_capacity(ns) -> int:
             "artifact_version": ARTIFACT_VERSION,
             "resolved_spec": {"channel": f"awgn:{snr!r}", "alpha": alpha},
             "capacity_bits": cap,
-            "semantic_capacity_bits": cap / alpha if alpha > 0 else None,
+            "semantic_capacity_bits": cap / alpha,
             "optimal_input": None,
             "iterations": 0,
             "gap": 0.0,
         }
-        if alpha <= 0 or alpha > 1:
-            raise ValidationError(f"capacity: alpha must be in (0, 1], got {alpha}")
         _emit_json(report, ns.out)
         return 0
 
@@ -228,12 +229,11 @@ def cmd_capacity(ns) -> int:
         else:
             print(f"error: {e}", file=sys.stderr)
         return 3
-    cs = semantic_capacity(ch, alpha)
     report = {
         "artifact_version": ARTIFACT_VERSION,
         "resolved_spec": {"channel": chspec, "alpha": alpha},
         "capacity_bits": result.capacity,
-        "semantic_capacity_bits": cs,
+        "semantic_capacity_bits": result.capacity / alpha,
         "optimal_input": {
             l: float(p)
             for l, p in zip(result.optimal_input.labels, result.optimal_input.probs)

@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .capacity import CapacityResult, Dmc, blahut_arimoto
+from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _row_cdfs
-from .errors import ValidationError, ConfigError, BudgetError, ConvergenceError
+from .errors import ValidationError, ConfigError, BudgetError
 from .info import JointDist, ProbVector, Sequence, entropy_bits
 
 BATCH_TRIALS = 4096
@@ -1348,6 +1348,12 @@ class ConverseChain:
 
     nR = H(W) splits as H(W|Y^n) + I(W;Y^n); data processing bounds
     I(W;Y^n) by I(X^n;Y^n), which memorylessness bounds by n C.
+
+    capacity (and n_capacity = n * capacity) is the certified lower end of
+    the Blahut-Arimoto bracket that decided capacity_ok, not necessarily a
+    fully converged value. On channels where uniform input is optimal (bsc,
+    identity, analytic mpsk) the first iterate is exact, so it is the
+    capacity itself.
     """
 
     h_w: float
@@ -1370,19 +1376,16 @@ class ConverseChain:
 
 
 def converse_chain(inst: FanoInstance, ch: Dmc | None = None) -> ConverseChain:
-    """Verify the converse inequalities numerically on the exact joint law."""
+    """Verify the converse inequalities numerically on the exact joint law.
+
+    capacity_ok asks whether I(X^n;Y^n) <= n C + 1e-6. Blahut-Arimoto runs
+    only until its certified bracket on C decides that (or until the usual
+    1e-9 gap), and capacity reports the bracket's lower end.
+    """
     ev = inst.evaluation()
     channel = ch if ch is not None else inst.channel
-    try:
-        cap = blahut_arimoto(channel, tol=1e-9).capacity
-    except ConvergenceError as e:
-        # Near-degenerate channels can stall just above tol. The best
-        # iterate still brackets capacity within e.gap; take the upper end
-        # so the check never false-alarms, and only lean on it while the
-        # bracket stays far inside the 1e-6 slack of capacity_ok.
-        if not isinstance(e.best, CapacityResult) or e.gap is None or e.gap > 1e-7:
-            raise
-        cap = e.best.capacity + e.gap
+    threshold = (ev.i_x_y - 1e-6) / inst.n
+    cap = blahut_arimoto(channel, tol=1e-9, threshold=threshold).capacity
     return ConverseChain(
         h_w=ev.h_w,
         h_w_given_y=ev.h_w_given_y,
@@ -1392,7 +1395,7 @@ def converse_chain(inst: FanoInstance, ch: Dmc | None = None) -> ConverseChain:
         n_capacity=inst.n * cap,
         identity_gap=ev.h_w - (ev.h_w_given_y + ev.i_w_y),
         data_processing_ok=ev.i_w_y <= ev.i_x_y + 1e-9,
-        capacity_ok=ev.i_x_y <= inst.n * cap + 1e-6,
+        capacity_ok=cap >= threshold,
     )
 
 

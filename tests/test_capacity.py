@@ -114,6 +114,45 @@ def test_convergence_error_carries_best_iterate():
     assert exc.value.gap > 1e-12
 
 
+def test_threshold_below_capacity_stops_early_with_certified_lower_end():
+    ch = zchan(0.3)
+    c = z_capacity(0.3)
+    full = blahut_arimoto(ch, tol=1e-9)
+    res = blahut_arimoto(ch, tol=1e-9, threshold=c - 0.01)
+    assert res.capacity >= c - 0.01
+    assert res.capacity <= c + 1e-12
+    assert res.iterations < full.iterations
+
+
+def test_threshold_above_capacity_stops_with_certified_upper_end():
+    ch = zchan(0.3)
+    c = z_capacity(0.3)
+    res = blahut_arimoto(ch, tol=1e-9, threshold=c + 0.01)
+    assert res.capacity + res.gap < c + 0.01
+    assert res.capacity + res.gap >= c - 1e-12
+
+
+def test_threshold_none_leaves_the_tol_rule_unchanged():
+    ch = zchan(0.3)
+    res = blahut_arimoto(ch, tol=1e-9, threshold=None)
+    ref = blahut_arimoto(ch, tol=1e-9)
+    assert res.capacity == ref.capacity
+    assert res.iterations == ref.iterations
+    assert res.gap == ref.gap
+    assert res.optimal_input.labels == ref.optimal_input.labels
+    np.testing.assert_array_equal(res.optimal_input.probs, ref.optimal_input.probs)
+    # values of the tol-only solve before the threshold rule existed
+    assert res.iterations == 23
+    assert res.capacity == pytest.approx(0.5036919334848174, rel=1e-12)
+    assert res.gap == pytest.approx(8.117009286934262e-10, rel=1e-6)
+    assert res.gap <= 1e-9
+
+
+def test_threshold_rejects_nan():
+    with pytest.raises(ValidationError, match="threshold"):
+        blahut_arimoto(zchan(0.3), threshold=math.nan)
+
+
 def test_semantic_capacity_scales_by_alpha():
     ch = bsc(0.1)
     c = blahut_arimoto(ch).capacity

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import semcomm.capacity as capacity
 import semcomm.cli as cli
 from semcomm import ConvergenceError, bsc, blahut_arimoto
 
@@ -130,6 +131,25 @@ def test_capacity_snr_db_rejected_for_bsc(capsys):
 def test_capacity_bad_alpha(capsys):
     code, _, _ = run(capsys, "capacity", "--channel", "bsc:0.1", "--alpha", "1.5")
     assert code == 2
+
+
+def test_capacity_solves_once_and_checks_alpha_first(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return blahut_arimoto(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "blahut_arimoto", counting)
+    monkeypatch.setattr(capacity, "blahut_arimoto", counting)
+    doc, _ = run_json(capsys, "capacity", "--channel", "bsc:0.1", "--alpha", "0.5")
+    assert len(calls) == 1
+    assert doc["semantic_capacity_bits"] == doc["capacity_bits"] / 0.5
+    for chan in ("bsc:0.1", "awgn:3"):
+        code, out, err = run(capsys, "capacity", "--channel", chan, "--alpha", "1.5")
+        assert (code, out) == (2, "")
+        assert "alpha must be in (0, 1]" in err
+    assert len(calls) == 1
 
 
 def test_capacity_unknown_builtin(capsys):
@@ -298,6 +318,13 @@ def test_fano_campaign_small(capsys):
     assert doc["converse_holds"] == 25
     assert doc["failures"] == []
     assert "25/25" in err
+
+
+def test_fano_readme_campaign_completes(capsys):
+    doc, err = run_json(capsys, "fano", "--instances", "1000", "--seed", "2026")
+    assert doc["converse_holds"] == 1000
+    assert doc["failures"] == []
+    assert "1000/1000" in err
 
 
 def test_fano_campaign_no_converse(capsys):

@@ -11,6 +11,7 @@ from semcomm import (
     CodeConfig,
     Codebook,
     ConfigError,
+    ConvergenceError,
     Dmc,
     ERASURE,
     FanoInstance,
@@ -19,6 +20,7 @@ from semcomm import (
     Sequence,
     SemanticPartition,
     ValidationError,
+    blahut_arimoto,
     bsc,
     check_fano,
     converse_chain,
@@ -686,6 +688,32 @@ def test_fano_campaign_small():
     assert rep.failures == ()
     assert rep.worst_slack >= -1e-9
     assert rep.seed == 2026
+
+
+@pytest.mark.parametrize("seed", [2026, 1, 7])
+def test_fano_campaign_completes_on_seeds_that_used_to_stall(seed):
+    # each seed holds a near-useless channel on which a full 1e-9
+    # Blahut-Arimoto solve stalls; the converse check must still decide
+    rep = run_fano_campaign(1000, seed=seed)
+    assert rep.fano_holds == 1000
+    assert rep.converse_holds == 1000
+    assert rep.failures == ()
+
+
+def test_converse_verdict_matches_a_fully_converged_capacity():
+    seed = 20260818
+    checked = 0
+    for i in range(200):
+        inst = random_fano_instance(seed, i)
+        try:
+            ref = blahut_arimoto(inst.channel, tol=1e-9, max_iter=20_000)
+        except ConvergenceError:
+            continue
+        chain = converse_chain(inst)
+        assert chain.capacity_ok == (chain.i_x_y <= inst.n * ref.capacity + 1e-6), i
+        assert chain.capacity <= ref.capacity + ref.gap
+        checked += 1
+    assert checked >= 190
 
 
 def test_fano_campaign_validation():

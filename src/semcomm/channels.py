@@ -182,6 +182,20 @@ def _row_cdfs(matrix: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _draw_outputs(cdf: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Channel outputs by inverse CDF: y counts the row-cdf entries u reaches.
+
+    cdf is _row_cdfs of the channel matrix; x and u have one shape and y
+    gets it. The last cdf column is 1.0 > u, so it is never counted and y
+    stays below the output count. One pass per output column keeps the
+    temporaries at x's size.
+    """
+    y = np.zeros(x.shape, dtype=np.int64)
+    for b in range(cdf.shape[1] - 1):
+        y += u >= cdf[:, b][x]
+    return y
+
+
 def transmit(ch: Dmc, x: Sequence, rng: ChannelRng) -> Sequence:
     """Send x through ch memorylessly; returns the received Sequence.
 
@@ -194,8 +208,5 @@ def transmit(ch: Dmc, x: Sequence, rng: ChannelRng) -> Sequence:
             f"channel input count {ch.num_inputs}"
         )
     u = rng.generator().random(len(x))
-    cdf = _row_cdfs(ch.matrix)
-    y = np.minimum(
-        (u[:, None] >= cdf[x.symbols]).sum(axis=1), ch.num_outputs - 1
-    )
+    y = _draw_outputs(_row_cdfs(ch.matrix), x.symbols, u)
     return Sequence(y, ch.num_outputs)

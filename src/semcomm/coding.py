@@ -13,7 +13,12 @@ simulation regimes cover this:
   maximum-likelihood decoder over the full random codebook would produce.
   The competitor codewords' score distribution given y is computed exactly
   (it depends on y only through its symbol counts), so the simulated error
-  process is distributed identically to the literal one.
+  process is distributed identically to the literal one. It runs in two
+  phases: the batches first draw every trial and keep only its own score,
+  y-type counts and two uniforms (n_out + 3 numbers per trial); then each
+  distinct y type gets one upper-tail table, holding only the grid points
+  that score at least the lowest own score of that type, and answers all
+  of its trials.
 
 Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
@@ -36,9 +41,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln
 
 from .capacity import Dmc, blahut_arimoto
-from .channels import ChannelRng, _row_cdfs
+from .channels import ChannelRng, _draw_outputs, _row_cdfs
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import JointDist, ProbVector, Sequence, entropy_bits
 
@@ -50,6 +56,10 @@ ENUM_BUDGET = 10**7
 MATERIALIZE_LIMIT = 2048
 # Cap on the support size of the virtual regime's competitor score grid.
 DIST_BUDGET = 2 * 10**6
+# Largest semantic_bits the virtual regime accepts: a win is decided by tail
+# probabilities near 2^-semantic_bits, and 2^-1022 is the smallest normal
+# float64.
+MAX_SEMANTIC_BITS = 1022
 
 CODEBOOK_STREAM = 2**62
 PARTITION_STREAM = 2**62 + 1
@@ -302,8 +312,16 @@ class Codebook:
 
 
 def _sample_symbols(gen: np.random.Generator, shape, cdf: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: each symbol counts the cdf entries its uniform reaches.
+
+    cdf[-1] is 1.0 > u and is never reached. For a non-decreasing cdf the
+    count equals searchsorted(cdf, u, side="right").
+    """
     u = gen.random(shape)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    out = np.zeros(shape, dtype=np.int64)
+    for c in cdf[:-1]:
+        out += u >= c
+    return out
 
 
 def _codebook_from_px(
@@ -577,96 +595,18 @@ def _batch_sizes(trials: int) -> list[int]:
     return [BATCH_TRIALS] * full + ([rem] if rem else [])
 
 
-def _run_batches(
-    trials: int, threads: int, worker: Callable[[int, int], tuple[int, int]]
-) -> tuple[int, int]:
-    """Sum (semantic, message) error counts over fixed-size batches.
+def _run_batches(trials: int, threads: int, worker: Callable[[int, int], tuple]) -> list:
+    """worker(batch_index, batch_trials) over fixed-size batches, in batch order.
 
-    worker(batch_index, batch_trials) must be a pure function of its
-    arguments; integer sums make the reduction order irrelevant, so any
-    thread count gives identical totals.
+    worker must be a pure function of its arguments, so the list is the
+    same for any thread count; callers reduce it with integer sums or
+    in-order concatenation, which keeps their results identical too.
     """
     sizes = _batch_sizes(trials)
     if threads <= 1 or len(sizes) == 1:
-        results = [worker(b, nb) for b, nb in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(len(sizes)), sizes))
-    sem = sum(r[0] for r in results)
-    msg = sum(r[1] for r in results)
-    return sem, msg
-
-
-class _VirtualScoreTable:
-    """Exact conditional law of a random competitor codeword's score.
-
-    Given y, a competitor's canonical score depends only on how many of its
-    symbols sit opposite each output value, so the distribution is a product
-    over output symbols of multinomial column contributions. Supports binary
-    input alphabets (the count matrix is then a per-column scalar), which is
-    what the virtual regime accepts.
-    """
-
-    def __init__(self, px: np.ndarray, logmat: np.ndarray):
-        if px.size != 2:
-            raise ConfigError(
-                "virtual simulation requires a binary channel input alphabet; "
-                "materialize the codebook for larger alphabets"
-            )
-        self.px = px
-        self.logmat = logmat
-        self._cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def table(self, y_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted score values, upper-tail probabilities) for a y type.
-
-        tail[i] = P(score >= values[i]). The upper tail is the quantity that
-        must survive float64: winning against 2^hundreds of competitors needs
-        P(score >= s) resolved far below 1e-16, which a cdf near 1.0 cannot
-        represent but a directly summed tail can.
-        """
-        hit = self._cache.get(y_counts)
-        if hit is not None:
-            return hit
-        support = 1
-        for c in y_counts:
-            support *= c + 1
-        if support > DIST_BUDGET:
-            raise BudgetError(
-                f"virtual score distribution support {support} exceeds "
-                f"{DIST_BUDGET}; reduce the blocklength or output alphabet"
-            )
-        # k[b] = number of competitor symbols equal to input 0 among the
-        # positions where y = b; each k[b] is Binomial(c_b, px[0]).
-        grids = np.meshgrid(
-            *[np.arange(c + 1, dtype=float) for c in y_counts], indexing="ij"
-        )
-        values = np.zeros(grids[0].shape)
-        # Accumulate in the canonical (a, b) row-major order so these values
-        # are bit-comparable with _scores_* outputs.
-        for b, c in enumerate(y_counts):
-            values = values + grids[b] * self.logmat[0, b]
-        for b, c in enumerate(y_counts):
-            values = values + (float(c) - grids[b]) * self.logmat[1, b]
-        probs = np.ones(grids[0].shape)
-        for b, c in enumerate(y_counts):
-            probs = probs * _binomial_pmf(c, self.px[0])[grids[b].astype(int)]
-        flat_v = values.ravel()
-        flat_p = probs.ravel()
-        order = np.argsort(flat_v, kind="stable")
-        flat_v = flat_v[order]
-        # Sum from the top so the far tail keeps full relative precision.
-        tail = np.cumsum(flat_p[order][::-1])[::-1]
-        tail = np.minimum(tail / tail[0], 1.0)
-        out = (flat_v, tail)
-        self._cache[y_counts] = out
-        return out
-
-    def prob_at_or_above(self, y_counts: tuple[int, ...], s: np.ndarray) -> np.ndarray:
-        """P(competitor score >= s), elementwise over s."""
-        values, tail = self.table(y_counts)
-        idx = np.searchsorted(values, s, side="left")
-        return np.where(idx < values.size, tail[np.minimum(idx, values.size - 1)], 0.0)
+        return [worker(b, nb) for b, nb in enumerate(sizes)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, range(len(sizes)), sizes))
 
 
 def _binomial_pmf(count: int, p: float) -> np.ndarray:
@@ -680,23 +620,65 @@ def _binomial_pmf(count: int, p: float) -> np.ndarray:
         out[-1] = 1.0
         return out
     logs = (
-        _log_gamma(count + 1)
-        - _log_gamma(k + 1)
-        - _log_gamma(count - k + 1)
+        gammaln(count + 1)
+        - gammaln(k + 1)
+        - gammaln(count - k + 1)
         + k * math.log(p)
         + (count - k) * math.log1p(-p)
     )
     return np.exp(logs)
 
 
-def _log_gamma(v) -> np.ndarray:
-    from scipy import special
+def _competitor_tail(
+    p0: float, logmat: np.ndarray, y_counts: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """P(competitor score >= s) for one y type, elementwise over s.
 
-    return special.gammaln(v)
+    Given y, a random competitor's canonical score depends only on k[b], the
+    number of its input-0 symbols among the c_b positions where y = b. The
+    k[b] are independent Binomial(c_b, p0), so the score law lives on the
+    grid prod(c_b + 1). Binary inputs only: the count matrix is then the
+    per-column scalar k[b].
 
-
-def _describe_channel(ch: Dmc) -> dict:
-    return ch.to_dict()
+    Only grid points scoring at least min(s) can answer a query, so only
+    those are sorted. In a stable sort of the whole grid they form its top
+    block in the same order, and summing from the top gives the very partial
+    sums a full table would. The normalizer is the product of the per-output
+    pmf sums, which is the grid's total mass without a pass over the grid;
+    a full table's running total differs from it only by rounding. Summing
+    from the top keeps P(score >= s) resolved far below 1e-16, which
+    beating 2^hundreds of competitors needs and a cdf near 1.0 cannot
+    represent.
+    """
+    shape = tuple(int(c) + 1 for c in y_counts)
+    support = math.prod(shape)
+    if support > DIST_BUDGET:
+        raise BudgetError(
+            f"virtual score distribution support {support} exceeds "
+            f"{DIST_BUDGET}; reduce the blocklength or output alphabet"
+        )
+    ks = [
+        np.arange(m, dtype=float).reshape([-1 if i == b else 1 for i in range(len(shape))])
+        for b, m in enumerate(shape)
+    ]
+    # Accumulate in the canonical (a, b) row-major order so these values
+    # are bit-comparable with the scorers' outputs.
+    values = np.zeros(shape)
+    for b, k in enumerate(ks):
+        values += k * logmat[0, b]
+    for b, k in enumerate(ks):
+        values += (float(y_counts[b]) - k) * logmat[1, b]
+    flat = np.flatnonzero(values >= s.min())
+    kept = values.ravel()[flat]
+    pmfs = [_binomial_pmf(int(c), p0) for c in y_counts]
+    probs = np.ones(flat.size)
+    for pmf, k in zip(pmfs, np.unravel_index(flat, shape)):
+        probs = probs * pmf[k]
+    order = np.argsort(kept, kind="stable")
+    tail = np.cumsum(probs[order][::-1])[::-1]
+    tail = np.minimum(tail / math.prod(float(pmf.sum()) for pmf in pmfs), 1.0)
+    idx = np.searchsorted(kept[order], s, side="left")
+    return np.append(tail, 0.0)[idx]
 
 
 def _simulation_config(
@@ -714,7 +696,7 @@ def _simulation_config(
             "trials": trials,
             "seed": seed,
             "px": list(px.probs),
-            "channel": _describe_channel(ch),
+            "channel": ch.to_dict(),
             "rng": "philox4x64",
             "batch_trials": BATCH_TRIALS,
         }
@@ -841,9 +823,7 @@ def simulate(
             x = cws[np.arange(nb), m, :]
         else:
             x = shared.codewords[m]
-        y = np.minimum(
-            (u[..., None] >= ch_cdf[x][...]).sum(axis=2), ch.num_outputs - 1
-        )
+        y = _draw_outputs(ch_cdf, x, u)
         if decoder == "ml":
             if shared is None:
                 scores = _scores_per_trial(cws, y, logmat)
@@ -861,7 +841,7 @@ def simulate(
         msg_err = sem_err | ~rep_hit
         return int(sem_err.sum()), int(msg_err.sum())
 
-    sem, msg = _run_batches(trials, threads, worker)
+    sem, msg = map(sum, zip(*_run_batches(trials, threads, worker)))
     regime = "materialized-fresh" if shared is None else "materialized-shared"
     config = _simulation_config(
         cfg, ch, px, decoder, scheme, fresh_codebook, regime, trials, seed,
@@ -886,53 +866,70 @@ def _simulate_virtual(
     y, a trial is decoded correctly exactly when all count-1 competitor
     codewords score strictly below s (a tie erases, which is an error).
     Those scores are i.i.d. with an exactly computable distribution, so the
-    outcome is Bernoulli(F(s-)^{count-1}); drawing that Bernoulli per trial
-    reproduces the literal protocol's law without 2^hundreds of codewords.
+    outcome is Bernoulli((1 - T(s))^{count-1}) with T(s) = P(score >= s);
+    drawing that Bernoulli per trial reproduces the literal protocol's law
+    without 2^hundreds of codewords.
+
+    Two phases. Draw: batch b draws x, u, rep_hit and u_win from stream b,
+    in that order, and keeps per trial only the own score, the y-type
+    counts, rep_hit and u_win (n_out + 3 numbers, so what outlives a batch
+    does not grow with n). Decide: T is built once per distinct y type over
+    all trials, truncated to the grid points scoring at least the type's
+    lowest own score (see _competitor_tail), and every trial of the type is
+    answered from it. Batches are joined in batch order, so the report is
+    the same for any thread count.
     """
+    if px.probs.size != 2:
+        raise ConfigError(
+            "virtual simulation requires a binary channel input alphabet; "
+            "materialize the codebook for larger alphabets"
+        )
+    if cfg.semantic_bits > MAX_SEMANTIC_BITS:
+        raise BudgetError(
+            f"virtual simulation needs semantic_bits <= {MAX_SEMANTIC_BITS}, got "
+            f"{cfg.semantic_bits}: the tail probabilities that decide a win, "
+            f"about 2^-{cfg.semantic_bits}, fall below the smallest normal "
+            "float64; reduce the blocklength, rate or alpha"
+        )
     logmat = _log_matrix(ch.matrix)
-    table = _VirtualScoreTable(px.probs, logmat)
     px_cdf = np.cumsum(px.probs)
     px_cdf[-1] = 1.0
     ch_cdf = _row_cdfs(ch.matrix)
-    competitors = cfg.semantic_count - 1
     rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
     n_out = ch.num_outputs
 
-    def worker(b: int, nb: int) -> tuple[int, int]:
+    def draw(b: int, nb: int) -> tuple[np.ndarray, ...]:
         gen = ChannelRng(seed, b).generator()
         x = _sample_symbols(gen, (nb, cfg.n), px_cdf)
         u = gen.random((nb, cfg.n))
         rep_hit = gen.random(nb) < rep_prob
         u_win = gen.random(nb)
-        y = np.minimum((u[..., None] >= ch_cdf[x]).sum(axis=2), n_out - 1)
+        y = _draw_outputs(ch_cdf, x, u)
         own = np.zeros(nb)
-        a_count, b_count = logmat.shape
-        for a in range(a_count):
+        for a in range(2):
             xa = x == a
-            for bb in range(b_count):
+            for bb in range(n_out):
                 cnt = (xa & (y == bb)).sum(axis=1).astype(float)
                 own += cnt * logmat[a, bb]
         counts = np.stack([(y == bb).sum(axis=1) for bb in range(n_out)], axis=1)
-        uniq, inverse = np.unique(counts, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        win_prob = np.empty(nb)
-        for g_idx in range(uniq.shape[0]):
-            sel = inverse == g_idx
-            at_or_above = table.prob_at_or_above(
-                tuple(int(c) for c in uniq[g_idx]), own[sel]
-            )
-            # P(all competitors strictly below) = (1 - T)^(count - 1); with T
-            # down at 2^-hundreds and the exponent up at 2^+hundreds only the
-            # log1p form keeps the product meaningful.
-            win_prob[sel] = np.exp(
-                float(competitors) * np.log1p(-at_or_above)
-            )
-        sem_ok = u_win < win_prob
-        sem_err = ~sem_ok
-        msg_err = sem_err | ~rep_hit
-        return int(sem_err.sum()), int(msg_err.sum())
+        return own, counts, rep_hit, u_win
 
-    sem, msg = _run_batches(trials, threads, worker)
+    own, counts, rep_hit, u_win = (
+        np.concatenate(parts) for parts in zip(*_run_batches(trials, threads, draw))
+    )
+    types, inverse = np.unique(counts, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    at_or_above = np.empty(trials)
+    for g, y_counts in enumerate(types):
+        sel = inverse == g
+        at_or_above[sel] = _competitor_tail(px.probs[0], logmat, y_counts, own[sel])
+    # P(all competitors strictly below) = (1 - T)^(count - 1); with T down at
+    # 2^-hundreds and the exponent up at 2^+hundreds only the log1p form keeps
+    # the product meaningful.
+    win_prob = np.exp(float(cfg.semantic_count - 1) * np.log1p(-at_or_above))
+    sem_err = ~(u_win < win_prob)
+    msg_err = sem_err | ~rep_hit
+    sem, msg = int(sem_err.sum()), int(msg_err.sum())
     config = _simulation_config(
         cfg, ch, px, "ml", scheme, True, "virtual-fresh", trials, seed, None
     )
@@ -1009,7 +1006,7 @@ def simulate_full_codebook(
         w = gen.integers(0, mcount, size=nb)
         u = gen.random((nb, cfg.n))
         x = cw[w]
-        y = np.minimum((u[..., None] >= ch_cdf[x]).sum(axis=2), ch.num_outputs - 1)
+        y = _draw_outputs(ch_cdf, x, u)
         if decoder == "ml":
             if use_table:
                 picks = decisions[y @ radix]
@@ -1024,7 +1021,7 @@ def simulate_full_codebook(
         sem_err = msg_err & ((picks < 0) | (class_of[np.maximum(picks, 0)] != class_of[w]))
         return int(sem_err.sum()), int(msg_err.sum())
 
-    sem, msg = _run_batches(trials, threads, worker)
+    sem, msg = map(sum, zip(*_run_batches(trials, threads, worker)))
     config = _simulation_config(
         cfg, ch, px, decoder, partition.scheme, False, "full-codebook",
         trials, seed, eps if decoder == "typicality" else None,

@@ -5,6 +5,7 @@ import pytest
 
 import semcomm.capacity as capacity
 import semcomm.cli as cli
+import semcomm.coding as coding
 from semcomm import ConvergenceError, bsc, blahut_arimoto
 
 K1 = json.dumps({
@@ -286,6 +287,53 @@ def test_simulate_csv_config_without_spec_line(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--config", str(p))
     assert code == 2
     assert "spec" in err
+
+
+README_SWEEP = (
+    "simulate", "--channel", "bsc:0.05", "--alpha", "0.5", "--rate-fraction", "0.9",
+    "--n-grid", "64,128,256,512", "--trials", "10000", "--seed", "2026", "--threads", "4",
+)
+
+
+def test_readme_sweep_golden_bytes(capsys):
+    code, out, _ = run(capsys, *README_SWEEP)
+    assert code == 0
+    assert out.endswith("\n")
+    assert out.splitlines() == [
+        '# semcomm-simulate-v1',
+        '# version: 0.1.0',
+        '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":10000}',
+        'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
+        '64,1.2844854771912786,0.5,0.2276,0.21948771737156844,0.23592148494077617,1.0,2026',
+        '128,1.2844854771912786,0.5,0.1488,0.14195955608005578,0.15591016437550742,1.0,1002029',
+        '256,1.2844854771912786,0.5,0.0789,0.07377651974980219,0.08434688367798164,1.0,2002032',
+        '512,1.2844854771912786,0.5,0.0247,0.021835581918077444,0.027929446933087725,1.0,3002035',
+    ]
+
+
+def test_simulate_past_float_range_exits_2(capsys):
+    code, out, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--alpha", "0.5",
+                         "--n-grid", "2048", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "semantic_bits <= 1022, got 1316" in err
+    assert "smallest normal float64" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_virtual_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(coding, "DIST_BUDGET", 100)
+    code, _, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--n-grid", "64",
+                       "--trials", "100", "--seed", "1")
+    assert code == 2
+    assert "virtual score distribution support" in err
+
+
+def test_simulate_virtual_rejects_qary_input(capsys):
+    code, _, err = run(capsys, "simulate", "--channel", "mpsk:4:9", "--n-grid", "64",
+                       "--seed", "1")
+    assert code == 2
+    assert "binary channel input alphabet" in err
 
 
 # --- fano -------------------------------------------------------------------

@@ -449,6 +449,88 @@ def test_virtual_regime_rejects_typicality():
         simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "typicality", 10, 1)
 
 
+def test_samplers_match_searchsorted_and_broadcast_references():
+    gen = np.random.default_rng(5)
+    for probs in ([0.5, 0.5], [0.0, 0.3, 0.7], [0.25, 0.0, 0.5, 0.25], [1.0, 0.0]):
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        got = coding._sample_symbols(ChannelRng(9, 1).generator(), (50, 40), cdf)
+        u = ChannelRng(9, 1).generator().random((50, 40))
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+        matrix = gen.dirichlet(np.ones(3), size=len(probs))
+        matrix[0] = [0.0, 1.0, 0.0]
+        ch_cdf = coding._row_cdfs(matrix)
+        y = coding._draw_outputs(ch_cdf, got, u)
+        ref = np.minimum((u[..., None] >= ch_cdf[got]).sum(axis=2), 2)
+        assert y.dtype == np.int64
+        assert np.array_equal(y, ref)
+
+
+def _full_grid_tail(p0, logmat, y_counts, s):
+    """Reference: sort and sum the whole competitor score grid of a y type.
+
+    It normalizes by the correctly rounded total of the grid probabilities.
+    A running sum over the sorted grid (its last partial sum) moves the
+    tails by up to 70 ulp on the grids below, which would swamp the few-ulp
+    agreement checked here.
+    """
+    grids = np.meshgrid(*[np.arange(c + 1, dtype=float) for c in y_counts], indexing="ij")
+    values = np.zeros(grids[0].shape)
+    for b, c in enumerate(y_counts):
+        values = values + grids[b] * logmat[0, b]
+    for b, c in enumerate(y_counts):
+        values = values + (float(c) - grids[b]) * logmat[1, b]
+    probs = np.ones(grids[0].shape)
+    for b, c in enumerate(y_counts):
+        probs = probs * coding._binomial_pmf(c, p0)[grids[b].astype(int)]
+    flat_v = values.ravel()
+    order = np.argsort(flat_v, kind="stable")
+    flat_v = flat_v[order]
+    tail = np.cumsum(probs.ravel()[order][::-1])[::-1]
+    tail = np.minimum(tail / math.fsum(probs.ravel()), 1.0)
+    idx = np.searchsorted(flat_v, s, side="left")
+    return flat_v, np.where(idx < flat_v.size, tail[np.minimum(idx, flat_v.size - 1)], 0.0)
+
+
+_TAIL_GEN = np.random.default_rng(20261018)
+
+
+@pytest.mark.parametrize(
+    "matrix, types",
+    [
+        (_TAIL_GEN.dirichlet(np.ones(2), size=2), [(20, 13), (0, 17), (31, 1)]),
+        (_TAIL_GEN.dirichlet(np.ones(3), size=2), [(5, 9, 7), (0, 4, 12), (11, 0, 1)]),
+        (np.array([[1.0, 0.0], [0.3, 0.7]]), [(14, 19), (25, 0)]),  # Z: NEG scores
+        (bsc(0.05).matrix, [(40, 24), (32, 32)]),  # many tied scores
+    ],
+    ids=["dmc2", "dmc3", "z", "bsc"],
+)
+@pytest.mark.parametrize("p0", [0.5, 0.3])
+def test_truncated_competitor_tail_matches_full_grid(matrix, types, p0):
+    logmat = coding._log_matrix(np.asarray(matrix))
+    gen = np.random.default_rng(7)
+    lowest = 0.0
+    for y_counts in types:
+        values, _ = _full_grid_tail(p0, logmat, y_counts, np.zeros(0))
+        lowest = min(lowest, values[0])
+        distinct = np.unique(values)
+        between = (distinct[:-1] + distinct[1:]) / 2
+        for start in (0.0, 0.5, 0.9, 0.99):
+            lo = values[int(start * (values.size - 1))]
+            s = np.concatenate([
+                [lo, values[-1], values[-1] + 1.0],
+                gen.choice(values[values >= lo], size=40),
+                between[between >= lo][:20],
+            ])
+            _, ref = _full_grid_tail(p0, logmat, y_counts, s)
+            got = coding._competitor_tail(p0, logmat, np.array(y_counts), s)
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            nz = ref != 0.0
+            assert np.all(np.abs(got[nz] - ref[nz]) <= 4 * np.spacing(ref[nz]))
+    if np.any(np.asarray(matrix) == 0.0):
+        assert lowest <= coding.NEG_THRESHOLD
+
+
 def test_typicality_simulation_runs():
     cfg = CodeConfig(n=8, rate=0.25, alpha=1.0)
     rep = simulate(cfg, "contiguous", bsc(0.05), UNIFORM2, "typicality", 4096, 7, eps=0.3)

@@ -6,7 +6,12 @@ Message counts are powers of two derived from (n, R, alpha) by ceilings, so
 they can exceed what fits in memory by hundreds of orders of magnitude. Two
 simulation regimes cover this:
 
-- materialized: codewords live in arrays; the literal protocol runs.
+- materialized: codewords live in arrays; the literal protocol runs. The
+  ML and typicality decoders take a batch's trials a block at a time,
+  sized so that a block's largest array holds at most BLOCK_ELEMENTS
+  elements, and a shared codebook too wide for one block is also split by
+  codewords; the working set stays bounded whatever the trial or codeword
+  count. There is no per-trial Python loop.
 - virtual: for fresh per-trial codebooks too large to hold, each trial
   draws only the true codeword and the channel output, then realizes the
   correct/incorrect outcome with the exact conditional probability that a
@@ -29,8 +34,10 @@ counts.
 
 Scores are canonical: every path computes sum over (a, b) in row-major
 order of count(a, b) * log2 p(b|a), so equal empirical count matrices give
-bit-equal floats and "exact tie" is well defined. Ties and all-impossible
-likelihoods decode to the erasure mark.
+bit-equal floats and "exact tie" is well defined. The materialized kernels
+get there in two steps: exact integer joint-type counts per (a, b) cell,
+then that combine. Ties and all-impossible likelihoods decode to the
+erasure mark.
 """
 
 from __future__ import annotations
@@ -49,7 +56,13 @@ from .errors import ValidationError, ConfigError, BudgetError
 from .info import JointDist, ProbVector, Sequence, entropy_bits
 
 BATCH_TRIALS = 4096
+# Element budget of one trial block in the materialized kernels: a block's
+# largest array holds at most this many elements (at least one trial), so
+# the working set stays in cache whatever the codebook size or blocklength.
+BLOCK_ELEMENTS = 2**16
 FULL_CODEBOOK_CAP = 2**20
+# Largest count * n generate_codebook materializes: 512 MiB of int64 symbols.
+CODEBOOK_SYMBOL_CAP = FULL_CODEBOOK_CAP * 64
 ENUM_BUDGET = 10**7
 # Per-trial fresh codebooks are materialized only while count * n stays at or
 # below this; beyond it the virtual regime takes over.
@@ -315,10 +328,12 @@ def _sample_symbols(gen: np.random.Generator, shape, cdf: np.ndarray) -> np.ndar
     """Inverse-CDF draws: each symbol counts the cdf entries its uniform reaches.
 
     cdf[-1] is 1.0 > u and is never reached. For a non-decreasing cdf the
-    count equals searchsorted(cdf, u, side="right").
+    count equals searchsorted(cdf, u, side="right"). The symbols come in the
+    narrowest unsigned dtype that holds them (uint8 up to 256 symbols), so
+    arithmetic on them must widen first.
     """
     u = gen.random(shape)
-    out = np.zeros(shape, dtype=np.int64)
+    out = np.zeros(shape, dtype=np.min_scalar_type(cdf.size - 1))
     for c in cdf[:-1]:
         out += u >= c
     return out
@@ -345,7 +360,7 @@ def _codebook_from_px(
 def generate_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
     """One codeword per semantic class, symbols i.i.d. from px."""
     count = cfg.semantic_count
-    if count * cfg.n > FULL_CODEBOOK_CAP * 64:
+    if count * cfg.n > CODEBOOK_SYMBOL_CAP:
         raise BudgetError(
             f"generate_codebook: {count} codewords of length {cfg.n} cannot be "
             "materialized; use simulate(), whose virtual regime handles this size"
@@ -394,50 +409,106 @@ def _log_matrix(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores_for_one(cw: np.ndarray, y: np.ndarray, logmat: np.ndarray) -> np.ndarray:
-    """Canonical scores of each codeword row against a single y."""
-    k = cw.shape[0]
-    scores = np.zeros(k)
+def _blocks(rows: int, row_elements: int) -> list[slice]:
+    """Slices of [0, rows), each holding at most BLOCK_ELEMENTS elements of
+    row_elements each (always at least one row)."""
+    step = max(1, BLOCK_ELEMENTS // row_elements)
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
+    """Canonical scores, one codebook per trial, a trial block at a time.
+
+    cws is (trials, count, n), ys (trials, n). Yields (rows, cols, scores):
+    scores[i, k] scores codeword cols[k] of trial rows[i]; cols always spans
+    the whole codebook. Each block builds the joint index x * |Y| + y with
+    position as the leading axis, so a cell's count is a sum of n contiguous
+    rows, and then combines the exact integer counts in the canonical
+    (a, b) order.
+    """
+    trials, count, n = cws.shape
     a_count, b_count = logmat.shape
-    for a in range(a_count):
-        xa = cw == a
-        for b in range(b_count):
-            cnt = (xa & (y == b)).sum(axis=1).astype(float)
-            scores += cnt * logmat[a, b]
-    return scores
+    cell_type = np.min_scalar_type(a_count * b_count - 1)
+    count_type = np.min_scalar_type(n)
+    for rows in _blocks(trials, count * n):
+        joint = cws[rows].transpose(2, 0, 1).astype(cell_type, order="C")
+        joint *= b_count
+        joint += ys[rows].T.astype(cell_type)[:, :, None]
+        hit = np.empty(joint.shape, dtype=bool)
+        cnt = np.empty(joint.shape[1:], dtype=count_type)
+        term = np.empty(joint.shape[1:])
+        scores = np.zeros(joint.shape[1:])
+        for a in range(a_count):
+            for b in range(b_count):
+                np.equal(joint, a * b_count + b, out=hit)
+                np.sum(hit.view(np.uint8), axis=0, dtype=count_type, out=cnt)
+                np.multiply(cnt, logmat[a, b], out=term)
+                scores += term
+        yield rows, slice(0, count), scores
 
 
-def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
-    """Canonical scores, (trials, count), one shared codebook against many y."""
+def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
+    """Canonical scores, one shared (count, n) codebook against every row of
+    ys, a tile of trials and codewords at a time.
+
+    Yields (rows, cols, scores) like _scores_per_trial. A tile spans at most
+    BLOCK_ELEMENTS // n codewords (all of them unless the codebook is wide),
+    so their indicators fit the budget, and as many trials as fit it beside
+    them. The per-cell counts are 0/1 matmuls, exact in float64. The
+    buffers are reused, so each tile must be consumed before the next one
+    is drawn.
+    """
     a_count, b_count = logmat.shape
-    scores = np.zeros((ys.shape[0], cw.shape[0]))
-    for a in range(a_count):
-        xa = (cw == a).astype(float)
-        for b in range(b_count):
-            yb = (ys == b).astype(float)
-            cnt = yb @ xa.T
-            scores += cnt * logmat[a, b]
-    return scores
+    count, n = cw.shape
+    xs = [(cw == a).astype(float) for a in range(a_count)]
+    chunks = _blocks(count, n)
+    width = chunks[0].stop
+    slices = _blocks(ys.shape[0], width)
+    height = slices[0].stop
+    buffers = [np.empty(height * width) for _ in range(3)]
+    for rows in slices:
+        yb = [(ys[rows] == b).astype(float) for b in range(b_count)]
+        for cols in chunks:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            scores, cnt, term = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+            scores.fill(0.0)
+            for a in range(a_count):
+                for b in range(b_count):
+                    np.matmul(yb[b], xs[a][cols].T, out=cnt)
+                    np.multiply(cnt, logmat[a, b], out=term)
+                    scores += term
+            yield rows, cols, scores
 
 
-def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
-    """Canonical scores, (trials, count), one codebook per trial."""
-    a_count, b_count = logmat.shape
-    scores = np.zeros(cws.shape[:2])
-    for a in range(a_count):
-        xa = cws == a
-        for b in range(b_count):
-            cnt = (xa & (ys == b)[:, None, :]).sum(axis=2).astype(float)
-            scores += cnt * logmat[a, b]
-    return scores
+def _ml_decisions(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
+    """ML decision for every row of ys: the codeword index, or -1 on an exact
+    tie for the best score or when every codeword is impossible.
 
-
-def _decide(scores: np.ndarray) -> np.ndarray:
-    """Row-wise ML decision with erasures: -1 on ties or all-impossible."""
-    best = scores.max(axis=1)
-    is_best = scores == best[:, None]
-    picks = np.argmax(is_best, axis=1).astype(np.int64)
-    picks[(is_best.sum(axis=1) != 1) | (best <= NEG_THRESHOLD)] = -1
+    cw is one shared (count, n) codebook, or one (trials, count, n) codebook
+    per trial. Scores arrive a tile at a time; per trial the best score, the
+    first codeword reaching it and how many reach it carry over from one
+    codeword chunk to the next, so the decisions are those of whole rows.
+    """
+    trials = ys.shape[0]
+    best = np.empty(trials)
+    first = np.empty(trials, dtype=np.int64)
+    ties = np.empty(trials, dtype=np.int64)
+    scorer = _scores_per_trial if cw.ndim == 3 else _scores_shared
+    for rows, cols, scores in scorer(cw, ys, logmat):
+        top = scores.max(axis=1)
+        is_top = scores == top[:, None]
+        at = np.argmax(is_top, axis=1) + cols.start
+        many = is_top.sum(axis=1)
+        if cols.start == 0:
+            best[rows], first[rows], ties[rows] = top, at, many
+        else:
+            held = best[rows]
+            gain = top > held
+            ties[rows] = np.where(gain, many, ties[rows] + np.where(top == held, many, 0))
+            first[rows] = np.where(gain, at, first[rows])
+            best[rows] = np.where(gain, top, held)
+    picks = first
+    picks[(ties != 1) | (best <= NEG_THRESHOLD)] = -1
     return picks
 
 
@@ -449,35 +520,45 @@ def decode_ml(y: Sequence, cb: Codebook, ch: Dmc) -> DecodeOutcome:
         raise ValidationError("decode_ml: codebook alphabet does not match channel inputs")
     if cb.n != len(y):
         raise ValidationError(f"decode_ml: codeword length {cb.n} != len(y) {len(y)}")
-    scores = _scores_for_one(cb.codewords, y.symbols, _log_matrix(ch.matrix))
-    pick = _decide(scores[None, :])[0]
+    pick = _ml_decisions(cb.codewords, y.symbols[None, :], _log_matrix(ch.matrix))[0]
     return ERASURE if pick < 0 else DecodeOutcome(int(pick))
 
 
-def _typicality_rates(
-    cw_rows: np.ndarray, y: np.ndarray, joint: JointDist
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Per-row empirical surprisal rates (x-rate, y-rate, joint-rate)."""
-    n = y.size
-    lpx = _log_matrix(joint.marginal_table((0,))[None, :])[0]
-    lpy = _log_matrix(joint.marginal_table((1,))[None, :])[0]
-    lpxy = _log_matrix(joint.table)
-    rx = -lpx[cw_rows].sum(axis=1) / n
-    ry = -float(lpy[y].sum()) / n
-    rxy = -lpxy[cw_rows, y[None, :]].sum(axis=1) / n
-    return rx, ry, rxy
-
-
 def _typical_mask(
-    cw_rows: np.ndarray, y: np.ndarray, joint: JointDist, eps: float
+    cws: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float
 ) -> np.ndarray:
+    """Weak joint typicality of (..., count, n) codewords against (..., n)
+    outputs.
+
+    Leading axes broadcast, so one shared (count, n) codebook can face many
+    outputs. Returns the (..., count) mask; an output whose own surprisal
+    rate is atypical makes its whole row false. The entropies and log tables
+    are computed once per call.
+    """
     hx = entropy_bits(joint.marginal_table((0,)))
     hy = entropy_bits(joint.marginal_table((1,)))
     hxy = entropy_bits(joint.table)
-    rx, ry, rxy = _typicality_rates(cw_rows, y, joint)
-    if abs(ry - hy) > eps:
-        return np.zeros(cw_rows.shape[0], dtype=bool)
-    return (np.abs(rx - hx) <= eps) & (np.abs(rxy - hxy) <= eps)
+    lpx = _log_matrix(joint.marginal_table((0,))[None, :])[0]
+    lpy = _log_matrix(joint.marginal_table((1,))[None, :])[0]
+    lpxy = _log_matrix(joint.table)
+    n = ys.shape[-1]
+    rx = -lpx[cws].sum(axis=-1) / n
+    ry = -lpy[ys].sum(axis=-1) / n
+    rxy = -lpxy[cws, ys[..., None, :]].sum(axis=-1) / n
+    y_ok = ~(np.abs(ry - hy) > eps)
+    return (np.abs(rx - hx) <= eps) & (np.abs(rxy - hxy) <= eps) & y_ok[..., None]
+
+
+def _typicality_decisions(
+    cw: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float
+) -> np.ndarray:
+    """The unique typical codeword (or -1) for every row of ys, a trial block
+    at a time; cw is shared (count, n) or per trial (trials, count, n)."""
+    picks = np.empty(ys.shape[0], dtype=np.int64)
+    for rows in _blocks(ys.shape[0], cw.shape[-2] * cw.shape[-1]):
+        mask = _typical_mask(cw[rows] if cw.ndim == 3 else cw, ys[rows], joint, eps)
+        picks[rows] = np.where(mask.sum(axis=-1) == 1, mask.argmax(axis=-1), -1)
+    return picks
 
 
 def decode_typicality(
@@ -824,19 +905,11 @@ def simulate(
         else:
             x = shared.codewords[m]
         y = _draw_outputs(ch_cdf, x, u)
+        cw = cws if shared is None else shared.codewords
         if decoder == "ml":
-            if shared is None:
-                scores = _scores_per_trial(cws, y, logmat)
-            else:
-                scores = _scores_shared(shared.codewords, y, logmat)
-            picks = _decide(scores)
+            picks = _ml_decisions(cw, y, logmat)
         else:
-            picks = np.empty(nb, dtype=np.int64)
-            rows = cws if shared is None else None
-            for t in range(nb):
-                cw_t = rows[t] if rows is not None else shared.codewords
-                mask = _typical_mask(cw_t, y[t], joint, eps)
-                picks[t] = int(np.argmax(mask)) if mask.sum() == 1 else -1
+            picks = _typicality_decisions(cw, y, joint, eps)
         sem_err = picks != m
         msg_err = sem_err | ~rep_hit
         return int(sem_err.sum()), int(msg_err.sum())
@@ -998,7 +1071,7 @@ def simulate_full_codebook(
         and trials >= 8 * BATCH_TRIALS
     )
     if use_table:
-        decisions, _ = _decision_table(cw, ch)
+        decisions = _decision_table(cw, ch)
         radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
 
     def worker(b: int, nb: int) -> tuple[int, int]:
@@ -1007,16 +1080,12 @@ def simulate_full_codebook(
         u = gen.random((nb, cfg.n))
         x = cw[w]
         y = _draw_outputs(ch_cdf, x, u)
-        if decoder == "ml":
-            if use_table:
-                picks = decisions[y @ radix]
-            else:
-                picks = _decide(_scores_shared(cw, y, logmat))
+        if use_table:
+            picks = decisions[y @ radix]
+        elif decoder == "ml":
+            picks = _ml_decisions(cw, y, logmat)
         else:
-            picks = np.empty(nb, dtype=np.int64)
-            for t in range(nb):
-                mask = _typical_mask(cw, y[t], joint, eps)
-                picks[t] = int(np.argmax(mask)) if mask.sum() == 1 else -1
+            picks = _typicality_decisions(cw, y, joint, eps)
         msg_err = picks != w
         sem_err = msg_err & ((picks < 0) | (class_of[np.maximum(picks, 0)] != class_of[w]))
         return int(sem_err.sum()), int(msg_err.sum())
@@ -1037,12 +1106,10 @@ def _enumerate_outputs(n_out: int, n: int) -> np.ndarray:
     )
 
 
-def _decision_table(cw: np.ndarray, ch: Dmc) -> tuple[np.ndarray, np.ndarray]:
-    """(decisions, scores) of the ML decoder for every possible output word."""
-    n = cw.shape[1]
-    yall = _enumerate_outputs(ch.num_outputs, n)
-    scores = _scores_shared(cw, yall, _log_matrix(ch.matrix))
-    return _decide(scores), scores
+def _decision_table(cw: np.ndarray, ch: Dmc) -> np.ndarray:
+    """The ML decoder's decision for every possible output word."""
+    yall = _enumerate_outputs(ch.num_outputs, cw.shape[1])
+    return _ml_decisions(cw, yall, _log_matrix(ch.matrix))
 
 
 @dataclass(frozen=True)
@@ -1128,15 +1195,12 @@ def exact_evaluate(
     cw = cb.codewords
 
     if decoder == "ml":
-        decisions, _ = _decision_table(cw, ch)
+        decisions = _decision_table(cw, ch)
     else:
         if px is None:
             raise ValidationError("exact_evaluate: typicality decoding needs px")
         joint = JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
-        decisions = np.empty(yall.shape[0], dtype=np.int64)
-        for j in range(yall.shape[0]):
-            mask = _typical_mask(cw, yall[j], joint, eps)
-            decisions[j] = int(np.argmax(mask)) if mask.sum() == 1 else -1
+        decisions = _typicality_decisions(cw, yall, joint, eps)
 
     # p(y | owner) as an exact per-position product.
     pyo = np.ones((cb.count, yall.shape[0]))

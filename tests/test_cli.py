@@ -311,6 +311,47 @@ def test_readme_sweep_golden_bytes(capsys):
     ]
 
 
+# The materialized engine's two CLI runs from the short-block benchmark at
+# 5000 trials (a full 4096-trial batch and a short one), recorded before
+# the block kernels replaced the per-trial loops.
+MPSK_SHORT_BLOCK = (
+    "simulate", "--channel", "mpsk:4:9", "--n-grid", "2,3,4",
+    "--trials", "5000", "--seed", "2026",
+)
+TYPICALITY_SHORT_BLOCK = (
+    "simulate", "--channel", "bsc:0.05", "--rate-fraction", "0.5", "--decoder", "typicality",
+    "--n-grid", "8,12,16", "--trials", "5000", "--seed", "2026",
+)
+
+
+def test_short_block_qary_ml_golden_bytes(capsys):
+    code, out, _ = run(capsys, *MPSK_SHORT_BLOCK)
+    assert code == 0
+    assert out.splitlines() == [
+        '# semcomm-simulate-v1',
+        '# version: 0.1.0',
+        '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":5000}',
+        'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
+        '2,1.7733336033809246,1.0,0.6126,0.5990154291136075,0.6260116844083657,0.6126,2026',
+        '3,1.7733336033809246,1.0,0.623,0.6094772503508077,0.6363338949707082,0.623,1002029',
+        '4,1.7733336033809246,1.0,0.633,0.619542895384541,0.6462528958980738,0.633,2002032',
+    ]
+
+
+def test_short_block_typicality_golden_bytes(capsys):
+    code, out, _ = run(capsys, *TYPICALITY_SHORT_BLOCK)
+    assert code == 0
+    assert out.splitlines() == [
+        '# semcomm-simulate-v1',
+        '# version: 0.1.0',
+        '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":2026,"trials":5000}',
+        'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
+        '8,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,2026',
+        '12,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,1002029',
+        '16,0.3568015214420218,1.0,0.634,0.620549798138998,0.6472444577397267,0.634,2002032',
+    ]
+
+
 def test_simulate_past_float_range_exits_2(capsys):
     code, out, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--alpha", "0.5",
                          "--n-grid", "2048", "--seed", "1")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from semcomm import (
     FanoInstance,
     JointDist,
     ProbVector,
+    PskConfig,
     Sequence,
     SemanticPartition,
     ValidationError,
@@ -32,6 +34,7 @@ from semcomm import (
     generate_codebook,
     generate_full_codebook,
     make_partition,
+    mpsk_hard_dmc,
     partition_from_counts,
     random_fano_instance,
     run_fano_campaign,
@@ -40,6 +43,7 @@ from semcomm import (
     simulate_full_codebook,
     wilson_interval,
 )
+from semcomm.info import entropy_bits
 
 UNIFORM2 = ProbVector(("0", "1"), [0.5, 0.5])
 
@@ -556,6 +560,308 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
     b = simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99, threads=4)
     assert a.semantic_errors == b.semantic_errors
     assert a.message_errors == b.message_errors
+
+
+# --- materialized kernels against the loop references -----------------------------
+#
+# The _ref_* functions are the loop forms the block kernels replaced, kept
+# verbatim as oracles. The kernels keep the counts exact and the canonical
+# (a, b) order, so the floats must agree bit for bit.
+
+
+def _ref_scores_for_one(cw: np.ndarray, y: np.ndarray, logmat: np.ndarray) -> np.ndarray:
+    """Canonical scores of each codeword row against a single y."""
+    k = cw.shape[0]
+    scores = np.zeros(k)
+    a_count, b_count = logmat.shape
+    for a in range(a_count):
+        xa = cw == a
+        for b in range(b_count):
+            cnt = (xa & (y == b)).sum(axis=1).astype(float)
+            scores += cnt * logmat[a, b]
+    return scores
+
+
+def _ref_scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
+    """Canonical scores, (trials, count), one shared codebook against many y."""
+    a_count, b_count = logmat.shape
+    scores = np.zeros((ys.shape[0], cw.shape[0]))
+    for a in range(a_count):
+        xa = (cw == a).astype(float)
+        for b in range(b_count):
+            yb = (ys == b).astype(float)
+            cnt = yb @ xa.T
+            scores += cnt * logmat[a, b]
+    return scores
+
+
+def _ref_scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
+    """Canonical scores, (trials, count), one codebook per trial."""
+    a_count, b_count = logmat.shape
+    scores = np.zeros(cws.shape[:2])
+    for a in range(a_count):
+        xa = cws == a
+        for b in range(b_count):
+            cnt = (xa & (ys == b)[:, None, :]).sum(axis=2).astype(float)
+            scores += cnt * logmat[a, b]
+    return scores
+
+
+def _ref_decide(scores: np.ndarray) -> np.ndarray:
+    """Row-wise ML decision with erasures: -1 on ties or all-impossible."""
+    best = scores.max(axis=1)
+    is_best = scores == best[:, None]
+    picks = np.argmax(is_best, axis=1).astype(np.int64)
+    picks[(is_best.sum(axis=1) != 1) | (best <= coding.NEG_THRESHOLD)] = -1
+    return picks
+
+
+def _ref_typicality_rates(cw_rows, y, joint):
+    """Per-row empirical surprisal rates (x-rate, y-rate, joint-rate)."""
+    n = y.size
+    lpx = coding._log_matrix(joint.marginal_table((0,))[None, :])[0]
+    lpy = coding._log_matrix(joint.marginal_table((1,))[None, :])[0]
+    lpxy = coding._log_matrix(joint.table)
+    rx = -lpx[cw_rows].sum(axis=1) / n
+    ry = -float(lpy[y].sum()) / n
+    rxy = -lpxy[cw_rows, y[None, :]].sum(axis=1) / n
+    return rx, ry, rxy
+
+
+def _ref_typical_mask(cw_rows, y, joint, eps):
+    hx = entropy_bits(joint.marginal_table((0,)))
+    hy = entropy_bits(joint.marginal_table((1,)))
+    hxy = entropy_bits(joint.table)
+    rx, ry, rxy = _ref_typicality_rates(cw_rows, y, joint)
+    if abs(ry - hy) > eps:
+        return np.zeros(cw_rows.shape[0], dtype=bool)
+    return (np.abs(rx - hx) <= eps) & (np.abs(rxy - hxy) <= eps)
+
+
+def _ref_typicality_picks(cw, ys, joint, eps):
+    """The per-row typicality loop over shared or per-trial codewords."""
+    picks = np.empty(ys.shape[0], dtype=np.int64)
+    for t in range(ys.shape[0]):
+        cw_t = cw[t] if cw.ndim == 3 else cw
+        mask = _ref_typical_mask(cw_t, ys[t], joint, eps)
+        picks[t] = int(np.argmax(mask)) if mask.sum() == 1 else -1
+    return picks
+
+
+def _ref_ml_decisions(cw, ys, logmat):
+    scorer = _ref_scores_per_trial if cw.ndim == 3 else _ref_scores_shared
+    return _ref_decide(scorer(cw, ys, logmat))
+
+
+def _dmc3x2_with_zero() -> np.ndarray:
+    matrix = np.random.default_rng(60).dirichlet(np.ones(2), size=3)
+    matrix[1] = [0.0, 1.0]
+    return matrix
+
+
+KERNEL_CHANNELS = {
+    "bsc": bsc(0.05).matrix,
+    "z": np.array([[1.0, 0.0], [0.3, 0.7]]),  # NEG entries
+    "mpsk": mpsk_hard_dmc(PskConfig(order=4, snr=9.0)).matrix,
+    "dmc3x2": _dmc3x2_with_zero(),
+}
+
+
+def _channel_outputs(matrix: np.ndarray, x: np.ndarray, gen) -> np.ndarray:
+    return coding._draw_outputs(coding._row_cdfs(matrix), x, gen.random(x.shape))
+
+
+def _fresh_inputs(matrix, trials, count, n, seed):
+    """uint8 per-trial codebooks as the engine draws them, with duplicated
+    codewords (exact ties) in some trials; half the outputs are codeword 0
+    sent through the channel, the rest are uniform."""
+    gen = np.random.default_rng(seed)
+    a_count, b_count = matrix.shape
+    cws = gen.integers(0, a_count, size=(trials, count, n)).astype(np.uint8)
+    if count > 1:
+        cws[::3, -1] = cws[::3, 0]
+    ys = gen.integers(0, b_count, size=(trials, n))
+    ys[::2] = _channel_outputs(matrix, cws[::2, 0], gen)
+    cws[1, 0] = 0  # every position in cell (0, 0): the count reaches n
+    ys[1] = 0
+    return cws, ys
+
+
+def _shared_inputs(matrix, trials, count, n, seed):
+    gen = np.random.default_rng(seed)
+    a_count, b_count = matrix.shape
+    cw = gen.integers(0, a_count, size=(count, n))
+    if count > 1:
+        cw[-1] = cw[0]
+    ys = gen.integers(0, b_count, size=(trials, n))
+    sent = gen.integers(0, min(count, 3), size=trials // 2)
+    ys[::2][: sent.size] = _channel_outputs(matrix, cw[sent], gen)
+    return cw, ys
+
+
+def _tiled_scores(scorer, cw, ys, logmat, count):
+    """Assemble a kernel's tiles; also return how many tiles it yielded."""
+    out = np.full((ys.shape[0], count), np.nan)
+    tiles = 0
+    for rows, cols, scores in scorer(cw, ys, logmat):
+        assert np.all(np.isnan(out[rows, cols]))
+        out[rows, cols] = scores
+        tiles += 1
+    assert not np.any(np.isnan(out))
+    return out, tiles
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
+@pytest.mark.parametrize("n, count", [(1, 3), (200, 4), (6, 1), (5, 40)])
+def test_per_trial_kernel_matches_loop_reference(name, n, count):
+    matrix = KERNEL_CHANNELS[name]
+    logmat = coding._log_matrix(matrix)
+    step = coding.BLOCK_ELEMENTS // (count * n)
+    trials = 2 * step + 3  # two full trial blocks and a short one
+    cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
+    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, logmat, count)
+    ref = _ref_scores_per_trial(cws, ys, logmat)
+    assert tiles == 3
+    assert np.array_equal(got, ref)
+    assert np.array_equal(coding._ml_decisions(cws, ys, logmat), _ref_decide(ref))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
+@pytest.mark.parametrize("n, count", [(1, 3), (200, 1000), (6, 1), (16, 5000)])
+def test_shared_kernel_matches_loop_reference(name, n, count):
+    matrix = KERNEL_CHANNELS[name]
+    logmat = coding._log_matrix(matrix)
+    width = min(count, coding.BLOCK_ELEMENTS // n)  # codewords per tile
+    step = coding.BLOCK_ELEMENTS // width
+    trials = 2 * step + 3
+    cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, logmat, count)
+    ref = _ref_scores_shared(cw, ys, logmat)
+    assert tiles == 3 * math.ceil(count / width)
+    assert np.array_equal(got, ref)
+    picks = coding._ml_decisions(cw, ys, logmat)
+    assert np.array_equal(picks, _ref_decide(ref))
+    if count > 1:
+        assert np.any(picks == -1) and np.any(picks >= 0)
+    ch = Dmc(tuple(map(str, range(matrix.shape[0]))), tuple(map(str, range(matrix.shape[1]))), matrix)
+    cb = Codebook(cw, matrix.shape[0])
+    for y in ys[:4]:
+        one = _ref_scores_for_one(cw, y, logmat)
+        assert np.array_equal(_tiled_scores(coding._scores_shared, cw, y[None, :], logmat, count)[0][0], one)
+        pick = _ref_decide(one[None, :])[0]
+        out = decode_ml(Sequence(y, matrix.shape[1]), cb, ch)
+        assert out.index == (None if pick < 0 else pick)
+
+
+def _joint_for(matrix, seed):
+    labels = tuple(map(str, range(matrix.shape[0])))
+    probs = np.random.default_rng(seed).dirichlet(np.ones(matrix.shape[0]))
+    px = ProbVector(labels, probs)
+    return px, JointDist.from_input_and_kernel(px, matrix, tuple(map(str, range(matrix.shape[1]))))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
+@pytest.mark.parametrize("n, count", [(1, 3), (200, 4), (6, 1), (12, 16)])
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "shared"])
+def test_typical_mask_matches_per_row_loop(monkeypatch, name, n, count, fresh):
+    # Small blocks keep the per-row reference loop short while still
+    # splitting the trials into full blocks and a short one.
+    monkeypatch.setattr(coding, "BLOCK_ELEMENTS", 4 * count * n)
+    matrix = KERNEL_CHANNELS[name]
+    _, joint = _joint_for(matrix, seed=n)
+    trials = 2 * 4 + 3
+    make = _fresh_inputs if fresh else _shared_inputs
+    cw, ys = make(matrix, trials, count, n, seed=n * 100 + count)
+    for eps in (0.05, 0.3, 2.0):
+        ref_mask = np.stack([
+            _ref_typical_mask(cw[t] if fresh else cw, ys[t], joint, eps) for t in range(trials)
+        ])
+        assert np.array_equal(coding._typical_mask(cw, ys, joint, eps), ref_mask)
+        picks = coding._typicality_decisions(cw, ys, joint, eps)
+        assert np.array_equal(picks, _ref_typicality_picks(cw, ys, joint, eps))
+        if not fresh:
+            out = decode_typicality(Sequence(ys[0], matrix.shape[1]), Codebook(cw, matrix.shape[0]), joint, eps)
+            assert out.index == (None if picks[0] < 0 else picks[0])
+
+
+def test_ml_decisions_keep_the_first_best_across_codeword_chunks(monkeypatch):
+    # Three chunks of two codewords: the best score first appears in the
+    # second chunk, so the merged decision must take it from there, and a
+    # copy in the third chunk must turn it into a tie.
+    monkeypatch.setattr(coding, "BLOCK_ELEMENTS", 8)
+    logmat = coding._log_matrix(bsc(0.1).matrix)
+    y = np.zeros((1, 4), dtype=np.int64)
+    cw = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 0], [1, 0, 1, 1]])
+    assert coding._ml_decisions(cw, y, logmat)[0] == 3
+    cw[5] = cw[3]
+    assert coding._ml_decisions(cw, y, logmat)[0] == -1
+
+
+def _engine_cases():
+    ch2 = bsc(0.05)
+    z = Dmc(("0", "1"), ("0", "1"), KERNEL_CHANNELS["z"])
+    m = KERNEL_CHANNELS["mpsk"]
+    psk = Dmc(tuple("0123"), tuple("0123"), m)
+    return [
+        (ch2, CodeConfig(n=8, rate=0.5, alpha=1.0)),
+        (z, CodeConfig(n=6, rate=0.5, alpha=0.5)),
+        (psk, CodeConfig(n=3, rate=1.5, alpha=1.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("decoder", ["ml", "typicality"])
+def test_engines_match_the_loop_references(monkeypatch, case, decoder):
+    ch, cfg = _engine_cases()[case]
+    px, _ = _joint_for(ch.matrix, seed=case)
+    # ML: a full batch and a short one; typicality: fewer, for the loop's sake.
+    trials = 4096 + 904 if decoder == "ml" else 1500
+    part = make_partition(cfg, "contiguous")
+
+    def reports():
+        return [
+            simulate(cfg, "contiguous", ch, px, decoder, trials, 5, eps=0.3).to_dict(),
+            simulate(cfg, "contiguous", ch, px, decoder, trials, 5, eps=0.3,
+                     fresh_codebook=False).to_dict(),
+            simulate_full_codebook(cfg, part, ch, px, trials, 5, decoder=decoder,
+                                   eps=0.3).to_dict(),
+            exact_evaluate(
+                generate_full_codebook(cfg, px, ChannelRng(5, 1)), part, ch,
+                decoder=decoder, px=px, eps=0.3,
+            ).to_dict(),
+        ]
+
+    got = reports()
+    monkeypatch.setattr(coding, "_ml_decisions", _ref_ml_decisions)
+    monkeypatch.setattr(coding, "_typicality_decisions", _ref_typicality_picks)
+    assert got == reports()
+    assert 0 < got[0]["semantic_errors"] < trials
+
+
+def test_sampled_symbols_use_the_narrowest_dtype():
+    for size, dtype in ((2, np.uint8), (256, np.uint8), (257, np.uint16)):
+        cdf = np.cumsum(np.full(size, 1.0 / size))
+        cdf[-1] = 1.0
+        got = coding._sample_symbols(ChannelRng(4, 2).generator(), (30, 20), cdf)
+        u = ChannelRng(4, 2).generator().random((30, 20))
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+def test_shared_simulation_memory_stays_bounded():
+    # 4096 codewords against a 4096-trial batch: a (trials, count) float64
+    # score matrix alone would take 128 MiB.
+    cfg = CodeConfig(n=16, rate=0.75, alpha=1.0)
+    tracemalloc.start()
+    try:
+        rep = simulate(cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 4096, 3,
+                       fresh_codebook=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.semantic_count == 4096
+    assert 0 < rep.semantic_errors < 4096
+    assert peak < 32 * 2**20
 
 
 # --- exact evaluation against a brute-force oracle --------------------------------

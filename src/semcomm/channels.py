@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .capacity import Dmc
 from .errors import ValidationError
@@ -117,6 +116,9 @@ def _psk_labels(m: int) -> tuple[str, ...]:
 
 
 def _mpsk_row_analytic(m: int, snr: float) -> np.ndarray:
+    # Deferred: scipy.integrate costs about 0.6 s to import; only M-PSK needs it.
+    from scipy import integrate
+
     half = math.pi / m
     row = np.empty(m)
     for j in range(m):

@@ -105,9 +105,28 @@ def _load_config(path_or_json: str | None) -> dict:
     return dict(doc)
 
 
+def _integer(value, what: str) -> int:
+    """int(value), or ConfigError if it is not a whole number (8.7 is not 8)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    if isinstance(value, float) and n != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
+def _real(value, what: str) -> float:
+    """float(value), or ConfigError if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def _require_seed(seed, ephemeral: bool) -> int:
     if seed is not None:
-        return int(seed) % SEED_MOD
+        return _integer(seed, "seed") % SEED_MOD
     if not ephemeral:
         raise ConfigError(
             "this command is randomized: pass --seed for a reproducible run "
@@ -300,16 +319,18 @@ def resolve_simulate_spec(ns) -> dict:
     if ns.decoder is not None:
         spec["decoder"] = ns.decoder
     if ns.n_grid is not None:
-        spec["n-grid"] = [int(t) for t in ns.n_grid.split(",") if t.strip()]
+        spec["n-grid"] = [t for t in ns.n_grid.split(",") if t.strip()]
     if ns.seed is not None:
         spec["seed"] = int(ns.seed)
     if "channel" not in spec:
         raise ConfigError("simulate: provide a channel (--channel or config key 'channel')")
     spec["seed"] = _require_seed(spec.get("seed"), ns.ephemeral)
-    spec["n-grid"] = [int(n) for n in spec["n-grid"]]
+    if not isinstance(spec["n-grid"], list):
+        raise ConfigError(f"simulate: n-grid must be a list, got {spec['n-grid']!r}")
+    spec["n-grid"] = [_integer(n, "simulate: n-grid entry") for n in spec["n-grid"]]
     if not spec["n-grid"] or any(n < 1 for n in spec["n-grid"]):
         raise ConfigError(f"simulate: bad n-grid {spec['n-grid']}")
-    spec["trials"] = int(spec["trials"])
+    spec["trials"] = _integer(spec["trials"], "simulate: trials")
     if spec["trials"] < 1:
         raise ConfigError("simulate: trials must be >= 1")
     ordered = {
@@ -325,9 +346,9 @@ def resolve_simulate_spec(ns) -> dict:
 def cmd_simulate(ns) -> int:
     spec = resolve_simulate_spec(ns)
     ch = parse_channel(spec["channel"])
-    alpha = float(spec["alpha"])
+    alpha = _real(spec["alpha"], "simulate: alpha")
     cs = semantic_capacity(ch, alpha, tol=1e-9)
-    rate = float(spec["rate-fraction"]) * cs
+    rate = _real(spec["rate-fraction"], "simulate: rate-fraction") * cs
     px = ProbVector.uniform(ch.input_labels)
 
     rows = []

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _row_cdfs
@@ -330,12 +329,17 @@ def _sample_symbols(gen: np.random.Generator, shape, cdf: np.ndarray) -> np.ndar
     cdf[-1] is 1.0 > u and is never reached. For a non-decreasing cdf the
     count equals searchsorted(cdf, u, side="right"). The symbols come in the
     narrowest unsigned dtype that holds them (uint8 up to 256 symbols), so
-    arithmetic on them must widen first.
+    arithmetic on them must widen first. The uniforms are drawn BLOCK_ELEMENTS
+    at a time into the flat output; the generator hands them out in sequence,
+    so the symbols equal those of one gen.random(shape) call.
     """
-    u = gen.random(shape)
     out = np.zeros(shape, dtype=np.min_scalar_type(cdf.size - 1))
-    for c in cdf[:-1]:
-        out += u >= c
+    flat = out.reshape(-1)
+    for block in _blocks(flat.size, 1):
+        part = flat[block]
+        u = gen.random(part.size)
+        for c in cdf[:-1]:
+            part += u >= c
     return out
 
 
@@ -691,6 +695,9 @@ def _run_batches(trials: int, threads: int, worker: Callable[[int, int], tuple])
 
 
 def _binomial_pmf(count: int, p: float) -> np.ndarray:
+    # Deferred: scipy.special costs about 0.3 s to import; only the virtual engine needs it.
+    from scipy.special import gammaln
+
     k = np.arange(count + 1)
     if p == 0.0:
         out = np.zeros(count + 1)

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping, Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError, ConfigError, ConvergenceError
 from .info import (
@@ -293,6 +292,9 @@ def differential_semantic_entropy(
             points.update(d.breakpoints())
     cuts = sorted(p for p in points if lo < p < hi)
     edges = [lo, *cuts, hi]
+
+    # Deferred: scipy.integrate costs about 0.6 s to import; only this needs it.
+    from scipy import integrate
 
     panel_tol = quad_tol / (2.0 * (len(edges) - 1))
     total = 0.0

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,31 @@ def test_simulate_bad_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--n-grid", "abc"), "n-grid entry must be an integer, got 'abc'"),
+    (("--config", '{"n-grid": 64}'), "n-grid must be a list, got 64"),
+    (("--config", '{"n-grid": ["a"]}'), "n-grid entry must be an integer, got 'a'"),
+    (("--config", '{"n-grid": [8.7]}'), "n-grid entry must be an integer, got 8.7"),
+    (("--config", '{"n-grid": [8], "trials": "many"}'), "trials must be an integer, got 'many'"),
+    (("--config", '{"n-grid": [8], "alpha": "half"}'), "alpha must be a number, got 'half'"),
+], ids=["flag-word", "config-scalar", "config-word", "config-fraction", "config-trials",
+        "config-alpha"])
+def test_simulate_bad_spec_exits_2_with_message(capsys, extra, message):
+    code, out, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--seed", "1", *extra)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_simulate_whole_number_spec_values_resolve_as_before(capsys):
+    flags = ("simulate", "--channel", "bsc:0.05", "--seed", "1")
+    _, want, _ = run(capsys, *flags, "--n-grid", "8,12", "--trials", "100")
+    code, got, err = run(capsys, *flags, "--config", '{"n-grid": [8.0, "12"], "trials": 100.0}')
+    assert code == 0, err
+    assert got == want
+
+
 def test_simulate_csv_config_without_spec_line(capsys, tmp_path):
     p = tmp_path / "plain.csv"
     p.write_text("n,R\n1,2\n")
@@ -444,6 +473,55 @@ def test_fano_single_bad_bits(capsys):
 def test_fano_campaign_requires_seed(capsys):
     code, _, _ = run(capsys, "fano", "--instances", "5")
     assert code == 2
+
+
+# --- imports ----------------------------------------------------------------
+
+# Runs CLI commands in a fresh interpreter; after each one, prints its exit
+# code and the scipy modules loaded so far as one JSON line on stderr.
+IMPORT_PROBE = """
+import json, sys
+import semcomm
+import semcomm.cli as cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+
+def _import_probe(*commands):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stderr.splitlines() if line.startswith("[")]
+
+
+def test_discrete_commands_import_no_scipy():
+    steps = _import_probe(
+        ["capacity", "--channel", "bsc:0.1", "--alpha", "0.5"],
+        ["fano", "--single", "--channel", "bsc:0.1", "--n", "3", "--message-bits", "4",
+         "--semantic-bits", "2"],
+        ["fano", "--instances", "20", "--seed", "1"],
+        ["simulate", "--channel", "bsc:0.05", "--n-grid", "8", "--trials", "200",
+         "--seed", "1"],
+    )
+    assert steps == [[0, []]] * 4
+
+
+def test_scipy_loads_only_where_it_is_used():
+    steps = _import_probe(
+        ["simulate", "--channel", "bsc:0.05", "--n-grid", "64", "--trials", "200",
+         "--seed", "1"],
+        ["capacity", "--channel", "mpsk:4:9"],
+    )
+    assert [code for code, _ in steps] == [0, 0]
+    assert "scipy.special" in steps[0][1]
+    assert "scipy.integrate" not in steps[0][1]
+    assert "scipy.integrate" in steps[1][1]
 
 
 def test_console_script_is_installed():

@@ -848,6 +848,39 @@ def test_sampled_symbols_use_the_narrowest_dtype():
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
 
+def test_sampled_symbols_in_blocks_equal_one_draw(monkeypatch):
+    # Blocks of 7 split the rows of 5 symbols, so a block starts mid-row.
+    monkeypatch.setattr(coding, "BLOCK_ELEMENTS", 7)
+    for probs in ([0.25, 0.25, 0.25, 0.25], [0.3, 0.0, 0.7]):
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        for shape in ((13, 3, 5), (4, 5), (7,), (0, 5)):
+            gen, ref_gen = ChannelRng(6, 3).generator(), ChannelRng(6, 3).generator()
+            got = coding._sample_symbols(gen, shape, cdf)
+            u = ref_gen.random(shape)
+            ref = np.zeros(shape, dtype=np.uint8)
+            for c in cdf[:-1]:
+                ref += u >= c
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, ref)
+            assert gen.random() == ref_gen.random()
+
+
+def test_symbol_sampling_memory_stays_bounded():
+    # A whole-batch draw of (4096, 256, 4) uniforms alone would take 32 MiB;
+    # the uint8 symbols take 4 MiB.
+    cdf = np.array([0.25, 0.5, 0.75, 1.0])
+    gen = ChannelRng(2, 1).generator()
+    tracemalloc.start()
+    try:
+        got = coding._sample_symbols(gen, (4096, 256, 4), cdf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (4096, 256, 4)
+    assert peak < 8 * 2**20
+
+
 def test_shared_simulation_memory_stays_bounded():
     # 4096 codewords against a 4096-trial batch: a (trials, count) float64
     # score matrix alone would take 128 MiB.

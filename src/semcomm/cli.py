@@ -197,7 +197,7 @@ def cmd_capacity(ns) -> int:
         cfg["alpha"] = ns.alpha
     if "channel" not in cfg:
         raise ConfigError("capacity: provide a channel (--channel or config key 'channel')")
-    alpha = float(cfg.get("alpha", 1.0))
+    alpha = _real(cfg.get("alpha", 1.0), "capacity: alpha")
     chspec = cfg["channel"]
     if ns.snr_db is not None:
         snr = 10.0 ** (ns.snr_db / 10.0)
@@ -422,9 +422,9 @@ def cmd_fano(ns) -> int:
             if key not in cfg:
                 raise ConfigError(f"fano --single: missing {key!r}")
         ch = parse_channel(cfg["channel"])
-        n = int(cfg["n"])
-        mb = int(cfg["message-bits"])
-        sb = int(cfg["semantic-bits"])
+        n = _integer(cfg["n"], "fano: n")
+        mb = _integer(cfg["message-bits"], "fano: message-bits")
+        sb = _integer(cfg["semantic-bits"], "fano: semantic-bits")
         if not (1 <= sb <= mb):
             raise ConfigError(f"fano: need 1 <= semantic-bits <= message-bits, got {sb}/{mb}")
         scheme = cfg.get("partition-scheme", "contiguous")
@@ -474,7 +474,9 @@ def cmd_fano(ns) -> int:
         )
         return 0
 
-    instances = int(ns.instances if ns.instances is not None else cfg.get("instances", 1000))
+    instances = _integer(
+        ns.instances if ns.instances is not None else cfg.get("instances", 1000), "fano: instances"
+    )
     converse = cfg.get("converse", True) and not ns.no_converse
     seed = _require_seed(cfg.get("seed", ns.seed), ns.ephemeral)
     camp = run_fano_campaign(instances, seed, include_converse=converse)

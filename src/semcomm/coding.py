@@ -6,12 +6,13 @@ Message counts are powers of two derived from (n, R, alpha) by ceilings, so
 they can exceed what fits in memory by hundreds of orders of magnitude. Two
 simulation regimes cover this:
 
-- materialized: codewords live in arrays; the literal protocol runs. The
-  ML and typicality decoders take a batch's trials a block at a time,
-  sized so that a block's largest array holds at most BLOCK_ELEMENTS
-  elements, and a shared codebook too wide for one block is also split by
-  codewords; the working set stays bounded whatever the trial or codeword
-  count. There is no per-trial Python loop.
+- materialized: codewords live in arrays; the literal protocol runs, in
+  one engine whether the codebook holds a codeword per class or per
+  message. The ML and typicality decoders take a batch's trials a block
+  at a time, sized so that a block's largest array holds at most
+  BLOCK_ELEMENTS elements, and a shared codebook too wide for one block is
+  also split by codewords; the working set stays bounded whatever the
+  trial or codeword count. There is no per-trial Python loop.
 - virtual: for fresh per-trial codebooks too large to hold, each trial
   draws only the true codeword and the channel output, then realizes the
   correct/incorrect outcome with the exact conditional probability that a
@@ -796,6 +797,120 @@ def _simulation_config(
     return out
 
 
+def _check_run(name: str, ch: Dmc, px: ProbVector, decoder: str, trials: int) -> None:
+    """The argument checks simulate and simulate_full_codebook share."""
+    if px.labels != ch.input_labels:
+        raise ValidationError(f"{name}: px alphabet does not match channel inputs")
+    if decoder not in ("ml", "typicality"):
+        raise ValidationError(f"{name}: unknown decoder {decoder!r}")
+    if trials < 1:
+        raise ValidationError(f"{name}: trials must be >= 1, got {trials}")
+
+
+def _simulate_materialized(
+    cfg: CodeConfig, scheme: str, ch: Dmc, px: ProbVector, decoder: str,
+    trials: int, seed: int, threads: int, eps: float,
+    part: SemanticPartition | None, codebook: Codebook | None, per_message: bool,
+) -> SimulationReport:
+    """The literal protocol with materialized codewords, for both indexings.
+
+    The codebook holds one codeword per class, or one per message when
+    per_message is set; codebook None draws a fresh per-class codebook in
+    every trial. Message w transmits codeword sent_of[w]; decoded codeword k
+    stands for class owner_class[k] and message owner_msg[k] (per class:
+    sent_of = class_of and owner_msg the class representatives; per
+    message: sent_of and owner_msg are the identity, owner_class = class_of).
+    Without a partition (a message set too large to build, per class only)
+    the classes are equal-sized by construction, so the class is drawn
+    uniformly and representative-ness is a Bernoulli(count/message_count).
+    Batch b draws from stream b: the fresh codebooks, then the messages,
+    then the channel uniforms.
+    """
+    fresh = codebook is None
+    count = int(cfg.message_count if per_message else cfg.semantic_count)
+    mcount = int(cfg.message_count)
+    if part is not None and (
+        part.message_count != mcount or (not per_message and part.class_count != count)
+    ):
+        raise ValidationError(
+            f"partition of {part.message_count} messages into {part.class_count} "
+            f"classes does not match the config's {mcount} and {cfg.semantic_count}"
+        )
+    if not fresh and (codebook.count, codebook.n) != (count, cfg.n):
+        raise ValidationError(
+            f"codebook shape ({codebook.count}, {codebook.n}) does not match "
+            f"the config's ({count}, {cfg.n})"
+        )
+    if not fresh and codebook.alphabet_size != ch.num_inputs:
+        raise ValidationError("codebook alphabet does not match channel inputs")
+
+    logmat = _log_matrix(ch.matrix)
+    px_cdf = np.cumsum(px.probs)
+    px_cdf[-1] = 1.0
+    ch_cdf = _row_cdfs(ch.matrix)
+    joint = (
+        JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
+        if decoder == "typicality"
+        else None
+    )
+    codewords = np.arange(count)
+    if part is None:
+        owner_class = codewords
+        rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
+    elif per_message:
+        sent_of, owner_class, owner_msg = codewords, part.class_of, codewords
+    else:
+        sent_of, owner_class, owner_msg = part.class_of, codewords, part.representatives
+
+    # With the whole output space enumerable, precompute every decision of a
+    # shared codebook once; they are bit-identical to direct scoring because
+    # both use the same canonical score routine.
+    decisions = None
+    if (
+        not fresh
+        and decoder == "ml"
+        and ch.num_outputs ** cfg.n * count <= ENUM_BUDGET
+        and trials >= 8 * BATCH_TRIALS
+    ):
+        decisions = _decision_table(codebook.codewords, ch)
+        radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
+
+    def worker(b: int, nb: int) -> tuple[int, int]:
+        gen = ChannelRng(seed, b).generator()
+        cw = _sample_symbols(gen, (nb, count, cfg.n), px_cdf) if fresh else codebook.codewords
+        if part is None:
+            sent = gen.integers(0, count, size=nb)
+            rep_hit = gen.random(nb) < rep_prob
+        else:
+            w = gen.integers(0, mcount, size=nb)
+            sent = sent_of[w]
+        u = gen.random((nb, cfg.n))
+        y = _draw_outputs(ch_cdf, cw[np.arange(nb), sent] if fresh else cw[sent], u)
+        if decisions is not None:
+            picks = decisions[y @ radix]
+        elif decoder == "ml":
+            picks = _ml_decisions(cw, y, logmat)
+        else:
+            picks = _typicality_decisions(cw, y, joint, eps)
+        # An erasure (-1) indexes the last owner below; `erased` overrules it.
+        erased = picks < 0
+        sem_err = erased | (owner_class[picks] != owner_class[sent])
+        if part is None:
+            msg_err = sem_err | ~rep_hit
+        else:
+            msg_err = erased | (owner_msg[picks] != w)
+        return int(sem_err.sum()), int(msg_err.sum())
+
+    sem, msg = map(sum, zip(*_run_batches(trials, threads, worker)))
+    regime = "full-codebook" if per_message else f"materialized-{'fresh' if fresh else 'shared'}"
+    config = _simulation_config(
+        cfg, ch, px, decoder, scheme, fresh, regime, trials, seed,
+        eps if decoder == "typicality" else None,
+        notes=() if (part is None or part.is_equal_sized) else ("unequal-partition",),
+    )
+    return SimulationReport.from_counts(trials, sem, msg, seed, config)
+
+
 def simulate(
     cfg: CodeConfig,
     scheme: str,
@@ -823,23 +938,17 @@ def simulate(
     codebooks whose (count x n) size exceeds MATERIALIZE_LIMIT switch to the
     virtual engine, which realizes each trial's outcome with the exact
     conditional correctness probability of ML decoding over the un-drawn
-    competitor codewords. Reports are bit-identical across runs and thread
-    counts for a fixed seed.
+    competitor codewords. Everything else runs in the materialized engine
+    that simulate_full_codebook shares; there a shared codebook is ML-decoded
+    from a table of every output word's decision when the output space is
+    small enough to enumerate, with unchanged results. Reports are
+    bit-identical across runs and thread counts for a fixed seed.
     """
-    if px.labels != ch.input_labels:
-        raise ValidationError("simulate: px alphabet does not match channel inputs")
-    if decoder not in ("ml", "typicality"):
-        raise ValidationError(f"simulate: unknown decoder {decoder!r}")
-    if trials < 1:
-        raise ValidationError(f"simulate: trials must be >= 1, got {trials}")
+    _check_run("simulate", ch, px, decoder, trials)
     if codebook is not None and fresh_codebook:
         raise ValidationError("simulate: an explicit codebook implies fresh_codebook=False")
 
-    count = cfg.semantic_count
-    mcount = cfg.message_count
-    virtual = fresh_codebook and count * cfg.n > MATERIALIZE_LIMIT
-
-    if virtual:
+    if fresh_codebook and cfg.semantic_count * cfg.n > MATERIALIZE_LIMIT:
         if decoder != "ml":
             raise ConfigError(
                 "virtual-regime simulation supports the ml decoder only; "
@@ -849,86 +958,16 @@ def simulate(
             raise ConfigError(f"unknown partition scheme {scheme!r}")
         return _simulate_virtual(cfg, scheme, ch, px, trials, seed, threads)
 
-    count = int(count)
-    if codebook is not None:
-        if codebook.count != count or codebook.n != cfg.n:
-            raise ValidationError(
-                f"simulate: codebook shape ({codebook.count}, {codebook.n}) does not "
-                f"match config ({count}, {cfg.n})"
-            )
-        if codebook.alphabet_size != ch.num_inputs:
-            raise ValidationError("simulate: codebook alphabet does not match channel")
-        shared = codebook
-    elif not fresh_codebook:
-        shared = generate_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    else:
-        shared = None
-
-    # Message bookkeeping: with a materializable message set the partition is
-    # built and messages are drawn directly; otherwise the classes are
-    # equal-sized by construction (power-of-two counts), so the class is
-    # drawn uniformly and representative-ness is a Bernoulli(count/mcount).
-    if partition is not None:
-        if partition.message_count != mcount or partition.class_count != count:
-            raise ValidationError("simulate: partition does not match config counts")
-        part = partition
-    elif mcount <= FULL_CODEBOOK_CAP:
-        part = make_partition(cfg, scheme, seed)
-    else:
-        if scheme not in PARTITION_SCHEMES:
-            raise ConfigError(f"unknown partition scheme {scheme!r}")
-        part = None
-
-    logmat = _log_matrix(ch.matrix)
-    px_cdf = np.cumsum(px.probs)
-    px_cdf[-1] = 1.0
-    ch_cdf = _row_cdfs(ch.matrix)
-    joint = (
-        JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
-        if decoder == "typicality"
-        else None
+    if codebook is None and not fresh_codebook:
+        codebook = generate_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
+    if partition is None and cfg.message_count <= FULL_CODEBOOK_CAP:
+        partition = make_partition(cfg, scheme, seed)
+    elif partition is None and scheme not in PARTITION_SCHEMES:
+        raise ConfigError(f"unknown partition scheme {scheme!r}")
+    return _simulate_materialized(
+        cfg, scheme, ch, px, decoder, trials, seed, threads, eps,
+        partition, codebook, per_message=False,
     )
-    rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
-
-    if part is not None:
-        class_of = part.class_of
-        reps = part.representatives
-        message_count_int = int(mcount)
-
-    def worker(b: int, nb: int) -> tuple[int, int]:
-        gen = ChannelRng(seed, b).generator()
-        if shared is None:
-            cws = _sample_symbols(gen, (nb, count, cfg.n), px_cdf)
-        if part is not None:
-            w = gen.integers(0, message_count_int, size=nb)
-            m = class_of[w]
-            rep_hit = w == reps[m]
-        else:
-            m = gen.integers(0, count, size=nb)
-            rep_hit = gen.random(nb) < rep_prob
-        u = gen.random((nb, cfg.n))
-        if shared is None:
-            x = cws[np.arange(nb), m, :]
-        else:
-            x = shared.codewords[m]
-        y = _draw_outputs(ch_cdf, x, u)
-        cw = cws if shared is None else shared.codewords
-        if decoder == "ml":
-            picks = _ml_decisions(cw, y, logmat)
-        else:
-            picks = _typicality_decisions(cw, y, joint, eps)
-        sem_err = picks != m
-        msg_err = sem_err | ~rep_hit
-        return int(sem_err.sum()), int(msg_err.sum())
-
-    sem, msg = map(sum, zip(*_run_batches(trials, threads, worker)))
-    regime = "materialized-fresh" if shared is None else "materialized-shared"
-    config = _simulation_config(
-        cfg, ch, px, decoder, scheme, fresh_codebook, regime, trials, seed,
-        eps if decoder == "typicality" else None,
-        notes=() if (part is None or part.is_equal_sized) else ("unequal-partition",),
-    )
-    return SimulationReport.from_counts(trials, sem, msg, seed, config)
 
 
 def _simulate_virtual(
@@ -985,12 +1024,9 @@ def _simulate_virtual(
         rep_hit = gen.random(nb) < rep_prob
         u_win = gen.random(nb)
         y = _draw_outputs(ch_cdf, x, u)
-        own = np.zeros(nb)
-        for a in range(2):
-            xa = x == a
-            for bb in range(n_out):
-                cnt = (xa & (y == bb)).sum(axis=1).astype(float)
-                own += cnt * logmat[a, bb]
+        own = np.empty(nb)
+        for rows, _, scores in _scores_per_trial(x[:, None, :], y, logmat):
+            own[rows] = scores[:, 0]
         counts = np.stack([(y == bb).sum(axis=1) for bb in range(n_out)], axis=1)
         return own, counts, rep_hit, u_win
 
@@ -1033,77 +1069,22 @@ def simulate_full_codebook(
 
     The decoder estimates the message index; a semantic error is an
     estimate outside the transmitted message's class (erasures count), a
-    message error any estimate different from the message itself.
+    message error any estimate different from the message itself. It runs
+    in the materialized engine simulate shares, including its table of ML
+    decisions over an enumerable output space.
     """
-    if px.labels != ch.input_labels:
-        raise ValidationError("simulate_full_codebook: px alphabet mismatch")
-    if decoder not in ("ml", "typicality"):
-        raise ValidationError(f"simulate_full_codebook: unknown decoder {decoder!r}")
-    if trials < 1:
-        raise ValidationError("simulate_full_codebook: trials must be >= 1")
+    _check_run("simulate_full_codebook", ch, px, decoder, trials)
     if cfg.message_count > FULL_CODEBOOK_CAP:
         raise ConfigError(
             f"simulate_full_codebook: {cfg.message_count} messages exceed the "
             f"{FULL_CODEBOOK_CAP} cap; use simulate() with per-class codewords"
         )
-    mcount = int(cfg.message_count)
-    if partition.message_count != mcount:
-        raise ValidationError(
-            f"simulate_full_codebook: partition covers {partition.message_count} "
-            f"messages, config has {mcount}"
-        )
     if codebook is None:
         codebook = generate_full_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    if codebook.count != mcount or codebook.n != cfg.n:
-        raise ValidationError("simulate_full_codebook: codebook shape mismatch")
-    if codebook.alphabet_size != ch.num_inputs:
-        raise ValidationError("simulate_full_codebook: codebook alphabet mismatch")
-
-    logmat = _log_matrix(ch.matrix)
-    ch_cdf = _row_cdfs(ch.matrix)
-    class_of = partition.class_of
-    cw = codebook.codewords
-    joint = (
-        JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
-        if decoder == "typicality"
-        else None
+    return _simulate_materialized(
+        cfg, partition.scheme, ch, px, decoder, trials, seed, threads, eps,
+        partition, codebook, per_message=True,
     )
-
-    # With the whole output space enumerable, precompute every decision once;
-    # the decisions are bit-identical to direct scoring because both use the
-    # same canonical score routine.
-    use_table = (
-        decoder == "ml"
-        and ch.num_outputs ** cfg.n * mcount <= ENUM_BUDGET
-        and trials >= 8 * BATCH_TRIALS
-    )
-    if use_table:
-        decisions = _decision_table(cw, ch)
-        radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
-
-    def worker(b: int, nb: int) -> tuple[int, int]:
-        gen = ChannelRng(seed, b).generator()
-        w = gen.integers(0, mcount, size=nb)
-        u = gen.random((nb, cfg.n))
-        x = cw[w]
-        y = _draw_outputs(ch_cdf, x, u)
-        if use_table:
-            picks = decisions[y @ radix]
-        elif decoder == "ml":
-            picks = _ml_decisions(cw, y, logmat)
-        else:
-            picks = _typicality_decisions(cw, y, joint, eps)
-        msg_err = picks != w
-        sem_err = msg_err & ((picks < 0) | (class_of[np.maximum(picks, 0)] != class_of[w]))
-        return int(sem_err.sum()), int(msg_err.sum())
-
-    sem, msg = map(sum, zip(*_run_batches(trials, threads, worker)))
-    config = _simulation_config(
-        cfg, ch, px, decoder, partition.scheme, False, "full-codebook",
-        trials, seed, eps if decoder == "typicality" else None,
-        notes=() if partition.is_equal_sized else ("unequal-partition",),
-    )
-    return SimulationReport.from_counts(trials, sem, msg, seed, config)
 
 
 def _enumerate_outputs(n_out: int, n: int) -> np.ndarray:

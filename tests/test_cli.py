@@ -138,6 +138,14 @@ def test_capacity_bad_alpha(capsys):
     assert code == 2
 
 
+def test_capacity_non_numeric_alpha_in_config_exits_2(capsys):
+    code, out, err = run(capsys, "capacity", "--config", '{"channel": "bsc:0.1", "alpha": "x"}')
+    assert code == 2
+    assert out == ""
+    assert "error: capacity: alpha must be a number, got 'x'" in err
+    assert "Traceback" not in err
+
+
 def test_capacity_solves_once_and_checks_alpha_first(capsys, monkeypatch):
     calls = []
 
@@ -468,6 +476,27 @@ def test_fano_single_bad_bits(capsys):
     )
     assert code == 2
     assert "semantic-bits" in err
+
+
+FANO_SINGLE = {"mode": "single", "channel": "bsc:0.1", "n": 3, "message-bits": 4,
+               "semantic-bits": 2}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**FANO_SINGLE, "n": "abc"}, "n must be an integer, got 'abc'"),
+    ({**FANO_SINGLE, "n": 3.7}, "n must be an integer, got 3.7"),
+    ({**FANO_SINGLE, "message-bits": "four"}, "message-bits must be an integer, got 'four'"),
+    ({**FANO_SINGLE, "semantic-bits": 1.5}, "semantic-bits must be an integer, got 1.5"),
+    ({"instances": "many", "seed": 1}, "instances must be an integer, got 'many'"),
+    ({"instances": 2.5, "seed": 1}, "instances must be an integer, got 2.5"),
+], ids=["n-word", "n-fraction", "message-bits-word", "semantic-bits-fraction",
+        "instances-word", "instances-fraction"])
+def test_fano_bad_config_values_exit_2_with_message(capsys, config, message):
+    code, out, err = run(capsys, "fano", "--config", json.dumps(config))
+    assert code == 2
+    assert out == ""
+    assert f"error: fano: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_fano_campaign_requires_seed(capsys):

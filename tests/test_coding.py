@@ -554,12 +554,44 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
     part = make_partition(cfg, "contiguous")
     ch = bsc(0.1)
     trials = 9 * 4096  # enough to engage the table fast path
-    a = simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99, threads=4)
+    runs = [
+        lambda: simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99, threads=4),
+        lambda: simulate(cfg, "contiguous", ch, UNIFORM2, "ml", trials, 99,
+                         fresh_codebook=False, threads=4),
+    ]
+    tables = []
+    table = coding._decision_table
+
+    def counted_table(cw, channel):
+        tables.append(cw.shape)
+        return table(cw, channel)
+
+    monkeypatch.setattr(coding, "_decision_table", counted_table)
+    a = [run() for run in runs]
+    assert tables == [(16, 4), (4, 4)]
     # forcing the per-trial scoring path must not change a single count
     monkeypatch.setattr(coding, "ENUM_BUDGET", 0)
-    b = simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99, threads=4)
-    assert a.semantic_errors == b.semantic_errors
-    assert a.message_errors == b.message_errors
+    b = [run() for run in runs]
+    assert len(tables) == 2
+    for x, y in zip(a, b):
+        assert x.semantic_errors == y.semantic_errors
+        assert x.message_errors == y.message_errors
+
+
+def test_codebook_indexing_pinned():
+    # Literal counts of both codebook indexings. A seeded-random partition
+    # scrambles which message owns which codeword, so transmitting by class
+    # where the codebook is indexed by message (or the reverse) moves them.
+    ch = bsc(0.05)
+    got = {}
+    for alpha in (0.5, 1.0):
+        cfg = CodeConfig(n=8, rate=0.5, alpha=alpha)
+        part = make_partition(cfg, "seeded-random", 7)
+        full = simulate_full_codebook(cfg, part, ch, UNIFORM2, 4096, 7)
+        shared = simulate(cfg, "seeded-random", ch, UNIFORM2, "ml", 4096, 7,
+                          fresh_codebook=False)
+        got[alpha] = [(r.semantic_errors, r.message_errors) for r in (full, shared)]
+    assert got == {0.5: [(560, 602), (338, 3158)], 1.0: [(602, 602), (576, 576)]}
 
 
 # --- materialized kernels against the loop references -----------------------------

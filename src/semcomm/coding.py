@@ -20,11 +20,12 @@ simulation regimes cover this:
   The competitor codewords' score distribution given y is computed exactly
   (it depends on y only through its symbol counts), so the simulated error
   process is distributed identically to the literal one. It runs in two
-  phases: the batches first draw every trial and keep only its own score,
-  y-type counts and two uniforms (n_out + 3 numbers per trial); then each
-  distinct y type gets one upper-tail table, holding only the grid points
-  that score at least the lowest own score of that type, and answers all
-  of its trials.
+  phases: the batches first draw every trial a row block at a time,
+  counting each (input, output) cell once per trial, and keep only its own
+  score, y-type counts and two uniforms (n_out + 3 numbers per trial); then
+  each distinct y type gets one upper-tail table, built only from the grid
+  points that can score at least the lowest own score of that type, and
+  answers all of its trials.
 
 Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
@@ -35,10 +36,10 @@ counts.
 
 Scores are canonical: every path computes sum over (a, b) in row-major
 order of count(a, b) * log2 p(b|a), so equal empirical count matrices give
-bit-equal floats and "exact tie" is well defined. The materialized kernels
-get there in two steps: exact integer joint-type counts per (a, b) cell,
-then that combine. Ties and all-impossible likelihoods decode to the
-erasure mark.
+bit-equal floats and "exact tie" is well defined. Every path gets there in
+two steps: exact integer counts per (a, b) cell (joint types of codeword
+and output, or a competitor's grid point), then the one combine,
+_combine. Ties and all-impossible likelihoods decode to the erasure mark.
 """
 
 from __future__ import annotations
@@ -421,6 +422,22 @@ def _blocks(rows: int, row_elements: int) -> list[slice]:
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
+def _combine(cells, logmat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The canonical score from exact per-cell counts, written into out.
+
+    cells yields one count array per (a, b) cell in row-major order, each
+    broadcasting to out, and out becomes sum over (a, b) of
+    count(a, b) * log2 W(b|a) accumulated in that order. A generator may
+    reuse one buffer for every cell: each count is consumed before the next
+    is drawn. Every score in the package comes from here, so equal count
+    matrices give bit-equal floats.
+    """
+    out.fill(0.0)
+    for cnt, weight in zip(cells, logmat.flat, strict=True):
+        out += cnt * weight
+    return out
+
+
 def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
     """Canonical scores, one codebook per trial, a trial block at a time.
 
@@ -428,8 +445,7 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
     scores[i, k] scores codeword cols[k] of trial rows[i]; cols always spans
     the whole codebook. Each block builds the joint index x * |Y| + y with
     position as the leading axis, so a cell's count is a sum of n contiguous
-    rows, and then combines the exact integer counts in the canonical
-    (a, b) order.
+    rows, and hands the exact integer counts to _combine.
     """
     trials, count, n = cws.shape
     a_count, b_count = logmat.shape
@@ -441,15 +457,11 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
         joint += ys[rows].T.astype(cell_type)[:, :, None]
         hit = np.empty(joint.shape, dtype=bool)
         cnt = np.empty(joint.shape[1:], dtype=count_type)
-        term = np.empty(joint.shape[1:])
-        scores = np.zeros(joint.shape[1:])
-        for a in range(a_count):
-            for b in range(b_count):
-                np.equal(joint, a * b_count + b, out=hit)
-                np.sum(hit.view(np.uint8), axis=0, dtype=count_type, out=cnt)
-                np.multiply(cnt, logmat[a, b], out=term)
-                scores += term
-        yield rows, slice(0, count), scores
+        cells = (
+            np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type, out=cnt)
+            for cell in range(a_count * b_count)
+        )
+        yield rows, slice(0, count), _combine(cells, logmat, np.empty(joint.shape[1:]))
 
 
 def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
@@ -470,19 +482,18 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
     width = chunks[0].stop
     slices = _blocks(ys.shape[0], width)
     height = slices[0].stop
-    buffers = [np.empty(height * width) for _ in range(3)]
+    buffers = [np.empty(height * width) for _ in range(2)]
     for rows in slices:
         yb = [(ys[rows] == b).astype(float) for b in range(b_count)]
         for cols in chunks:
             shape = (rows.stop - rows.start, cols.stop - cols.start)
-            scores, cnt, term = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-            scores.fill(0.0)
-            for a in range(a_count):
-                for b in range(b_count):
-                    np.matmul(yb[b], xs[a][cols].T, out=cnt)
-                    np.multiply(cnt, logmat[a, b], out=term)
-                    scores += term
-            yield rows, cols, scores
+            scores, cnt = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+            cells = (
+                np.matmul(yb[b], xs[a][cols].T, out=cnt)
+                for a in range(a_count)
+                for b in range(b_count)
+            )
+            yield rows, cols, _combine(cells, logmat, scores)
 
 
 def _ml_decisions(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
@@ -727,17 +738,25 @@ def _competitor_tail(
     number of its input-0 symbols among the c_b positions where y = b. The
     k[b] are independent Binomial(c_b, p0), so the score law lives on the
     grid prod(c_b + 1). Binary inputs only: the count matrix is then the
-    per-column scalar k[b].
+    per-column scalar k[b], and its cells in (a, b) order are k[b] for a = 0
+    and c_b - k[b] for a = 1.
 
-    Only grid points scoring at least min(s) can answer a query, so only
-    those are sorted. In a stable sort of the whole grid they form its top
-    block in the same order, and summing from the top gives the very partial
-    sums a full table would. The normalizer is the product of the per-output
-    pmf sums, which is the grid's total mass without a pass over the grid;
-    a full table's running total differs from it only by rounding. Summing
-    from the top keeps P(score >= s) resolved far below 1e-16, which
-    beating 2^hundreds of competitors needs and a cdf near 1.0 cannot
-    represent.
+    Only grid points scoring at least min(s) can answer a query, and only
+    candidates for them are built. The score is linear in the last k[b]:
+    the leading points whose best score along it can reach min(s) are
+    enumerated, and the last k[b] is limited to the interval where the best
+    of those can; both tests use the real-valued score less a margin above
+    the float sums' rounding error. The candidates, taken in row-major
+    order, are scored by _combine with the same per-element operations as a
+    whole-grid build and filtered exactly, so they leave the grid's
+    flatnonzero(values >= min(s)). In a stable sort of the whole grid those
+    form its top block in the same order, and summing from the top gives
+    the very partial sums a full table would. The normalizer is the product
+    of the per-output pmf sums, which is the grid's total mass without a
+    pass over the grid; a full table's running total differs from it only
+    by rounding. Summing from the top keeps P(score >= s) resolved far below
+    1e-16, which beating 2^hundreds of competitors needs and a cdf near 1.0
+    cannot represent.
     """
     shape = tuple(int(c) + 1 for c in y_counts)
     support = math.prod(shape)
@@ -746,23 +765,43 @@ def _competitor_tail(
             f"virtual score distribution support {support} exceeds "
             f"{DIST_BUDGET}; reduce the blocklength or output alphabet"
         )
-    ks = [
-        np.arange(m, dtype=float).reshape([-1 if i == b else 1 for i in range(len(shape))])
-        for b, m in enumerate(shape)
-    ]
-    # Accumulate in the canonical (a, b) row-major order so these values
-    # are bit-comparable with the scorers' outputs.
-    values = np.zeros(shape)
-    for b, k in enumerate(ks):
-        values += k * logmat[0, b]
-    for b, k in enumerate(ks):
-        values += (float(y_counts[b]) - k) * logmat[1, b]
-    flat = np.flatnonzero(values >= s.min())
-    kept = values.ravel()[flat]
-    pmfs = [_binomial_pmf(int(c), p0) for c in y_counts]
-    probs = np.ones(flat.size)
-    for pmf, k in zip(pmfs, np.unravel_index(flat, shape)):
+    lowest = s.min()
+    *lead, m = shape
+    counts = np.array(shape) - 1
+    # Row-major leading points, and each one's real-valued score at a last
+    # k[b] of 0.
+    lead_k = np.indices(lead).reshape(len(lead), math.prod(lead))
+    base = np.full(lead_k.shape[1], counts[-1] * logmat[1, -1])
+    for b, k in enumerate(lead_k):
+        base += k * logmat[0, b] + (counts[b] - k) * logmat[1, b]
+    slope = float(logmat[0, -1] - logmat[1, -1])
+    # A float sum of the 2|Y| products errs from the real one by at most
+    # about |Y| * eps times the sum of their magnitudes, and so does base;
+    # the margin is four times that, and the rounding of the interval's
+    # bound is absorbed by widening it one step.
+    margin = 4 * (len(shape) + 1) * np.finfo(float).eps * float(
+        counts @ np.abs(logmat).max(axis=0)
+    )
+    target = lowest - margin
+    rows = np.flatnonzero(base + max(slope, 0.0) * counts[-1] >= target)
+    first, last = 0, m - 1
+    if rows.size and slope:
+        bound = float(target - base[rows].max()) / slope
+        if slope > 0:
+            first = max(math.ceil(bound) - 1, 0)
+        else:
+            last = min(math.floor(bound) + 1, m - 1)
+    ks = [k[rows, None] for k in lead_k] + [np.arange(first, last + 1)]
+    cells = [*ks, *(c - k for c, k in zip(counts, ks))]
+    values = _combine(cells, logmat, np.empty((rows.size, ks[-1].size)))
+    keep = values >= lowest
+    kept = values[keep]
+    pmfs = [_binomial_pmf(int(c), p0) for c in counts]
+    # Multiplied in the whole-grid build's order, from 1.0 up.
+    probs = np.ones((rows.size, 1))
+    for pmf, k in zip(pmfs, ks):
         probs = probs * pmf[k]
+    probs = probs[keep]
     order = np.argsort(kept, kind="stable")
     tail = np.cumsum(probs[order][::-1])[::-1]
     tail = np.minimum(tail / math.prod(float(pmf.sum()) for pmf in pmfs), 1.0)
@@ -990,13 +1029,19 @@ def _simulate_virtual(
     without 2^hundreds of codewords.
 
     Two phases. Draw: batch b draws x, u, rep_hit and u_win from stream b,
-    in that order, and keeps per trial only the own score, the y-type
-    counts, rep_hit and u_win (n_out + 3 numbers, so what outlives a batch
-    does not grow with n). Decide: T is built once per distinct y type over
-    all trials, truncated to the grid points scoring at least the type's
-    lowest own score (see _competitor_tail), and every trial of the type is
-    answered from it. Batches are joined in batch order, so the report is
-    the same for any thread count.
+    in that order. It takes u and the outputs a row block at a time
+    (BLOCK_ELEMENTS symbols, as in the materialized kernels): each block's
+    joint index x * |Y| + y is counted once per (a, b) cell and trial, the
+    own score is _combine of those counts, and the y-type counts are their
+    sums over a. Philox hands the uniforms out in sequence, so they are
+    those of one whole-batch draw. Per trial only the own score, the y-type
+    counts, rep_hit and u_win outlive a batch (n_out + 3 numbers), and x is
+    the only array of the batch's full (trials, n) size. Decide: T is built
+    once per distinct y type over all trials, from only the grid points
+    that can score at least the type's lowest own score (see
+    _competitor_tail), and every trial of the type is answered from it.
+    Batches are joined in batch order, so the report is the same for any
+    thread count.
     """
     if px.probs.size != 2:
         raise ConfigError(
@@ -1016,18 +1061,30 @@ def _simulate_virtual(
     ch_cdf = _row_cdfs(ch.matrix)
     rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
     n_out = ch.num_outputs
+    cell_count = logmat.size
+    cell_type = np.min_scalar_type(cell_count - 1)
+    count_type = np.min_scalar_type(cfg.n)
 
     def draw(b: int, nb: int) -> tuple[np.ndarray, ...]:
         gen = ChannelRng(seed, b).generator()
         x = _sample_symbols(gen, (nb, cfg.n), px_cdf)
-        u = gen.random((nb, cfg.n))
+        cells = np.empty((nb, cell_count), dtype=count_type)
+        for rows in _blocks(nb, cfg.n):
+            xb = x[rows]
+            u = gen.random(xb.shape)
+            # joint = x * |Y| + y, with y counting the row-cdf entries u
+            # reaches (as channels._draw_outputs does).
+            joint = xb.astype(cell_type)
+            joint *= n_out
+            for col in ch_cdf.T[:-1]:
+                joint += u >= col.take(xb)
+            for cell in range(cell_count):
+                hit = (joint == cell).view(np.uint8)
+                np.sum(hit, axis=1, dtype=count_type, out=cells[rows, cell])
         rep_hit = gen.random(nb) < rep_prob
         u_win = gen.random(nb)
-        y = _draw_outputs(ch_cdf, x, u)
-        own = np.empty(nb)
-        for rows, _, scores in _scores_per_trial(x[:, None, :], y, logmat):
-            own[rows] = scores[:, 0]
-        counts = np.stack([(y == bb).sum(axis=1) for bb in range(n_out)], axis=1)
+        own = _combine(cells.T, logmat, np.empty(nb))
+        counts = cells.reshape(nb, -1, n_out).sum(axis=1, dtype=np.int64)
         return own, counts, rep_hit, u_win
 
     own, counts, rep_hit, u_win = (
@@ -1041,8 +1098,11 @@ def _simulate_virtual(
         at_or_above[sel] = _competitor_tail(px.probs[0], logmat, y_counts, own[sel])
     # P(all competitors strictly below) = (1 - T)^(count - 1); with T down at
     # 2^-hundreds and the exponent up at 2^+hundreds only the log1p form keeps
-    # the product meaningful.
-    win_prob = np.exp(float(cfg.semantic_count - 1) * np.log1p(-at_or_above))
+    # the product meaningful. T = 1 (every competitor ties or beats the own
+    # codeword, e.g. an all-erased y) gives log1p(-1) = -inf and a win
+    # probability of exactly 0.
+    with np.errstate(divide="ignore"):
+        win_prob = np.exp(float(cfg.semantic_count - 1) * np.log1p(-at_or_above))
     sem_err = ~(u_win < win_prob)
     msg_err = sem_err | ~rep_hit
     sem, msg = int(sem_err.sum()), int(msg_err.sum())

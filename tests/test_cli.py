@@ -414,6 +414,26 @@ def test_simulate_virtual_rejects_qary_input(capsys):
     assert "binary channel input alphabet" in err
 
 
+def test_simulate_all_erased_output_raises_no_warning(tmp_path):
+    # On this erasure channel some trials at n=64 see an all-erased y, whose
+    # win probability (1 - T)^(M-1) has T = 1. Under -W error a warning
+    # there would end the run with a traceback.
+    channel = tmp_path / "bec.json"
+    channel.write_text(json.dumps({
+        "inputs": ["0", "1"], "outputs": ["0", "e", "1"],
+        "matrix": [[0.1, 0.9, 0.0], [0.0, 0.9, 0.1]],
+    }))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "semcomm.cli", "simulate", "--channel",
+         str(channel), "--n-grid", "64", "--trials", "10000", "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    assert [line[:3] for line in done.stdout.splitlines() if line[:1].isdigit()] == ["64,"]
+
+
 # --- fano -------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,145 @@ def test_truncated_competitor_tail_matches_full_grid(matrix, types, p0):
             assert np.all(np.abs(got[nz] - ref[nz]) <= 4 * np.spacing(ref[nz]))
     if np.any(np.asarray(matrix) == 0.0):
         assert lowest <= coding.NEG_THRESHOLD
+
+
+def _parent_competitor_tail(p0, logmat, y_counts, s):
+    """Reference: the competitor tail as it was before the candidate-only
+    build, kept verbatim. It builds the score of every grid point and keeps
+    flatnonzero(values >= min(s))."""
+    shape = tuple(int(c) + 1 for c in y_counts)
+    support = math.prod(shape)
+    if support > coding.DIST_BUDGET:
+        raise BudgetError(
+            f"virtual score distribution support {support} exceeds "
+            f"{coding.DIST_BUDGET}; reduce the blocklength or output alphabet"
+        )
+    ks = [
+        np.arange(m, dtype=float).reshape([-1 if i == b else 1 for i in range(len(shape))])
+        for b, m in enumerate(shape)
+    ]
+    # Accumulate in the canonical (a, b) row-major order so these values
+    # are bit-comparable with the scorers' outputs.
+    values = np.zeros(shape)
+    for b, k in enumerate(ks):
+        values += k * logmat[0, b]
+    for b, k in enumerate(ks):
+        values += (float(y_counts[b]) - k) * logmat[1, b]
+    flat = np.flatnonzero(values >= s.min())
+    kept = values.ravel()[flat]
+    pmfs = [coding._binomial_pmf(int(c), p0) for c in y_counts]
+    probs = np.ones(flat.size)
+    for pmf, k in zip(pmfs, np.unravel_index(flat, shape)):
+        probs = probs * pmf[k]
+    order = np.argsort(kept, kind="stable")
+    tail = np.cumsum(probs[order][::-1])[::-1]
+    tail = np.minimum(tail / math.prod(float(pmf.sum()) for pmf in pmfs), 1.0)
+    idx = np.searchsorted(kept[order], s, side="left")
+    return np.append(tail, 0.0)[idx]
+
+
+_EXACT_GEN = np.random.default_rng(20261019)
+_DMC2_ZERO = _EXACT_GEN.dirichlet(np.ones(2), size=2)
+_DMC2_ZERO[1] = [0.0, 1.0]
+_DMC3_ZERO = _EXACT_GEN.dirichlet(np.ones(3), size=2)
+_DMC3_ZERO[0] = [0.4, 0.0, 0.6]
+
+
+@pytest.mark.parametrize(
+    "matrix, types",
+    [
+        (bsc(0.05).matrix, [(40, 24), (32, 32), (0, 57), (61, 0)]),  # many tied scores
+        (np.array([[1.0, 0.0], [0.3, 0.7]]), [(14, 19), (25, 0), (0, 9)]),  # Z: NEG scores
+        (_EXACT_GEN.dirichlet(np.ones(2), size=2), [(20, 13), (0, 17), (31, 1)]),
+        (_DMC2_ZERO, [(12, 30), (0, 8)]),
+        (_EXACT_GEN.dirichlet(np.ones(3), size=2), [(5, 9, 7), (0, 4, 12), (11, 0, 1), (6, 3, 0)]),
+        (_DMC3_ZERO, [(7, 8, 9), (0, 5, 6), (4, 0, 3)]),
+        (np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]), [(6, 7, 8), (9, 4, 0), (0, 0, 13)]),
+    ],
+    ids=["bsc", "z", "dmc2", "dmc2-zero", "dmc3", "dmc3-zero", "zero-slope"],
+)
+@pytest.mark.parametrize("p0", [0.5, 0.3])
+def test_competitor_tail_equals_full_grid_build(matrix, types, p0):
+    # Bit-for-bit, not within ulps: the candidate build keeps the same grid
+    # points in the same order and scores them with the same operations.
+    logmat = coding._log_matrix(np.asarray(matrix))
+    gen = np.random.default_rng(11)
+    for y_counts in types:
+        values, _ = _full_grid_tail(p0, logmat, y_counts, np.zeros(0))
+        distinct, seen = np.unique(values, return_counts=True)
+        tied = distinct[seen > 1]
+        between = (distinct[:-1] + distinct[1:]) / 2
+        queries = [
+            values[:1], values[-1:], values[-1:] + 1.0, values[-1:] + [0.0, 1.0],
+            tied[:5], tied[-5:], between[:5], between[-5:],
+        ]
+        for start in (0.0, 0.3, 0.7, 0.95):
+            lo = values[int(start * (values.size - 1))]
+            queries.append(np.concatenate([
+                [lo], gen.choice(values[values >= lo], size=25),
+                tied[tied >= lo][:10], between[between >= lo][-10:],
+            ]))
+        for s in queries:
+            if s.size:
+                got = coding._competitor_tail(p0, logmat, np.array(y_counts), s)
+                assert np.array_equal(got, _parent_competitor_tail(p0, logmat, y_counts, s))
+
+
+BEC = Dmc(("0", "1"), ("0", "e", "1"), np.array([[0.1, 0.9, 0.0], [0.0, 0.9, 0.1]]))
+
+
+def test_virtual_certain_loss_raises_no_warning():
+    # An all-erased y (0.9^32 = 3.4% of trials here) ties every competitor
+    # with the own codeword: T = 1, so the win probability is exactly 0.
+    cfg = CodeConfig(n=32, rate=0.5, alpha=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = simulate(cfg, "contiguous", BEC, UNIFORM2, "ml", 1000, 1)
+    assert rep.config["regime"] == "virtual-fresh"
+    assert (rep.semantic_errors, rep.message_errors) == (1000, 1000)
+
+
+# Counts recorded from the whole-batch draw (parent of the blocked draw):
+# 2 * 4096 + 777 trials in three batches, seed 2026, alpha 0.95.
+_VIRTUAL_PINS = [
+    (bsc(0.05), [0.5, 0.5], 96, 0.55, (114, 6774)),  # 4096 rows split in 682-row blocks
+    (Dmc(("0", "1"), ("0", "1"), np.array([[1.0, 0.0], [0.3, 0.7]])), [0.5, 0.5], 64, 0.4,
+     (603, 4925)),
+    (Dmc(("0", "1"), ("0", "1", "2"), np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])),
+     [0.5, 0.5], 48, 0.3, (1918, 5477)),
+    (bsc(0.1), [0.8, 0.2], 100, 0.3, (1306, 5173)),
+]
+
+
+@pytest.mark.parametrize("block_elements", [None, 1001])
+@pytest.mark.parametrize(
+    "ch, probs, n, rate, counts", _VIRTUAL_PINS, ids=["bsc", "z", "dmc3", "skewed-px"]
+)
+def test_blocked_virtual_draw_pinned(monkeypatch, block_elements, ch, probs, n, rate, counts):
+    if block_elements is not None:
+        # An odd block size cuts the symbol draw mid-row and leaves a short
+        # last block of channel rows in every batch.
+        monkeypatch.setattr(coding, "BLOCK_ELEMENTS", block_elements)
+    cfg = CodeConfig(n=n, rate=rate, alpha=0.95)
+    px = ProbVector(ch.input_labels, probs)
+    for threads in (1, 2, 3):
+        rep = simulate(cfg, "contiguous", ch, px, "ml", 2 * 4096 + 777, 2026, threads=threads)
+        assert rep.config["regime"] == "virtual-fresh"
+        assert (rep.semantic_errors, rep.message_errors) == counts
+
+
+def test_virtual_simulation_memory_stays_bounded():
+    # A whole-batch draw holds (4096, 1024) uniforms, outputs and
+    # thresholds at once: about 104 MiB.
+    cfg = CodeConfig(n=1024, rate=0.6, alpha=0.5)
+    tracemalloc.start()
+    try:
+        rep = simulate(cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 4096, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.config["regime"] == "virtual-fresh"
+    assert peak < 16 * 2**20
 
 
 def test_typicality_simulation_runs():

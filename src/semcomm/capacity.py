@@ -19,7 +19,9 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import ValidationError, ConfigError, ConvergenceError
-from .info import JointDist, ProbVector, MASS_TOL, mutual_information
+from .info import (
+    JointDist, ProbVector, _check_kernel, _check_labels, load_json_doc, mutual_information,
+)
 
 # Probability floor applied during Blahut-Arimoto updates; at tolerances of
 # 1e-12 bits and above the floor is numerically invisible.
@@ -35,26 +37,9 @@ class Dmc:
     matrix: np.ndarray
 
     def __post_init__(self):
-        ins = tuple(str(l) for l in self.input_labels)
-        outs = tuple(str(l) for l in self.output_labels)
-        if not ins or not outs:
-            raise ValidationError("Dmc: alphabets must be non-empty")
-        if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
-            raise ValidationError("Dmc: duplicate labels")
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (len(ins), len(outs)):
-            raise ValidationError(
-                f"Dmc: matrix shape {m.shape}, want {(len(ins), len(outs))}"
-            )
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
-            raise ValidationError("Dmc: matrix entries must be finite and >= 0")
-        rows = m.sum(axis=1)
-        bad = np.where(np.abs(rows - 1.0) > MASS_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"Dmc: row {i} ({ins[i]!r}) sums to {rows[i]!r}, not 1"
-            )
+        ins = _check_labels(self.input_labels, "Dmc inputs")
+        outs = _check_labels(self.output_labels, "Dmc outputs")
+        m = _check_kernel(self.matrix, ins, outs, "Dmc")
         dead = np.where(m.sum(axis=0) == 0.0)[0]
         if dead.size:
             names = [outs[int(j)] for j in dead]
@@ -63,7 +48,6 @@ class Dmc:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        m.setflags(write=False)
         object.__setattr__(self, "input_labels", ins)
         object.__setattr__(self, "output_labels", outs)
         object.__setattr__(self, "matrix", m)
@@ -85,13 +69,11 @@ class Dmc:
     def from_json(cls, source: Union[str, Path, Mapping]) -> "Dmc":
         """Load from a mapping or JSON file/string with keys
         "inputs", "outputs", "matrix"."""
-        from .semantics import load_json_doc
-
         doc = load_json_doc(source, "channel")
         missing = {"inputs", "outputs", "matrix"} - set(doc)
         if missing:
             raise ConfigError(f"channel document missing keys {sorted(missing)}")
-        return cls(tuple(doc["inputs"]), tuple(doc["outputs"]), doc["matrix"])
+        return cls(doc["inputs"], doc["outputs"], doc["matrix"])
 
     def to_dict(self) -> dict:
         return {

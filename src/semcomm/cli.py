@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -30,12 +30,9 @@ from .coding import (
     CodeConfig, Codebook, FanoInstance, check_fano, converse_chain,
     partition_from_counts, run_fano_campaign, simulate,
 )
-from .errors import ConfigError, ConvergenceError, NumericError, SemcommError, ValidationError
-from .info import ProbVector, entropy
-from .semantics import (
-    KnowledgeBase, compression_gain, load_json_doc, semantic_distribution,
-    semantic_entropy,
-)
+from .errors import ConfigError, ConvergenceError, NumericError, ValidationError
+from .info import ProbVector, entropy, load_json_doc
+from .semantics import KnowledgeBase, compression_gain, semantic_distribution, semantic_entropy
 
 ARTIFACT_VERSION = "0.1.0"
 CSV_SCHEMA = "semcomm-simulate-v1"
@@ -53,49 +50,74 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# Builtin channel kinds and their fields, in the order the string form lists
+# them: "mpsk:4:9" is the mapping {"kind": "mpsk", "order": "4", "snr": "9"}.
+# awgn has no discrete matrix; only capacity accepts it.
+CHANNEL_FIELDS = {
+    "bsc": ("p",), "identity": ("order",), "mpsk": ("order", "snr"), "awgn": ("snr",),
+}
+
+
+def _channel_fields(spec) -> dict | None:
+    """The {"kind": ...} mapping of a builtin channel, given as a mapping or
+    as "kind:a:b"; None for a transition-matrix document or file."""
+    if isinstance(spec, dict):
+        return None if spec.get("kind") is None else spec
+    if not isinstance(spec, str):
+        raise ConfigError(f"channel: cannot interpret {spec!r}")
+    kind, sep, rest = spec.partition(":")
+    if not (sep or kind in CHANNEL_FIELDS) or os.path.exists(spec):
+        return None
+    names = CHANNEL_FIELDS.get(kind, ())
+    values = rest.split(":") if sep else []
+    if kind not in CHANNEL_FIELDS or len(values) > len(names):
+        raise ConfigError(
+            f"channel {spec!r}: use bsc:p, identity:order, mpsk:order:snr, awgn:snr or a JSON file"
+        )
+    return {"kind": kind, **{k: v for k, v in zip(names, values) if v}}
+
+
+def _channel_field(fields: dict, name: str, read):
+    """fields[name] through read (_real or _integer), naming a missing field."""
+    kind = fields["kind"]
+    if name not in fields:
+        raise ConfigError(f"channel {kind}: missing field {name!r}")
+    return read(fields[name], f"channel {kind}: {name}")
+
+
 def parse_channel(spec) -> Dmc:
-    """Build a channel from "bsc:p", "identity:k", "mpsk:M:snr", a JSON
-    file path, or an inline mapping ({"kind": ...} or inputs/outputs/matrix).
+    """Build a DMC from a channel spec.
+
+    A builtin channel is a mapping {"kind": ..., <fields>} or the string
+    "kind:<field>:<field>" with the same fields in order: bsc:p,
+    identity:order and mpsk:order:snr (snr linear, not dB). An mpsk mapping
+    may also set "estimation" ("analytic" or "monte-carlo"), "samples" and
+    "seed". awgn:snr has no discrete matrix and is accepted by capacity
+    only. Anything else is a transition-matrix document with "inputs",
+    "outputs" and "matrix": a mapping or the path of a JSON file.
     """
     if isinstance(spec, Dmc):
         return spec
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind is None:
-            return Dmc.from_json(spec)
-        if kind == "bsc":
-            return bsc(float(spec["p"]))
-        if kind == "identity":
-            return Dmc.identity(tuple(str(i) for i in range(int(spec["order"]))))
-        if kind == "mpsk":
-            cfg = PskConfig(
-                order=int(spec["order"]),
-                snr=float(spec["snr"]),
-                estimation=spec.get("estimation", "analytic"),
-                samples=int(spec.get("samples", 1_000_000)),
-                seed=spec.get("seed"),
-            )
-            return mpsk_hard_dmc(cfg)
-        raise ConfigError(f"channel: unknown kind {kind!r}")
-    if not isinstance(spec, str):
-        raise ConfigError(f"channel: cannot interpret {spec!r}")
-    if ":" in spec and not Path(spec).exists():
-        head, _, rest = spec.partition(":")
-        try:
-            if head == "bsc":
-                return bsc(float(rest))
-            if head == "identity":
-                return Dmc.identity(tuple(str(i) for i in range(int(rest))))
-            if head == "mpsk":
-                m, _, snr = rest.partition(":")
-                return mpsk_hard_dmc(PskConfig(order=int(m), snr=float(snr)))
-        except ValueError as e:
-            raise ConfigError(f"channel {spec!r}: {e}") from None
-        raise ConfigError(
-            f"channel {spec!r}: unknown builtin {head!r} "
-            "(use bsc:p, identity:k, mpsk:M:snr, or a JSON file)"
-        )
-    return Dmc.from_json(spec)
+    fields = _channel_fields(spec)
+    if fields is None:
+        return Dmc.from_json(spec)
+    kind = fields["kind"]
+    if kind == "bsc":
+        return bsc(_channel_field(fields, "p", _real))
+    if kind == "identity":
+        order = _channel_field(fields, "order", _integer)
+        return Dmc.identity(tuple(str(i) for i in range(order)))
+    if kind == "mpsk":
+        return mpsk_hard_dmc(PskConfig(
+            order=_channel_field(fields, "order", _integer),
+            snr=_channel_field(fields, "snr", _real),
+            estimation=fields.get("estimation", "analytic"),
+            samples=_integer(fields.get("samples", 1_000_000), "channel mpsk: samples"),
+            seed=fields.get("seed"),
+        ))
+    if kind == "awgn":
+        raise ConfigError("channel awgn: only capacity accepts the awgn channel")
+    raise ConfigError(f"channel: unknown kind {kind!r}")
 
 
 def _load_config(path_or_json: str | None) -> dict:
@@ -120,7 +142,7 @@ def _real(value, what: str) -> float:
     """float(value), or ConfigError if it is not a number."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -156,13 +178,11 @@ def cmd_entropy(ns) -> int:
     if "knowledge" not in cfg:
         raise ConfigError("entropy: provide a knowledge base (--knowledge or config key 'knowledge')")
     kb = KnowledgeBase.from_json(cfg["knowledge"])
-    probs_spec = cfg.get("probs", "uniform")
-    if isinstance(probs_spec, str) and probs_spec != "uniform":
-        probs_spec = [float(t) for t in probs_spec.split(",")]
-    if probs_spec == "uniform":
+    probs = cfg.get("probs", "uniform")
+    if probs == "uniform":
         px = ProbVector.uniform(kb.source_labels)
     else:
-        px = ProbVector(kb.source_labels, np.asarray(probs_spec, dtype=float))
+        px = ProbVector(kb.source_labels, probs.split(",") if isinstance(probs, str) else probs)
     hx = entropy(px)
     ps = semantic_distribution(px, kb)
     hs = semantic_entropy(px, kb)
@@ -199,28 +219,16 @@ def cmd_capacity(ns) -> int:
         raise ConfigError("capacity: provide a channel (--channel or config key 'channel')")
     alpha = _real(cfg.get("alpha", 1.0), "capacity: alpha")
     chspec = cfg["channel"]
+    fields = _channel_fields(chspec)
+    kind = None if fields is None else fields["kind"]
     if ns.snr_db is not None:
-        snr = 10.0 ** (ns.snr_db / 10.0)
-        if isinstance(chspec, str) and chspec.startswith("mpsk:"):
-            parts = chspec.split(":")
-            chspec = f"mpsk:{parts[1]}:{snr}"
-        elif isinstance(chspec, str) and chspec in ("awgn", "awgn:"):
-            chspec = f"awgn:{snr}"
-        elif isinstance(chspec, dict) and chspec.get("kind") in ("mpsk", "awgn"):
-            chspec = dict(chspec, snr=snr)
-        else:
+        if kind not in ("mpsk", "awgn"):
             raise ConfigError("--snr-db applies only to mpsk and awgn channels")
+        fields = dict(fields, snr=10.0 ** (ns.snr_db / 10.0))
 
-    awgn = (isinstance(chspec, str) and chspec.startswith("awgn:")) or (
-        isinstance(chspec, dict) and chspec.get("kind") == "awgn"
-    )
-    _check_alpha(alpha, "capacity" if awgn else "semantic_capacity")
-    if awgn:
-        snr = (
-            float(chspec.split(":", 1)[1])
-            if isinstance(chspec, str)
-            else float(chspec["snr"])
-        )
+    _check_alpha(alpha, "capacity" if kind == "awgn" else "semantic_capacity")
+    if kind == "awgn":
+        snr = _channel_field(fields, "snr", _real)
         cap = awgn_capacity(snr)
         report = {
             "artifact_version": ARTIFACT_VERSION,
@@ -234,7 +242,9 @@ def cmd_capacity(ns) -> int:
         _emit_json(report, ns.out)
         return 0
 
-    ch = parse_channel(chspec)
+    ch = parse_channel(chspec if fields is None else fields)
+    if ns.snr_db is not None:
+        chspec = fields if isinstance(chspec, dict) else f"mpsk:{fields['order']}:{fields['snr']}"
     try:
         result = blahut_arimoto(ch, tol=1e-9)
     except ConvergenceError as e:
@@ -284,7 +294,7 @@ def _spec_from_csv(path: Path) -> dict | None:
                     return json.loads(line[len("# spec: "):])
                 if not line.startswith("#"):
                     break
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"config {path}: {e}") from None
     return None
 
@@ -296,14 +306,14 @@ def resolve_simulate_spec(ns) -> dict:
     if ns.config is not None:
         p = Path(ns.config)
         if p.exists() and p.suffix == ".csv":
-            found = _spec_from_csv(p)
-            if found is None:
+            raw = _spec_from_csv(p)
+            if raw is None:
                 raise ConfigError(f"config {p}: no '# spec:' header line found")
-            raw = found
         else:
             raw = _load_config(ns.config)
-            if "resolved_spec" in raw:  # a previous JSON report
-                raw = dict(raw["resolved_spec"])
+            raw = raw.get("resolved_spec", raw)  # a previous JSON report
+        if not isinstance(raw, dict):
+            raise ConfigError(f"simulate: the config spec must be a JSON object, got {raw!r}")
     spec = dict(SIMULATE_DEFAULTS)
     spec.update(raw)
     if ns.channel is not None:
@@ -524,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="channel capacity and semantic capacity")
     shared(p)
     p.add_argument("--channel", default=None,
-                   help="bsc:p | identity:k | mpsk:M:snr | awgn:snr | JSON file")
+                   help="bsc:p | identity:order | mpsk:order:snr | awgn:snr | JSON file")
     p.add_argument("--alpha", type=float, default=None, help="semantic fraction in (0, 1]")
     p.add_argument("--snr-db", type=float, default=None, dest="snr_db",
                    help="SNR in dB (mpsk/awgn only; converted to linear)")

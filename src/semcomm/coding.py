@@ -54,7 +54,9 @@ import numpy as np
 from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _row_cdfs
 from .errors import ValidationError, ConfigError, BudgetError
-from .info import JointDist, ProbVector, Sequence, entropy_bits
+from .info import (
+    JointDist, ProbVector, Sequence, _log_matrix, _typical_mask, entropy_bits,
+)
 
 BATCH_TRIALS = 4096
 # Element budget of one trial block in the materialized kernels: a block's
@@ -79,8 +81,9 @@ CODEBOOK_STREAM = 2**62
 PARTITION_STREAM = 2**62 + 1
 FANO_STREAM = 2**61
 
-NEG = -1.0e30          # stand-in for log2(0); sums of these stay far below
-NEG_THRESHOLD = -1.0e29  # any score at or below this is an impossible event
+# Any score at or below this is an impossible event: it holds at least one
+# info.NEG stand-in for log2(0).
+NEG_THRESHOLD = -1.0e29
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -408,13 +411,6 @@ class DecodeOutcome:
 ERASURE = DecodeOutcome(None)
 
 
-def _log_matrix(matrix: np.ndarray) -> np.ndarray:
-    out = np.full(matrix.shape, NEG)
-    pos = matrix > 0.0
-    out[pos] = np.log2(matrix[pos])
-    return out
-
-
 def _blocks(rows: int, row_elements: int) -> list[slice]:
     """Slices of [0, rows), each holding at most BLOCK_ELEMENTS elements of
     row_elements each (always at least one row)."""
@@ -538,31 +534,6 @@ def decode_ml(y: Sequence, cb: Codebook, ch: Dmc) -> DecodeOutcome:
         raise ValidationError(f"decode_ml: codeword length {cb.n} != len(y) {len(y)}")
     pick = _ml_decisions(cb.codewords, y.symbols[None, :], _log_matrix(ch.matrix))[0]
     return ERASURE if pick < 0 else DecodeOutcome(int(pick))
-
-
-def _typical_mask(
-    cws: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float
-) -> np.ndarray:
-    """Weak joint typicality of (..., count, n) codewords against (..., n)
-    outputs.
-
-    Leading axes broadcast, so one shared (count, n) codebook can face many
-    outputs. Returns the (..., count) mask; an output whose own surprisal
-    rate is atypical makes its whole row false. The entropies and log tables
-    are computed once per call.
-    """
-    hx = entropy_bits(joint.marginal_table((0,)))
-    hy = entropy_bits(joint.marginal_table((1,)))
-    hxy = entropy_bits(joint.table)
-    lpx = _log_matrix(joint.marginal_table((0,))[None, :])[0]
-    lpy = _log_matrix(joint.marginal_table((1,))[None, :])[0]
-    lpxy = _log_matrix(joint.table)
-    n = ys.shape[-1]
-    rx = -lpx[cws].sum(axis=-1) / n
-    ry = -lpy[ys].sum(axis=-1) / n
-    rxy = -lpxy[cws, ys[..., None, :]].sum(axis=-1) / n
-    y_ok = ~(np.abs(ry - hy) > eps)
-    return (np.abs(rx - hx) <= eps) & (np.abs(rxy - hxy) <= eps) & y_ok[..., None]
 
 
 def _typicality_decisions(
@@ -1243,7 +1214,7 @@ def exact_evaluate(
     cw = cb.codewords
 
     if decoder == "ml":
-        decisions = _decision_table(cw, ch)
+        decisions = _ml_decisions(cw, yall, _log_matrix(ch.matrix))
     else:
         if px is None:
             raise ValidationError("exact_evaluate: typicality decoding needs px")
@@ -1273,19 +1244,11 @@ def exact_evaluate(
     # Mass sums can land a few ulp outside [0, 1].
     p_sem = min(max(float((joint_oy * err).sum()), 0.0), 1.0)
 
-    # Message success: the decoded owner must be the transmitted message. For
-    # per-class codebooks that means the class is right and the message is
-    # its representative (probability 1/|class| within the class).
+    # Message success: the decoded owner must be the transmitted message, of
+    # prior 1/|messages|. For per-class codebooks that means the class is
+    # right and the message is its representative.
     good = decisions >= 0
-    if regime == "full":
-        p_msg_correct = float(
-            (pyo[decisions[good], np.nonzero(good)[0]] / mcount).sum()
-        )
-    else:
-        rep_mass = 1.0 / mcount  # each representative carries prior 1/|messages|
-        p_msg_correct = float(
-            (pyo[decisions[good], np.nonzero(good)[0]] * rep_mass).sum()
-        )
+    p_msg_correct = float((pyo[decisions[good], np.nonzero(good)[0]] / mcount).sum())
     p_msg = min(max(1.0 - p_msg_correct, 0.0), 1.0)
 
     def _conditional(mask: np.ndarray) -> float | None:

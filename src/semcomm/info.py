@@ -2,23 +2,71 @@
 
 Conventions: 0 * log2(0) = 0 throughout, probability masses must sum to one
 within MASS_TOL, and alphabets are tuples of string labels with positions
-doubling as integer symbol indices.
+doubling as integer symbol indices. Every container of the package turns
+outside values into arrays through the checks here (_as_floats,
+_check_labels, _check_kernel, load_json_doc), so a malformed value raises
+a SemcommError, never a bare TypeError or ValueError.
 """
 
 from __future__ import annotations
 
+import json
+import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence as _Seq
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence as _Seq, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 MASS_TOL = 1e-12
+NEG = -1.0e30  # stand-in for log2(0); sums of these stay far below any real score
+
+
+def load_json_doc(source: Union[str, Path, Mapping], what: str) -> Mapping:
+    """A JSON object given as a mapping, a file path or literal JSON text."""
+    if isinstance(source, Mapping):
+        return source
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
+    elif isinstance(source, (str, Path)):
+        path = Path(source)
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            raise ConfigError(f"{what} file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{what} file {path}: {exc}") from None
+    else:
+        raise ConfigError(f"{what} document must be a JSON object, got {reprlib.repr(source)}")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} document must be a JSON object")
+    return doc
+
+
+def _as_floats(values, what: str) -> np.ndarray:
+    """A fresh float64 array of values, or ValidationError when they are not
+    numbers or their nesting is ragged."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{what}: need a regular array of numbers, got {reprlib.repr(values)}"
+        ) from None
 
 
 def _check_labels(labels: Iterable, what: str) -> tuple[str, ...]:
-    out = tuple(str(l) for l in labels)
+    try:
+        out = tuple(str(l) for l in labels)
+    except TypeError:
+        raise ValidationError(
+            f"{what}: labels must be a sequence, got {reprlib.repr(labels)}"
+        ) from None
     if not out:
         raise ValidationError(f"{what}: alphabet is empty")
     if len(set(out)) != len(out):
@@ -27,20 +75,49 @@ def _check_labels(labels: Iterable, what: str) -> tuple[str, ...]:
     return out
 
 
+def _check_kernel(
+    kernel, rows: tuple[str, ...], cols: tuple[str, ...], what: str
+) -> np.ndarray:
+    """A read-only float copy of a row-stochastic kernel: one row per label in
+    rows, one column per label in cols, entries finite and >= 0, each row
+    summing to 1 within MASS_TOL. A ValidationError names the first bad row."""
+    k = _as_floats(kernel, what)
+    if k.shape != (len(rows), len(cols)):
+        raise ValidationError(
+            f"{what}: kernel shape {k.shape}, want {(len(rows), len(cols))}"
+        )
+    # NaN fails both comparisons and an infinite entry makes its row sum
+    # miss 1, so a kernel passing this line is finite.
+    if not (k.min() >= 0.0 and np.abs(k.sum(axis=1) - 1.0).max() <= MASS_TOL):
+        for i, row in enumerate(k):
+            _check_mass(row, f"{what}: row {i} ({rows[i]!r})")
+    k.setflags(write=False)
+    return k
+
+
 def _check_mass(arr: np.ndarray, what: str) -> np.ndarray:
     if arr.size == 0:
         raise ValidationError(f"{what}: empty mass array")
+    # The common valid case in two reductions; NaN fails the comparison.
+    if arr.min() >= 0.0 and abs(float(arr.sum()) - 1.0) <= MASS_TOL:
+        return arr
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what}: non-finite mass entries")
     if np.any(arr < 0):
         idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise ValidationError(f"{what}: negative mass {arr[idx]!r} at {idx}")
     total = float(arr.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(
-            f"{what}: mass sums to {total!r}, off by more than {MASS_TOL}"
-        )
-    return arr
+    raise ValidationError(
+        f"{what}: mass sums to {total!r}, off by more than {MASS_TOL}"
+    )
+
+
+def _log_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Elementwise log2, with NEG standing in for log2(0)."""
+    out = np.full(matrix.shape, NEG)
+    pos = matrix > 0.0
+    out[pos] = np.log2(matrix[pos])
+    return out
 
 
 def entropy_bits(mass: np.ndarray) -> float:
@@ -59,7 +136,7 @@ class ProbVector:
 
     def __post_init__(self):
         labels = _check_labels(self.labels, "ProbVector")
-        probs = np.array(self.probs, dtype=float)
+        probs = _as_floats(self.probs, "ProbVector")
         if probs.ndim != 1 or probs.size != len(labels):
             raise ValidationError(
                 f"ProbVector: {len(labels)} labels but mass shape {probs.shape}"
@@ -85,16 +162,13 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, labels: Iterable) -> "ProbVector":
-        labels = tuple(labels)
-        n = len(labels)
-        if n == 0:
-            raise ValidationError("ProbVector.uniform: alphabet is empty")
-        return cls(labels, np.full(n, 1.0 / n))
+        labels = _check_labels(labels, "ProbVector.uniform")
+        return cls(labels, np.full(len(labels), 1.0 / len(labels)))
 
     @classmethod
     def from_weights(cls, labels: Iterable, weights) -> "ProbVector":
         """Normalize non-negative weights into a distribution."""
-        w = np.asarray(weights, dtype=float)
+        w = _as_floats(weights, "from_weights")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValidationError("from_weights: weights must be finite and >= 0")
         total = w.sum()
@@ -121,7 +195,7 @@ class JointDist:
             raise ValidationError(
                 f"JointDist: need 2 or 3 axes, got {len(axes)}"
             )
-        table = np.array(self.table, dtype=float)
+        table = _as_floats(self.table, "JointDist")
         want = tuple(len(a) for a in axes)
         if table.shape != want:
             raise ValidationError(
@@ -163,22 +237,8 @@ class JointDist:
         out_labels: Iterable,
     ) -> "JointDist":
         """Build p(x, y) = p(x) * kernel[x, y] from a row-stochastic kernel."""
-        k = np.asarray(kernel, dtype=float)
-        out_labels = tuple(out_labels)
-        if k.shape != (len(px), len(out_labels)):
-            raise ValidationError(
-                f"from_input_and_kernel: kernel shape {k.shape}, "
-                f"want {(len(px), len(out_labels))}"
-            )
-        if np.any(k < 0) or not np.all(np.isfinite(k)):
-            raise ValidationError("from_input_and_kernel: kernel entries must be finite and >= 0")
-        rows = k.sum(axis=1)
-        bad = np.where(np.abs(rows - 1.0) > MASS_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"from_input_and_kernel: kernel row {i} ({px.labels[i]!r}) sums to {rows[i]!r}"
-            )
+        out_labels = _check_labels(out_labels, "from_input_and_kernel")
+        k = _check_kernel(kernel, px.labels, out_labels, "from_input_and_kernel")
         return cls((px.labels, out_labels), px.probs[:, None] * k)
 
 
@@ -274,6 +334,31 @@ def empirical_rate_bits(probs: np.ndarray) -> float:
     return float(-np.mean(np.log2(p)))
 
 
+def _typical_mask(
+    cws: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float
+) -> np.ndarray:
+    """Weak joint typicality of (..., count, n) codewords against (..., n)
+    outputs: the one typicality rule of the package.
+
+    Leading axes broadcast, so one shared (count, n) codebook can face many
+    outputs. Returns the (..., count) mask; an output whose own surprisal
+    rate is atypical makes its whole row false. The entropies and log tables
+    are computed once per call.
+    """
+    hx = entropy_bits(joint.marginal_table((0,)))
+    hy = entropy_bits(joint.marginal_table((1,)))
+    hxy = entropy_bits(joint.table)
+    lpx = _log_matrix(joint.marginal_table((0,))[None, :])[0]
+    lpy = _log_matrix(joint.marginal_table((1,))[None, :])[0]
+    lpxy = _log_matrix(joint.table)
+    n = ys.shape[-1]
+    rx = -lpx[cws].sum(axis=-1) / n
+    ry = -lpy[ys].sum(axis=-1) / n
+    rxy = -lpxy[cws, ys[..., None, :]].sum(axis=-1) / n
+    y_ok = ~(np.abs(ry - hy) > eps)
+    return (np.abs(rx - hx) <= eps) & (np.abs(rxy - hxy) <= eps) & y_ok[..., None]
+
+
 def is_jointly_typical(
     x: Sequence, y: Sequence, joint: JointDist, eps: float
 ) -> bool:
@@ -281,7 +366,8 @@ def is_jointly_typical(
 
     Checks all three empirical rates: the per-symbol surprisals of x, of y,
     and of the pair must each sit within eps of H(X), H(Y), H(X, Y). A pair
-    that uses a zero-probability transition is never typical.
+    that uses a zero-probability transition is never typical, however large
+    eps is.
     """
     if joint.ndim != 2:
         raise ValidationError("is_jointly_typical: need a two-axis joint")
@@ -296,16 +382,6 @@ def is_jointly_typical(
         raise ValidationError(
             "is_jointly_typical: sequence alphabets do not match the joint table"
         )
-    pxy = joint.table[x.symbols, y.symbols]
-    if np.any(pxy <= 0.0):
+    if np.any(joint.table[x.symbols, y.symbols] <= 0.0):
         return False
-    px = joint.marginal_table((0,))[x.symbols]
-    py = joint.marginal_table((1,))[y.symbols]
-    hx = entropy_bits(joint.marginal_table((0,)))
-    hy = entropy_bits(joint.marginal_table((1,)))
-    hxy = entropy_bits(joint.table)
-    return (
-        abs(empirical_rate_bits(px) - hx) <= eps
-        and abs(empirical_rate_bits(py) - hy) <= eps
-        and abs(empirical_rate_bits(pxy) - hxy) <= eps
-    )
+    return bool(_typical_mask(x.symbols[None, :], y.symbols, joint, eps)[0])

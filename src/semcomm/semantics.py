@@ -8,7 +8,6 @@ the Shannon entropy of the source; none of the three orderings is special.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,11 +19,13 @@ from .errors import ValidationError, ConfigError, ConvergenceError
 from .info import (
     JointDist,
     ProbVector,
-    MASS_TOL,
+    _check_kernel,
+    _check_labels,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     entropy_bits,
+    load_json_doc,
     mutual_information,
 )
 
@@ -41,33 +42,9 @@ class KnowledgeBase:
     kernel: np.ndarray
 
     def __post_init__(self):
-        src = tuple(str(l) for l in self.source_labels)
-        sem = tuple(str(l) for l in self.semantic_labels)
-        if not src or not sem:
-            raise ValidationError("KnowledgeBase: alphabets must be non-empty")
-        if len(set(src)) != len(src) or len(set(sem)) != len(sem):
-            raise ValidationError("KnowledgeBase: duplicate labels")
-        k = np.array(self.kernel, dtype=float)
-        if k.shape != (len(src), len(sem)):
-            raise ValidationError(
-                f"KnowledgeBase: kernel shape {k.shape}, "
-                f"want {(len(src), len(sem))}"
-            )
-        if not np.all(np.isfinite(k)):
-            raise ValidationError("KnowledgeBase: non-finite kernel entries")
-        if np.any(k < 0):
-            i = int(np.where(k < 0)[0][0])
-            raise ValidationError(
-                f"KnowledgeBase: negative mass in row {i} ({src[i]!r})"
-            )
-        rows = k.sum(axis=1)
-        bad = np.where(np.abs(rows - 1.0) > MASS_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"KnowledgeBase: row {i} ({src[i]!r}) sums to {rows[i]!r}, not 1"
-            )
-        k.setflags(write=False)
+        src = _check_labels(self.source_labels, "KnowledgeBase source")
+        sem = _check_labels(self.semantic_labels, "KnowledgeBase semantic")
+        k = _check_kernel(self.kernel, src, sem, "KnowledgeBase")
         object.__setattr__(self, "source_labels", src)
         object.__setattr__(self, "semantic_labels", sem)
         object.__setattr__(self, "kernel", k)
@@ -86,28 +63,7 @@ class KnowledgeBase:
         missing = {"source", "semantic", "kernel"} - set(doc)
         if missing:
             raise ConfigError(f"knowledge base document missing keys {sorted(missing)}")
-        return cls(tuple(doc["source"]), tuple(doc["semantic"]), doc["kernel"])
-
-
-def load_json_doc(source: Union[str, Path, Mapping], what: str) -> Mapping:
-    if isinstance(source, Mapping):
-        return source
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("{")
-    ):
-        path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"{what} file not found: {path}")
-        text = path.read_text()
-    else:
-        text = source
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} document must be a JSON object")
-    return doc
+        return cls(doc["source"], doc["semantic"], doc["kernel"])
 
 
 def semantic_distribution(px: ProbVector, kb: KnowledgeBase) -> ProbVector:
@@ -201,12 +157,8 @@ class ContinuousKernel:
     domain: tuple[float, float]
 
     def __post_init__(self):
-        src = tuple(str(l) for l in self.source_labels)
+        src = _check_labels(self.source_labels, "ContinuousKernel")
         dens = tuple(self.densities)
-        if not src:
-            raise ValidationError("ContinuousKernel: empty source alphabet")
-        if len(set(src)) != len(src):
-            raise ValidationError("ContinuousKernel: duplicate source labels")
         if len(dens) != len(src):
             raise ValidationError(
                 f"ContinuousKernel: {len(src)} labels but {len(dens)} densities"
@@ -386,6 +338,6 @@ def load_triple(source: Union[str, Path, Mapping]) -> SemanticTriple:
     if missing:
         raise ConfigError(f"semantic triple document missing keys {sorted(missing)}")
     return JointDist(
-        (tuple(doc["source"]), tuple(doc["semantic"]), tuple(doc["knowledge"])),
+        (doc["source"], doc["semantic"], doc["knowledge"]),
         doc["table"],
     )

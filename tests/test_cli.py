@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semcomm.capacity as capacity
 import semcomm.cli as cli
 import semcomm.coding as coding
-from semcomm import ConvergenceError, bsc, blahut_arimoto
+from semcomm import (
+    ConvergenceError, KnowledgeBase, ProbVector, SemcommError, bsc, blahut_arimoto,
+)
 
 K1 = json.dumps({
     "source": ["alice", "bob", "cindy"],
@@ -522,6 +525,120 @@ def test_fano_bad_config_values_exit_2_with_message(capsys, config, message):
 def test_fano_campaign_requires_seed(capsys):
     code, _, _ = run(capsys, "fano", "--instances", "5")
     assert code == 2
+
+
+# --- malformed documents ----------------------------------------------------
+
+KB2 = {"source": ["a", "b"], "semantic": ["s", "t"], "kernel": [[0.9, 0.1], [0.2, 0.8]]}
+MATRIX_CHANNEL = {"inputs": ["0", "1"], "outputs": ["0", "1"], "matrix": [[0.9, 0.1], [0.1, 0.9]]}
+
+
+def _config(**doc) -> tuple[str, str]:
+    return "--config", json.dumps(doc)
+
+
+def _capacity_of(channel) -> tuple[str, ...]:
+    return ("capacity", *_config(channel=channel))
+
+
+def _simulate_mpsk(**extra) -> tuple[str, ...]:
+    channel = {"kind": "mpsk", "order": 2, "snr": 4, **extra}
+    return ("simulate", "--n-grid", "8", "--trials", "10", "--seed", "1",
+            *_config(channel=channel))
+
+
+# Each case is the argv tail after the command, built from the path of a
+# valid two-source knowledge-base file.
+MALFORMED = {
+    "probs-words": lambda kb: ("entropy", "--knowledge", kb, "--probs", "a,b"),
+    "config-probs-list": lambda kb: ("entropy", *_config(knowledge=KB2, probs=[0.5, "x"])),
+    "config-probs-text": lambda kb: ("entropy", *_config(knowledge=KB2, probs="0.5,x")),
+    "knowledge-number": lambda kb: ("entropy", *_config(knowledge=5)),
+    "kernel-text": lambda kb: ("entropy", "--knowledge", json.dumps({**KB2, "kernel": "q"})),
+    "source-number": lambda kb: ("entropy", "--knowledge", json.dumps({**KB2, "source": 5})),
+    "kernel-ragged": lambda kb: (
+        "entropy", "--knowledge", json.dumps({**KB2, "kernel": [[1], [1, 2]]})),
+    "mpsk-no-snr": lambda kb: _capacity_of({"kind": "mpsk", "order": 4}),
+    "bsc-p-word": lambda kb: _capacity_of({"kind": "bsc", "p": "x"}),
+    "identity-no-order": lambda kb: _capacity_of({"kind": "identity"}),
+    "awgn-no-snr": lambda kb: _capacity_of({"kind": "awgn"}),
+    "awgn-snr-word": lambda kb: ("capacity", "--channel", "awgn:x"),
+    "config-awgn-snr-word": lambda kb: _capacity_of("awgn:x"),
+    "matrix-text": lambda kb: _capacity_of({**MATRIX_CHANNEL, "matrix": "x"}),
+    "matrix-ragged": lambda kb: _capacity_of({**MATRIX_CHANNEL, "matrix": [[1.0], [0.5, 0.5]]}),
+    "inputs-number": lambda kb: _capacity_of({**MATRIX_CHANNEL, "inputs": 5}),
+    "mpsk-order-word": lambda kb: _simulate_mpsk(order="x"),
+    "mpsk-samples-word": lambda kb: _simulate_mpsk(samples="many"),
+    "resolved-spec-list": lambda kb: ("simulate", "--seed", "1", *_config(resolved_spec=[1])),
+    "fano-bsc-no-p": lambda kb: (
+        "fano", "--single", "--n", "2", "--message-bits", "2", "--semantic-bits", "1",
+        *_config(channel={"kind": "bsc"})),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, case):
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps(KB2))
+    code, out, err = run(capsys, *MALFORMED[case](str(kb)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_mpsk_without_snr_names_the_missing_field(capsys):
+    code, _, err = run(capsys, "capacity", "--channel", "mpsk:4")
+    assert code == 2
+    assert "missing field 'snr'" in err
+
+
+# Numbers and texts stay small, so a value that happens to be a valid
+# identity or M-PSK order builds a small channel and no Monte Carlo
+# estimate reaches its sample minimum.
+WORDS = st.sampled_from(["", "x", "4", "2", "-1", "0.5", "nan", "inf", "1e-3", "{", "a:b"])
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 8)
+    | st.floats(-10, 10) | st.sampled_from([math.nan, math.inf, -math.inf]) | WORDS
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "p", "order", "a"]), inner, max_size=3),
+    max_leaves=10,
+)
+CHANNEL_DOCS = st.one_of(
+    JSON_VALUES,
+    st.builds(
+        lambda kind, fields: ":".join([kind, *fields]),
+        st.sampled_from([*cli.CHANNEL_FIELDS, "warp"]), st.lists(WORDS, max_size=3),
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from([*cli.CHANNEL_FIELDS, "warp"]) | JSON_VALUES},
+        optional={k: JSON_VALUES for k in ("p", "order", "snr", "estimation", "samples", "seed")},
+    ),
+    st.fixed_dictionaries(
+        {}, optional={k: JSON_VALUES for k in ("inputs", "outputs", "matrix")},
+    ),
+)
+KB_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={k: JSON_VALUES for k in ("source", "semantic", "kernel")},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel=CHANNEL_DOCS, kb=KB_DOCS, labels=JSON_VALUES, probs=JSON_VALUES)
+def test_arbitrary_documents_raise_only_semcomm_errors(channel, kb, labels, probs):
+    for build in (
+        lambda: cli.parse_channel(channel),
+        lambda: KnowledgeBase.from_json(kb),
+        lambda: KnowledgeBase.from_json(json.dumps(kb)),
+        lambda: ProbVector(labels, probs),
+    ):
+        try:
+            build()
+        except SemcommError:
+            pass
 
 
 # --- imports ----------------------------------------------------------------

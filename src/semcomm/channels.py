@@ -17,10 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import Dmc
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .info import Sequence
 
 MC_MIN_SAMPLES = 10_000
+# Largest array, in float64 elements, a channel construction may allocate:
+# an order x order matrix (identity, M-PSK), or a Monte Carlo M-PSK row's
+# samples x 2 normals. 2^25 elements are 256 MiB.
+CHANNEL_ELEMENT_BUDGET = 2**25
+
+
+def check_channel_elements(elements: int, what: str) -> None:
+    """BudgetError unless an allocation of `elements` fits CHANNEL_ELEMENT_BUDGET.
+
+    Called before anything of that size exists, so an absurd but valid size
+    is refused instead of exhausting memory.
+    """
+    if elements > CHANNEL_ELEMENT_BUDGET:
+        raise BudgetError(
+            f"{what} needs {elements} elements, over the channel budget of "
+            f"{CHANNEL_ELEMENT_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,7 +97,9 @@ class PskConfig:
             raise ValidationError(
                 f"PskConfig: estimation must be 'analytic' or 'monte-carlo', got {self.estimation!r}"
             )
+        check_channel_elements(self.order * self.order, f"PskConfig: order {self.order}")
         if self.estimation == "monte-carlo":
+            check_channel_elements(2 * self.samples, f"PskConfig: {self.samples} samples")
             if self.samples < MC_MIN_SAMPLES:
                 raise ValidationError(
                     f"PskConfig: monte-carlo needs >= {MC_MIN_SAMPLES} samples, got {self.samples}"

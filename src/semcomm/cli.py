@@ -25,7 +25,7 @@ from .capacity import (
     CapacityResult, Dmc, _check_alpha, awgn_capacity, blahut_arimoto,
     semantic_capacity,
 )
-from .channels import PskConfig, bsc, mpsk_hard_dmc
+from .channels import PskConfig, bsc, check_channel_elements, mpsk_hard_dmc
 from .coding import (
     CodeConfig, Codebook, FanoInstance, check_fano, converse_chain,
     partition_from_counts, run_fano_campaign, simulate,
@@ -106,6 +106,7 @@ def parse_channel(spec) -> Dmc:
         return bsc(_channel_field(fields, "p", _real))
     if kind == "identity":
         order = _channel_field(fields, "order", _integer)
+        check_channel_elements(order * order, f"channel identity:{order}")
         return Dmc.identity(tuple(str(i) for i in range(order)))
     if kind == "mpsk":
         return mpsk_hard_dmc(PskConfig(
@@ -487,13 +488,16 @@ def cmd_fano(ns) -> int:
     instances = _integer(
         ns.instances if ns.instances is not None else cfg.get("instances", 1000), "fano: instances"
     )
-    converse = cfg.get("converse", True) and not ns.no_converse
+    converse = cfg.get("converse", True)
+    if not isinstance(converse, bool):
+        raise ConfigError(f"fano: converse must be true or false, got {converse!r}")
+    converse = converse and not ns.no_converse
     seed = _require_seed(cfg.get("seed", ns.seed), ns.ephemeral)
     camp = run_fano_campaign(instances, seed, include_converse=converse)
     report = {
         "artifact_version": ARTIFACT_VERSION,
         "resolved_spec": {"mode": "campaign", "instances": instances,
-                          "seed": seed, "converse": bool(converse)},
+                          "seed": seed, "converse": converse},
     }
     report.update(camp.to_dict())
     _emit_json(report, ns.out)

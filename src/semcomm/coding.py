@@ -39,7 +39,9 @@ order of count(a, b) * log2 p(b|a), so equal empirical count matrices give
 bit-equal floats and "exact tie" is well defined. Every path gets there in
 two steps: exact integer counts per (a, b) cell (joint types of codeword
 and output, or a competitor's grid point), then the one combine,
-_combine. Ties and all-impossible likelihoods decode to the erasure mark.
+_combine. (A shared codebook whose possible count matrices are few
+combines each of them once and looks scores up by an exact count key.)
+Ties and all-impossible likelihoods decode to the erasure mark.
 """
 
 from __future__ import annotations
@@ -467,18 +469,50 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
     Yields (rows, cols, scores) like _scores_per_trial. A tile spans at most
     BLOCK_ELEMENTS // n codewords (all of them unless the codebook is wide),
     so their indicators fit the budget, and as many trials as fit it beside
-    them. The per-cell counts are 0/1 matmuls, exact in float64. The
-    buffers are reused, so each tile must be consumed before the next one
-    is drawn.
+    them. The tile buffers are reused (fresh tile-sized arrays would fault
+    in new pages on every tile), so each tile must be consumed before the
+    next one is drawn.
+
+    With C = |X||Y| cells, a pair's first C - 1 cell counts, read as digits
+    in base n + 1, form its count key; the last count is n minus the others.
+    While the (n + 1)^(C - 1) keys number at most BLOCK_ELEMENTS and at most
+    the trial-codeword pairs, _combine scores every key once into a table,
+    and a tile is one float64 matmul plus a table lookup: the trials' output
+    one-hots against the codewords' radix weights, where symbol a meeting
+    output b weighs (n + 1)^(a|Y| + b) and the last cell weighs 0. Every
+    partial sum of that matmul is an integer no larger than the key, which
+    is below BLOCK_ELEMENTS = 2^16, far inside float64's exact integers, so
+    the key is exact. Otherwise each of the C cell counts is its own 0/1
+    matmul, exact in float64, and the tile goes through _combine. Both paths
+    give _combine's floats for the same counts.
     """
     a_count, b_count = logmat.shape
     count, n = cw.shape
-    xs = [(cw == a).astype(float) for a in range(a_count)]
     chunks = _blocks(count, n)
     width = chunks[0].stop
     slices = _blocks(ys.shape[0], width)
     height = slices[0].stop
     buffers = [np.empty(height * width) for _ in range(2)]
+    cells = a_count * b_count
+    keys = (n + 1) ** (cells - 1)
+    if keys <= min(BLOCK_ELEMENTS, ys.shape[0] * count):
+        radix = (n + 1) ** np.arange(cells - 1, dtype=np.int64)
+        digits = np.arange(keys)[:, None] // radix % (n + 1)
+        counts = [*digits.T, n - digits.sum(axis=1)]
+        table = _combine(counts, logmat, np.empty(keys))
+        weight = np.append(radix, 0).reshape(a_count, b_count)
+        keyed = np.concatenate([weight[cw, b] for b in range(b_count)], axis=1).astype(float)
+        index = np.empty(height * width, dtype=np.intp)
+        for rows in slices:
+            yb = np.concatenate([ys[rows] == b for b in range(b_count)], axis=1).astype(float)
+            for cols in chunks:
+                shape = (rows.stop - rows.start, cols.stop - cols.start)
+                scores, key = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+                at = index[: shape[0] * shape[1]].reshape(shape)
+                at[...] = np.matmul(yb, keyed[cols].T, out=key)
+                yield rows, cols, table.take(at, out=scores)
+        return
+    xs = [(cw == a).astype(float) for a in range(a_count)]
     for rows in slices:
         yb = [(ys[rows] == b).astype(float) for b in range(b_count)]
         for cols in chunks:
@@ -497,30 +531,37 @@ def _ml_decisions(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndar
     tie for the best score or when every codeword is impossible.
 
     cw is one shared (count, n) codebook, or one (trials, count, n) codebook
-    per trial. Scores arrive a tile at a time; per trial the best score, the
-    first codeword reaching it and how many reach it carry over from one
-    codeword chunk to the next, so the decisions are those of whole rows.
+    per trial. Scores arrive a tile at a time. A tile's row is read by one
+    argmax (the first best codeword), the score there, and one max over the
+    rest of the row once that entry is knocked out: the row ties exactly
+    when the runner-up equals the best. The tile is the scorer's scratch
+    buffer, so knocking an entry out costs nothing. Per trial the best
+    score, the first codeword reaching it and whether another one reaches
+    it carry over from one codeword chunk to the next, so the decisions are
+    those of whole rows.
     """
     trials = ys.shape[0]
     best = np.empty(trials)
     first = np.empty(trials, dtype=np.int64)
-    ties = np.empty(trials, dtype=np.int64)
+    tied = np.empty(trials, dtype=bool)
     scorer = _scores_per_trial if cw.ndim == 3 else _scores_shared
     for rows, cols, scores in scorer(cw, ys, logmat):
-        top = scores.max(axis=1)
-        is_top = scores == top[:, None]
-        at = np.argmax(is_top, axis=1) + cols.start
-        many = is_top.sum(axis=1)
+        at = scores.argmax(axis=1)
+        row = np.arange(at.size)
+        top = scores[row, at]
+        scores[row, at] = -np.inf
+        tie = scores.max(axis=1) == top
+        at += cols.start
         if cols.start == 0:
-            best[rows], first[rows], ties[rows] = top, at, many
+            best[rows], first[rows], tied[rows] = top, at, tie
         else:
             held = best[rows]
             gain = top > held
-            ties[rows] = np.where(gain, many, ties[rows] + np.where(top == held, many, 0))
+            tied[rows] = np.where(gain, tie, tied[rows] | (top == held))
             first[rows] = np.where(gain, at, first[rows])
             best[rows] = np.where(gain, top, held)
     picks = first
-    picks[(ties != 1) | (best <= NEG_THRESHOLD)] = -1
+    picks[tied | (best <= NEG_THRESHOLD)] = -1
     return picks
 
 
@@ -872,15 +913,16 @@ def _simulate_materialized(
     else:
         sent_of, owner_class, owner_msg = part.class_of, codewords, part.representatives
 
-    # With the whole output space enumerable, precompute every decision of a
-    # shared codebook once; they are bit-identical to direct scoring because
-    # both use the same canonical score routine.
+    # A shared codebook's decisions can come from a table of every output
+    # word's decision, bit-identical to direct scoring because both use the
+    # same canonical score routine. Both score count codewords per word, so
+    # the table pays when the |Y|^n words number no more than the trials.
     decisions = None
     if (
         not fresh
         and decoder == "ml"
+        and ch.num_outputs ** cfg.n <= trials
         and ch.num_outputs ** cfg.n * count <= ENUM_BUDGET
-        and trials >= 8 * BATCH_TRIALS
     ):
         decisions = _decision_table(codebook.codewords, ch)
         radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
@@ -950,8 +992,9 @@ def simulate(
     conditional correctness probability of ML decoding over the un-drawn
     competitor codewords. Everything else runs in the materialized engine
     that simulate_full_codebook shares; there a shared codebook is ML-decoded
-    from a table of every output word's decision when the output space is
-    small enough to enumerate, with unchanged results. Reports are
+    from a table of every output word's decision when the output words
+    number no more than the trials and fit ENUM_BUDGET, with unchanged
+    results. Reports are
     bit-identical across runs and thread counts for a fixed seed.
     """
     _check_run("simulate", ch, px, decoder, trials)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+import semcomm.channels as channels
 from semcomm import (
+    BudgetError,
     ChannelRng,
     Dmc,
     PskConfig,
@@ -109,6 +111,17 @@ def test_psk_config_validation():
         PskConfig(order=4, snr=1.0, estimation="monte-carlo")
     with pytest.raises(ValidationError, match="samples"):
         PskConfig(order=4, snr=1.0, estimation="monte-carlo", samples=100, seed=1)
+
+
+def test_psk_config_checks_the_element_budget(monkeypatch):
+    # Lowered, so that a missing check would still allocate little.
+    monkeypatch.setattr(channels, "CHANNEL_ELEMENT_BUDGET", 2 * channels.MC_MIN_SAMPLES)
+    with pytest.raises(BudgetError, match="order 142 needs 20164 elements"):
+        PskConfig(order=142, snr=1.0)
+    with pytest.raises(BudgetError, match="10001 samples"):
+        PskConfig(order=4, snr=1.0, estimation="monte-carlo", samples=10_001, seed=1)
+    cfg = PskConfig(order=4, snr=1.0, estimation="monte-carlo", samples=10_000, seed=1)
+    assert mpsk_hard_dmc(cfg).matrix.shape == (4, 4)
 
 
 def test_monte_carlo_agrees_with_analytic():

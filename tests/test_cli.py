@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semcomm.capacity as capacity
+import semcomm.channels as channels
 import semcomm.cli as cli
 import semcomm.coding as coding
 from semcomm import (
@@ -484,6 +485,13 @@ def test_fano_campaign_no_converse(capsys):
     assert doc["resolved_spec"]["converse"] is False
 
 
+def test_fano_campaign_config_converse_false(capsys):
+    doc, err = run_json(capsys, "fano", "--config",
+                        json.dumps({"instances": 3, "seed": 1, "converse": False}))
+    assert doc["resolved_spec"]["converse"] is False
+    assert "converse" not in err
+
+
 def test_fano_single_budget_exit_code(capsys):
     code, _, _ = run(
         capsys, "fano", "--single", "--channel", "bsc:0.1", "--n", "40",
@@ -512,8 +520,10 @@ FANO_SINGLE = {"mode": "single", "channel": "bsc:0.1", "n": 3, "message-bits": 4
     ({**FANO_SINGLE, "semantic-bits": 1.5}, "semantic-bits must be an integer, got 1.5"),
     ({"instances": "many", "seed": 1}, "instances must be an integer, got 'many'"),
     ({"instances": 2.5, "seed": 1}, "instances must be an integer, got 2.5"),
+    ({"instances": 3, "seed": 1, "converse": "false"}, "converse must be true or false, got 'false'"),
+    ({"instances": 3, "seed": 1, "converse": 1}, "converse must be true or false, got 1"),
 ], ids=["n-word", "n-fraction", "message-bits-word", "semantic-bits-fraction",
-        "instances-word", "instances-fraction"])
+        "instances-word", "instances-fraction", "converse-text", "converse-number"])
 def test_fano_bad_config_values_exit_2_with_message(capsys, config, message):
     code, out, err = run(capsys, "fano", "--config", json.dumps(config))
     assert code == 2
@@ -585,6 +595,27 @@ def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_channel_sizes_over_the_element_budget_exit_2(capsys, monkeypatch):
+    # The budget is lowered to 20000 elements, so that a missing check
+    # would still build only small channels.
+    monkeypatch.setattr(channels, "CHANNEL_ELEMENT_BUDGET", 2 * channels.MC_MIN_SAMPLES)
+    mc = {"kind": "mpsk", "order": 2, "snr": 4, "estimation": "monte-carlo", "seed": 1}
+    for argv, what in [
+        (("capacity", "--channel", "identity:142"), "identity:142 needs 20164 elements"),
+        (_capacity_of({"kind": "identity", "order": 142}), "identity:142 needs 20164 elements"),
+        (("capacity", "--channel", "mpsk:142:4"), "order 142 needs 20164 elements"),
+        (_capacity_of({**mc, "samples": 10_001}), "10001 samples needs 20002 elements"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert what in err and "channel budget of 20000" in err
+    for argv in [("capacity", "--channel", "identity:141"),
+                 _capacity_of({**mc, "samples": 10_000})]:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
 
 
 def test_mpsk_without_snr_names_the_missing_field(capsys):

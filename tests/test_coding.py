@@ -718,6 +718,32 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
         assert x.message_errors == y.message_errors
 
 
+def test_decision_table_needs_no_more_words_than_trials(monkeypatch):
+    # BSC at n=6 has 64 output words: the table is built for 64 trials and
+    # not for 63, and ENUM_BUDGET still caps words * codewords.
+    cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
+    tables = []
+    table = coding._decision_table
+
+    def counted_table(cw, channel):
+        tables.append(cw.shape)
+        return table(cw, channel)
+
+    def run(trials):
+        report = simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", trials, 3,
+                          fresh_codebook=False)
+        return report.semantic_errors, report.message_errors
+
+    monkeypatch.setattr(coding, "_decision_table", counted_table)
+    run(63)
+    assert tables == []
+    with_table = run(64)
+    assert tables == [(8, 6)]
+    monkeypatch.setattr(coding, "ENUM_BUDGET", 64 * 8 - 1)
+    assert run(64) == with_table
+    assert len(tables) == 1
+
+
 def test_codebook_indexing_pinned():
     # Literal counts of both codebook indexings. A seeded-random partition
     # scrambles which message owns which codeword, so transmitting by class
@@ -923,6 +949,63 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
         pick = _ref_decide(one[None, :])[0]
         out = decode_ml(Sequence(y, matrix.shape[1]), cb, ch)
         assert out.index == (None if pick < 0 else pick)
+
+
+KEY_RULE_CASES = {
+    # name: (channel, n, count, trials, keyed); the rule keys a call when
+    # (n + 1)^(|X||Y| - 1) <= min(BLOCK_ELEMENTS, trials * count).
+    "bsc-keyed": ("bsc", 16, 300, 40, True),  # 17^3 = 4913 keys
+    "bsc-too-many-keys": ("bsc", 40, 20, 30, False),  # 41^3 > BLOCK_ELEMENTS
+    "bsc-too-few-pairs": ("bsc", 16, 20, 30, False),  # 600 pairs < 4913 keys
+    "z-keyed": ("z", 12, 64, 100, True),  # NEG entries in the table
+    "z-too-many-keys": ("z", 45, 16, 40, False),
+    "dmc2x3-keyed": ("dmc2x3", 8, 400, 200, True),  # 9^5 = 59049 keys
+    "dmc2x3-too-many-keys": ("dmc2x3", 9, 400, 200, False),  # 10^5 keys
+    # Wider than BLOCK_ELEMENTS // n: two codeword chunks, and the copy of
+    # codeword 0 in the last slot ties with it across them.
+    "bsc-wide-keyed": ("bsc", 16, 5000, 20, True),
+}
+KEY_RULE_CHANNELS = {
+    "bsc": bsc(0.05).matrix,
+    "z": KERNEL_CHANNELS["z"],
+    "dmc2x3": np.random.default_rng(61).dirichlet(np.ones(3), size=2),
+}
+
+
+@pytest.mark.parametrize("case", list(KEY_RULE_CASES))
+def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case):
+    name, n, count, trials, keyed = KEY_RULE_CASES[case]
+    matrix = KEY_RULE_CHANNELS[name]
+    logmat = coding._log_matrix(matrix)
+    keys = (n + 1) ** (logmat.size - 1)
+    assert (keys <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
+    cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
+    # The keyed path combines once, into a 1-D table of every key; the
+    # matmul path combines once per 2-D tile.
+    combined = []
+    combine = coding._combine
+
+    def spy(cells, lm, out):
+        combined.append(out.shape)
+        return combine(cells, lm, out)
+
+    monkeypatch.setattr(coding, "_combine", spy)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, logmat, count)
+    ref = _ref_scores_shared(cw, ys, logmat)
+    assert np.array_equal(got, ref)
+    if keyed:
+        assert combined == [(keys,)]
+    else:
+        assert len(combined) == tiles and all(len(shape) == 2 for shape in combined)
+    picks = coding._ml_decisions(cw, ys, logmat)
+    assert np.array_equal(picks, _ref_decide(ref))
+    assert np.any(picks == -1) and np.any(picks >= 0)
+    if count > coding.BLOCK_ELEMENTS // n:
+        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, logmat)}
+        assert len(starts) == 2
+        best = ref.max(axis=1, keepdims=True)
+        across = (ref[:, :1] == best)[:, 0] & (ref[:, -1:] == best)[:, 0]
+        assert np.any(across) and np.all(picks[across] == -1)
 
 
 def _joint_for(matrix, seed):

@@ -21,21 +21,27 @@ from .errors import BudgetError, ValidationError
 from .info import Sequence
 
 MC_MIN_SAMPLES = 10_000
-# Largest array, in float64 elements, a channel construction may allocate:
-# an order x order matrix (identity, M-PSK), or a Monte Carlo M-PSK row's
-# samples x 2 normals. 2^25 elements are 256 MiB.
+# Largest array, in eight-byte elements, one allocation may hold: an order x
+# order matrix (identity, M-PSK), a Monte Carlo M-PSK row's samples x 2
+# normals, or a codebook's count x n int64 symbols. 2^25 elements are 256 MiB.
 CHANNEL_ELEMENT_BUDGET = 2**25
 
 
-def check_channel_elements(elements: int, what: str) -> None:
-    """BudgetError unless an allocation of `elements` fits CHANNEL_ELEMENT_BUDGET.
+def _exceeds(count: int, bits: int, cap: int) -> bool:
+    """count * 2^bits > cap for count >= 1, without forming a huge 2^bits."""
+    return bits >= cap.bit_length() or count << bits > cap
+
+
+def check_channel_elements(elements: int, what: str, bits: int = 0) -> None:
+    """BudgetError unless an allocation of elements * 2^bits fits CHANNEL_ELEMENT_BUDGET.
 
     Called before anything of that size exists, so an absurd but valid size
     is refused instead of exhausting memory.
     """
-    if elements > CHANNEL_ELEMENT_BUDGET:
+    if _exceeds(elements, bits, CHANNEL_ELEMENT_BUDGET):
+        size = f"{elements} * 2^{bits}" if bits else f"{elements}"
         raise BudgetError(
-            f"{what} needs {elements} elements, over the channel budget of "
+            f"{what} needs {size} elements, over the channel budget of "
             f"{CHANNEL_ELEMENT_BUDGET}"
         )
 
@@ -197,9 +203,10 @@ def mpsk_hard_dmc(cfg: PskConfig) -> Dmc:
     return Dmc(_psk_labels(m), _psk_labels(m), matrix)
 
 
-def _row_cdfs(matrix: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(matrix, axis=1)
-    cdf[:, -1] = 1.0
+def _row_cdfs(probs: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, each ending in exactly 1.0."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
     return cdf
 
 

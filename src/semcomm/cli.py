@@ -25,10 +25,10 @@ from .capacity import (
     CapacityResult, Dmc, _check_alpha, awgn_capacity, blahut_arimoto,
     semantic_capacity,
 )
-from .channels import PskConfig, bsc, check_channel_elements, mpsk_hard_dmc
+from .channels import PskConfig, _exceeds, bsc, check_channel_elements, mpsk_hard_dmc
 from .coding import (
-    CodeConfig, Codebook, FanoInstance, check_fano, converse_chain,
-    partition_from_counts, run_fano_campaign, simulate,
+    FULL_CODEBOOK_CAP, CodeConfig, Codebook, FanoInstance, check_fano,
+    converse_chain, partition_from_counts, run_fano_campaign, simulate,
 )
 from .errors import ConfigError, ConvergenceError, NumericError, ValidationError
 from .info import ProbVector, entropy, load_json_doc
@@ -368,7 +368,7 @@ def cmd_simulate(ns) -> int:
         cfg = CodeConfig(n=int(n), rate=rate, alpha=alpha)
         rep = simulate(
             cfg, spec["partition-scheme"], ch, px, spec["decoder"],
-            spec["trials"], seed_i, threads=ns.threads,
+            spec["trials"], seed_i,
         )
         rows.append(
             (int(n), rate, alpha, rep.p_sem, rep.p_sem_lo, rep.p_sem_hi,
@@ -405,7 +405,9 @@ def cmd_simulate(ns) -> int:
 
 def _digit_codebook(count: int, n: int, base: int) -> Codebook:
     """Codeword i = the n base-`base` digits of i; distinct when count <= base^n."""
-    if count > base**n:
+    check_channel_elements(count * n, f"fano: {count} codewords of length {n}")
+    # With base >= 2, base^n > count once n reaches count's bit length.
+    if count > base ** min(n, count.bit_length()):
         raise ConfigError(
             f"cannot place {count} distinct codewords in {base}^{n} words"
         )
@@ -438,6 +440,8 @@ def cmd_fano(ns) -> int:
         sb = _integer(cfg["semantic-bits"], "fano: semantic-bits")
         if not (1 <= sb <= mb):
             raise ConfigError(f"fano: need 1 <= semantic-bits <= message-bits, got {sb}/{mb}")
+        if _exceeds(1, mb, FULL_CODEBOOK_CAP):
+            raise ConfigError(f"fano: 2^{mb} messages exceed the {FULL_CODEBOOK_CAP} cap")
         scheme = cfg.get("partition-scheme", "contiguous")
         part_seed = cfg.get("seed", ns.seed)
         if scheme == "seeded-random":
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--scheme", default=None, choices=("contiguous", "interleaved", "seeded-random"))
     p.add_argument("--decoder", default=None, choices=("ml", "typicality"))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fano", help="verify the semantic Fano bound and converse chain")

@@ -31,8 +31,8 @@ Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
 stream b; shared codebooks use stream CODEBOOK_STREAM, seeded-random
 partitions PARTITION_STREAM, and Fano campaign instance i stream
-FANO_STREAM + i. Results are therefore bit-identical across runs and thread
-counts.
+FANO_STREAM + i. Results are therefore bit-identical across runs and worker
+counts (see _run_batches).
 
 Scores are canonical: every path computes sum over (a, b) in row-major
 order of count(a, b) * log2 p(b|a), so equal empirical count matrices give
@@ -47,14 +47,15 @@ Ties and all-impossible likelihoods decode to the erasure mark.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .capacity import Dmc, blahut_arimoto
-from .channels import ChannelRng, _draw_outputs, _row_cdfs
+from .channels import ChannelRng, _draw_outputs, _exceeds, _row_cdfs, check_channel_elements
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import (
     JointDist, ProbVector, Sequence, _log_matrix, _typical_mask, entropy_bits,
@@ -66,8 +67,6 @@ BATCH_TRIALS = 4096
 # the working set stays in cache whatever the codebook size or blocklength.
 BLOCK_ELEMENTS = 2**16
 FULL_CODEBOOK_CAP = 2**20
-# Largest count * n generate_codebook materializes: 512 MiB of int64 symbols.
-CODEBOOK_SYMBOL_CAP = FULL_CODEBOOK_CAP * 64
 ENUM_BUDGET = 10**7
 # Per-trial fresh codebooks are materialized only while count * n stays at or
 # below this; beyond it the virtual regime takes over.
@@ -245,17 +244,17 @@ def partition_from_counts(
         raise ConfigError(
             f"partition scheme must be one of {PARTITION_SCHEMES}, got {scheme!r}"
         )
-    if class_count > message_count:
-        raise ConfigError(
-            f"cannot split {message_count} messages into {class_count} classes"
-        )
     if class_count < 1:
         raise ConfigError("class_count must be >= 1")
+    # Counts print only below the cap: past it they can outgrow int-to-str.
     if message_count > FULL_CODEBOOK_CAP:
         raise BudgetError(
-            f"cannot materialize a partition of {message_count} messages "
-            f"(cap {FULL_CODEBOOK_CAP}); large-message simulations use the "
-            "virtual regime, which never builds one"
+            f"cannot materialize a partition of over {FULL_CODEBOOK_CAP} messages; "
+            "large-message simulations use the virtual regime, which never builds one"
+        )
+    if class_count > message_count:
+        raise ConfigError(
+            f"cannot split {message_count} messages into more than {message_count} classes"
         )
     base = message_count // class_count
     if scheme == "interleaved":
@@ -330,16 +329,18 @@ class Codebook:
         return Sequence(self.codewords[index], self.alphabet_size)
 
 
-def _sample_symbols(gen: np.random.Generator, shape, cdf: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: each symbol counts the cdf entries its uniform reaches.
+def _sample_symbols(gen: np.random.Generator, shape, probs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from probs: each symbol counts the cdf entries its
+    uniform reaches.
 
-    cdf[-1] is 1.0 > u and is never reached. For a non-decreasing cdf the
-    count equals searchsorted(cdf, u, side="right"). The symbols come in the
+    The cdf (_row_cdfs of probs) ends in 1.0 > u, never reached; the count
+    equals searchsorted(cdf, u, side="right"). The symbols come in the
     narrowest unsigned dtype that holds them (uint8 up to 256 symbols), so
     arithmetic on them must widen first. The uniforms are drawn BLOCK_ELEMENTS
     at a time into the flat output; the generator hands them out in sequence,
     so the symbols equal those of one gen.random(shape) call.
     """
+    cdf = _row_cdfs(probs)
     out = np.zeros(shape, dtype=np.min_scalar_type(cdf.size - 1))
     flat = out.reshape(-1)
     for block in _blocks(flat.size, 1):
@@ -353,9 +354,7 @@ def _sample_symbols(gen: np.random.Generator, shape, cdf: np.ndarray) -> np.ndar
 def _codebook_from_px(
     count: int, n: int, px: ProbVector, rng: ChannelRng, note: str
 ) -> Codebook:
-    cdf = np.cumsum(px.probs)
-    cdf[-1] = 1.0
-    symbols = _sample_symbols(rng.generator(), (count, n), cdf)
+    symbols = _sample_symbols(rng.generator(), (count, n), px.probs)
     return Codebook(
         symbols,
         len(px),
@@ -370,23 +369,21 @@ def _codebook_from_px(
 
 def generate_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
     """One codeword per semantic class, symbols i.i.d. from px."""
-    count = cfg.semantic_count
-    if count * cfg.n > CODEBOOK_SYMBOL_CAP:
-        raise BudgetError(
-            f"generate_codebook: {count} codewords of length {cfg.n} cannot be "
-            "materialized; use simulate(), whose virtual regime handles this size"
-        )
-    return _codebook_from_px(int(count), cfg.n, px, rng, "per-class")
+    bits = cfg.semantic_bits
+    check_channel_elements(cfg.n, f"generate_codebook: 2^{bits} codewords of length {cfg.n}", bits)
+    return _codebook_from_px(cfg.semantic_count, cfg.n, px, rng, "per-class")
 
 
 def generate_full_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
     """One codeword per message, symbols i.i.d. from px (cap 2^20 messages)."""
-    if cfg.message_count > FULL_CODEBOOK_CAP:
+    bits = cfg.message_bits
+    if _exceeds(1, bits, FULL_CODEBOOK_CAP):
         raise BudgetError(
-            f"generate_full_codebook: {cfg.message_count} messages exceed the "
+            f"generate_full_codebook: 2^{bits} messages exceed the "
             f"{FULL_CODEBOOK_CAP} cap; use the per-class codebook instead"
         )
-    return _codebook_from_px(int(cfg.message_count), cfg.n, px, rng, "full")
+    check_channel_elements(cfg.n, f"generate_full_codebook: 2^{bits} codewords", bits)
+    return _codebook_from_px(cfg.message_count, cfg.n, px, rng, "full")
 
 
 def encode(w: int, p: SemanticPartition, cb: Codebook) -> Sequence:
@@ -699,22 +696,28 @@ class SimulationReport:
         }
 
 
-def _batch_sizes(trials: int) -> list[int]:
-    full, rem = divmod(trials, BATCH_TRIALS)
-    return [BATCH_TRIALS] * full + ([rem] if rem else [])
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_batches(trials: int, threads: int, worker: Callable[[int, int], tuple]) -> list:
+def _run_batches(trials: int, fresh: bool, worker: Callable[[int, int], tuple]) -> list:
     """worker(batch_index, batch_trials) over fixed-size batches, in batch order.
 
     worker must be a pure function of its arguments, so the list is the
-    same for any thread count; callers reduce it with integer sums or
-    in-order concatenation, which keeps their results identical too.
+    same however many workers run it; callers reduce it with integer sums or
+    in-order concatenation, which keeps their results identical too. Fresh
+    codebooks' batches run on one worker per CPU, at most one per batch.
+    Shared codebooks' batches run in order: their scores are BLAS matrix
+    products, already spread over the CPUs, and a pool measured slower.
     """
-    sizes = _batch_sizes(trials)
-    if threads <= 1 or len(sizes) == 1:
+    full, rem = divmod(trials, BATCH_TRIALS)
+    sizes = [BATCH_TRIALS] * full + ([rem] if rem else [])
+    workers = min(len(sizes), _cpu_count()) if fresh else 1
+    if workers <= 1:
         return [worker(b, nb) for b, nb in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
@@ -860,7 +863,7 @@ def _check_run(name: str, ch: Dmc, px: ProbVector, decoder: str, trials: int) ->
 
 def _simulate_materialized(
     cfg: CodeConfig, scheme: str, ch: Dmc, px: ProbVector, decoder: str,
-    trials: int, seed: int, threads: int, eps: float,
+    trials: int, seed: int, eps: float,
     part: SemanticPartition | None, codebook: Codebook | None, per_message: bool,
 ) -> SimulationReport:
     """The literal protocol with materialized codewords, for both indexings.
@@ -879,13 +882,14 @@ def _simulate_materialized(
     """
     fresh = codebook is None
     count = int(cfg.message_count if per_message else cfg.semantic_count)
-    mcount = int(cfg.message_count)
+    # Only a partition's check forms 2^message_bits, which can be gigabytes.
     if part is not None and (
-        part.message_count != mcount or (not per_message and part.class_count != count)
+        part.message_count != cfg.message_count
+        or (not per_message and part.class_count != count)
     ):
         raise ValidationError(
-            f"partition of {part.message_count} messages into {part.class_count} "
-            f"classes does not match the config's {mcount} and {cfg.semantic_count}"
+            f"partition of {part.message_count} messages into {part.class_count} classes "
+            f"does not match the config's 2^{cfg.message_bits} and 2^{cfg.semantic_bits}"
         )
     if not fresh and (codebook.count, codebook.n) != (count, cfg.n):
         raise ValidationError(
@@ -896,8 +900,6 @@ def _simulate_materialized(
         raise ValidationError("codebook alphabet does not match channel inputs")
 
     logmat = _log_matrix(ch.matrix)
-    px_cdf = np.cumsum(px.probs)
-    px_cdf[-1] = 1.0
     ch_cdf = _row_cdfs(ch.matrix)
     joint = (
         JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
@@ -929,12 +931,12 @@ def _simulate_materialized(
 
     def worker(b: int, nb: int) -> tuple[int, int]:
         gen = ChannelRng(seed, b).generator()
-        cw = _sample_symbols(gen, (nb, count, cfg.n), px_cdf) if fresh else codebook.codewords
+        cw = _sample_symbols(gen, (nb, count, cfg.n), px.probs) if fresh else codebook.codewords
         if part is None:
             sent = gen.integers(0, count, size=nb)
             rep_hit = gen.random(nb) < rep_prob
         else:
-            w = gen.integers(0, mcount, size=nb)
+            w = gen.integers(0, part.message_count, size=nb)
             sent = sent_of[w]
         u = gen.random((nb, cfg.n))
         y = _draw_outputs(ch_cdf, cw[np.arange(nb), sent] if fresh else cw[sent], u)
@@ -953,7 +955,7 @@ def _simulate_materialized(
             msg_err = erased | (owner_msg[picks] != w)
         return int(sem_err.sum()), int(msg_err.sum())
 
-    sem, msg = map(sum, zip(*_run_batches(trials, threads, worker)))
+    sem, msg = map(sum, zip(*_run_batches(trials, fresh, worker)))
     regime = "full-codebook" if per_message else f"materialized-{'fresh' if fresh else 'shared'}"
     config = _simulation_config(
         cfg, ch, px, decoder, scheme, fresh, regime, trials, seed,
@@ -975,7 +977,6 @@ def simulate(
     fresh_codebook: bool = True,
     codebook: Codebook | None = None,
     partition: SemanticPartition | None = None,
-    threads: int = 1,
     eps: float = 0.1,
 ) -> SimulationReport:
     """Monte Carlo semantic-error estimation with a per-class codebook.
@@ -994,14 +995,14 @@ def simulate(
     that simulate_full_codebook shares; there a shared codebook is ML-decoded
     from a table of every output word's decision when the output words
     number no more than the trials and fit ENUM_BUDGET, with unchanged
-    results. Reports are
-    bit-identical across runs and thread counts for a fixed seed.
+    results. Reports are bit-identical across runs and worker counts for a
+    fixed seed.
     """
     _check_run("simulate", ch, px, decoder, trials)
     if codebook is not None and fresh_codebook:
         raise ValidationError("simulate: an explicit codebook implies fresh_codebook=False")
 
-    if fresh_codebook and cfg.semantic_count * cfg.n > MATERIALIZE_LIMIT:
+    if fresh_codebook and _exceeds(cfg.n, cfg.semantic_bits, MATERIALIZE_LIMIT):
         if decoder != "ml":
             raise ConfigError(
                 "virtual-regime simulation supports the ml decoder only; "
@@ -1009,16 +1010,16 @@ def simulate(
             )
         if scheme not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {scheme!r}")
-        return _simulate_virtual(cfg, scheme, ch, px, trials, seed, threads)
+        return _simulate_virtual(cfg, scheme, ch, px, trials, seed)
 
     if codebook is None and not fresh_codebook:
         codebook = generate_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    if partition is None and cfg.message_count <= FULL_CODEBOOK_CAP:
+    if partition is None and not _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
         partition = make_partition(cfg, scheme, seed)
     elif partition is None and scheme not in PARTITION_SCHEMES:
         raise ConfigError(f"unknown partition scheme {scheme!r}")
     return _simulate_materialized(
-        cfg, scheme, ch, px, decoder, trials, seed, threads, eps,
+        cfg, scheme, ch, px, decoder, trials, seed, eps,
         partition, codebook, per_message=False,
     )
 
@@ -1030,7 +1031,6 @@ def _simulate_virtual(
     px: ProbVector,
     trials: int,
     seed: int,
-    threads: int,
 ) -> SimulationReport:
     """Fresh-codebook ML simulation without materializing the codebook.
 
@@ -1055,7 +1055,7 @@ def _simulate_virtual(
     that can score at least the type's lowest own score (see
     _competitor_tail), and every trial of the type is answered from it.
     Batches are joined in batch order, so the report is the same for any
-    thread count.
+    worker count.
     """
     if px.probs.size != 2:
         raise ConfigError(
@@ -1070,8 +1070,6 @@ def _simulate_virtual(
             "float64; reduce the blocklength, rate or alpha"
         )
     logmat = _log_matrix(ch.matrix)
-    px_cdf = np.cumsum(px.probs)
-    px_cdf[-1] = 1.0
     ch_cdf = _row_cdfs(ch.matrix)
     rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
     n_out = ch.num_outputs
@@ -1081,7 +1079,7 @@ def _simulate_virtual(
 
     def draw(b: int, nb: int) -> tuple[np.ndarray, ...]:
         gen = ChannelRng(seed, b).generator()
-        x = _sample_symbols(gen, (nb, cfg.n), px_cdf)
+        x = _sample_symbols(gen, (nb, cfg.n), px.probs)
         cells = np.empty((nb, cell_count), dtype=count_type)
         for rows in _blocks(nb, cfg.n):
             xb = x[rows]
@@ -1102,7 +1100,7 @@ def _simulate_virtual(
         return own, counts, rep_hit, u_win
 
     own, counts, rep_hit, u_win = (
-        np.concatenate(parts) for parts in zip(*_run_batches(trials, threads, draw))
+        np.concatenate(parts) for parts in zip(*_run_batches(trials, True, draw))
     )
     types, inverse = np.unique(counts, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -1136,7 +1134,6 @@ def simulate_full_codebook(
     *,
     codebook: Codebook | None = None,
     decoder: str = "ml",
-    threads: int = 1,
     eps: float = 0.1,
 ) -> SimulationReport:
     """Monte Carlo with one codeword per message (the converse setting).
@@ -1148,15 +1145,15 @@ def simulate_full_codebook(
     decisions over an enumerable output space.
     """
     _check_run("simulate_full_codebook", ch, px, decoder, trials)
-    if cfg.message_count > FULL_CODEBOOK_CAP:
+    if _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
         raise ConfigError(
-            f"simulate_full_codebook: {cfg.message_count} messages exceed the "
+            f"simulate_full_codebook: 2^{cfg.message_bits} messages exceed the "
             f"{FULL_CODEBOOK_CAP} cap; use simulate() with per-class codewords"
         )
     if codebook is None:
         codebook = generate_full_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
     return _simulate_materialized(
-        cfg, partition.scheme, ch, px, decoder, trials, seed, threads, eps,
+        cfg, partition.scheme, ch, px, decoder, trials, seed, eps,
         partition, codebook, per_message=True,
     )
 
@@ -1195,17 +1192,7 @@ class ExactEvaluation:
     h_w_given_y_ok: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "p_sem": self.p_sem,
-            "p_msg": self.p_msg,
-            "h_w": self.h_w,
-            "h_w_given_y": self.h_w_given_y,
-            "i_w_y": self.i_w_y,
-            "i_x_y": self.i_x_y,
-            "h_w_given_y_err": self.h_w_given_y_err,
-            "h_w_given_y_ok": self.h_w_given_y_ok,
-        }
+        return asdict(self)
 
 
 def exact_evaluate(
@@ -1231,11 +1218,11 @@ def exact_evaluate(
     mcount = partition.message_count
     kcount = partition.class_count
     n = cb.n
-    out_words = ch.num_outputs ** n  # exact integer, may be huge before the check
-    if out_words * mcount > ENUM_BUDGET:
+    # With |Y| >= 2, |Y|^n passes the budget from n = its bit length on.
+    if ch.num_outputs ** min(n, ENUM_BUDGET.bit_length()) * mcount > ENUM_BUDGET:
         raise BudgetError(
-            f"exact_evaluate: |Y|^n * messages = {out_words * mcount} exceeds "
-            f"budget {ENUM_BUDGET}"
+            f"exact_evaluate: |Y|^n * messages = {ch.num_outputs}^{n} * {mcount} "
+            f"exceeds budget {ENUM_BUDGET}"
         )
     if cb.count == kcount:
         regime = "per-class"
@@ -1545,9 +1532,7 @@ def random_fano_instance(seed: int, index: int) -> FanoInstance:
         px = ProbVector(ch.input_labels, gen.dirichlet(np.ones(a_count)))
     full = bool(gen.random() < 0.5)
     cw_count = mcount if full else kcount
-    cdf = np.cumsum(px.probs)
-    cdf[-1] = 1.0
-    symbols = _sample_symbols(gen, (cw_count, n), cdf)
+    symbols = _sample_symbols(gen, (cw_count, n), px.probs)
     cb = Codebook(symbols, a_count, provenance={"seed": seed, "index": index})
     return FanoInstance(
         partition=partition,

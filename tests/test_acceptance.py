@@ -106,9 +106,7 @@ def _sweep(rate_fraction: float, grid: tuple[int, ...]) -> list[float]:
     for i, n in enumerate(grid):
         seed = (SWEEP_SEED + cli.SEED_STRIDE * i) % cli.SEED_MOD
         cfg = CodeConfig(n=n, rate=rate, alpha=alpha)
-        rep = simulate(
-            cfg, "contiguous", ch, px, "ml", SWEEP_TRIALS, seed, threads=4
-        )
+        rep = simulate(cfg, "contiguous", ch, px, "ml", SWEEP_TRIALS, seed)
         out.append(rep.p_sem)
     return out
 
@@ -191,7 +189,7 @@ def test_criterion_09_simulation_vs_exact():
         rep = simulate(
             cfg, "interleaved", ch, ProbVector.uniform(ch.input_labels), "ml",
             trials, seed=400 + index, fresh_codebook=False, codebook=cb,
-            partition=part, threads=4,
+            partition=part,
         )
         se = math.sqrt(exact * (1.0 - exact) / trials)
         agree += abs(rep.p_sem - exact) <= 4.0 * se

@@ -235,10 +235,14 @@ def test_simulate_alpha_one_columns_coincide(capsys):
 
 
 def test_simulate_rerun_and_threads_are_byte_identical(capsys):
+    # --threads is accepted and ignored: the engine picks its own workers.
     _, a, _ = run(capsys, *SWEEP)
     _, b, _ = run(capsys, *SWEEP)
-    _, c, _ = run(capsys, *SWEEP, "--threads", "4")
-    assert a == b == c
+    for threads in ("0", "1", "4", "9"):
+        code, c, _ = run(capsys, *SWEEP, "--threads", threads)
+        assert code == 0
+        assert c == a
+    assert a == b
 
 
 def test_simulate_rerun_from_emitted_csv(capsys, tmp_path):
@@ -304,14 +308,27 @@ def test_simulate_bad_grid(capsys):
     (("--config", '{"n-grid": [8.7]}'), "n-grid entry must be an integer, got 8.7"),
     (("--config", '{"n-grid": [8], "trials": "many"}'), "trials must be an integer, got 'many'"),
     (("--config", '{"n-grid": [8], "alpha": "half"}'), "alpha must be a number, got 'half'"),
+    # About 2^(4.5e10) classes: refused by bit count, never formed.
+    (("--rate-fraction", "1e9", "--n-grid", "64", "--trials", "10"),
+     "virtual simulation needs semantic_bits <= 1022"),
 ], ids=["flag-word", "config-scalar", "config-word", "config-fraction", "config-trials",
-        "config-alpha"])
+        "config-alpha", "rate-huge"])
 def test_simulate_bad_spec_exits_2_with_message(capsys, extra, message):
     code, out, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--seed", "1", *extra)
     assert code == 2
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def test_simulate_tiny_alpha_never_forms_the_message_count(capsys):
+    # About 2^(2.9e12) messages in 2^3 classes: the materialized engine
+    # needs only the bit counts, where forming the count takes terabytes.
+    code, out, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--seed", "1",
+                         "--rate-fraction", "0.5", "--alpha", "1e-12",
+                         "--n-grid", "8", "--trials", "10")
+    assert code == 0, err
+    assert _csv_rows(out)[0]["p_msg"] == "1.0"
 
 
 def test_simulate_whole_number_spec_values_resolve_as_before(capsys):
@@ -522,8 +539,14 @@ FANO_SINGLE = {"mode": "single", "channel": "bsc:0.1", "n": 3, "message-bits": 4
     ({"instances": 2.5, "seed": 1}, "instances must be an integer, got 2.5"),
     ({"instances": 3, "seed": 1, "converse": "false"}, "converse must be true or false, got 'false'"),
     ({"instances": 3, "seed": 1, "converse": 1}, "converse must be true or false, got 1"),
+    ({**FANO_SINGLE, "message-bits": 20000, "semantic-bits": 1},
+     "2^20000 messages exceed the 1048576 cap"),
+    ({**FANO_SINGLE, "message-bits": 10**10, "semantic-bits": 1},
+     "2^10000000000 messages exceed the 1048576 cap"),
+    ({**FANO_SINGLE, "n": 10**10}, "4 codewords of length 10000000000 needs"),
 ], ids=["n-word", "n-fraction", "message-bits-word", "semantic-bits-fraction",
-        "instances-word", "instances-fraction", "converse-text", "converse-number"])
+        "instances-word", "instances-fraction", "converse-text", "converse-number",
+        "message-bits-huge", "message-bits-giant", "n-giant"])
 def test_fano_bad_config_values_exit_2_with_message(capsys, config, message):
     code, out, err = run(capsys, "fano", "--config", json.dumps(config))
     assert code == 2

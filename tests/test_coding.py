@@ -49,6 +49,15 @@ from semcomm.info import entropy_bits
 UNIFORM2 = ProbVector(("0", "1"), [0.5, 0.5])
 
 
+def _per_worker_count(monkeypatch, run) -> list:
+    """run() once for each CPU count the batch pool may see."""
+    out = []
+    for workers in (1, 2, 3, 8):
+        monkeypatch.setattr(coding, "_cpu_count", lambda workers=workers: workers)
+        out.append(run())
+    return out
+
+
 # --- configuration ------------------------------------------------------------
 
 
@@ -194,6 +203,46 @@ def test_codebook_budget_errors():
         generate_codebook(CodeConfig(n=2, rate=30.0, alpha=1.0), UNIFORM2, ChannelRng(1))
     with pytest.raises(BudgetError):
         generate_full_codebook(CodeConfig(n=2, rate=11.0, alpha=1.0), UNIFORM2, ChannelRng(1))
+
+
+def test_codebook_budget_edge_is_the_channel_element_budget():
+    # 32 * 2^20 symbols fill the budget exactly; 33 * 2^20 are just over it
+    # and are refused before a symbol is drawn.
+    coding.check_channel_elements(32, "edge", 20)
+    cfg = CodeConfig(n=33, rate=20 / 33, alpha=1.0)
+    assert cfg.semantic_bits == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"2\^20 codewords of length 33 needs 33 \* 2\^20"):
+            generate_codebook(cfg, UNIFORM2, ChannelRng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_huge_bit_counts_raise_with_counts_named_as_powers():
+    # 2^20000 has 6021 digits, past what int-to-str converts; 2^(10^9)
+    # would take 125 MB to form.
+    for rate, bits in ((20000.0, "20000"), (1e9, "1000000000")):
+        cfg = CodeConfig(n=1, rate=rate, alpha=1.0)
+        with pytest.raises(BudgetError, match=rf"2\^{bits} codewords"):
+            simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1, fresh_codebook=False)
+        with pytest.raises(BudgetError, match=rf"2\^{bits} messages"):
+            generate_full_codebook(cfg, UNIFORM2, ChannelRng(1))
+        with pytest.raises(ConfigError, match=rf"2\^{bits} messages"):
+            simulate_full_codebook(cfg, partition_from_counts(4, 2, "contiguous"),
+                                   bsc(0.1), UNIFORM2, 10, 1)
+        with pytest.raises(BudgetError, match="semantic_bits <= 1022"):
+            simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1)
+    for messages, classes in ((2**20000, 2), (2**20000 + 1, 2**20001)):
+        with pytest.raises(BudgetError, match="partition of over 1048576 messages"):
+            partition_from_counts(messages, classes, "contiguous")
+    with pytest.raises(ConfigError, match="split 4 messages into more than 4 classes"):
+        partition_from_counts(4, 2**20000, "contiguous")
+    cb = Codebook(np.zeros((2, 20000), dtype=np.int64), 2)
+    with pytest.raises(BudgetError, match=r"2\^20000 \* 2 exceeds"):
+        exact_evaluate(cb, partition_from_counts(2, 2, "contiguous"), bsc(0.1))
 
 
 def test_codebook_validation():
@@ -378,23 +427,46 @@ def test_exact_evaluate_matches_hand_values():
     assert ev.h_w == 2.0
 
 
-def test_simulate_fresh_is_deterministic_across_threads_and_reruns():
+def test_simulate_fresh_is_deterministic_across_threads_and_reruns(monkeypatch):
     cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
     args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 3 * 4096 + 100, 31337)
-    a = simulate(*args, threads=1)
-    b = simulate(*args, threads=8)
-    c = simulate(*args, threads=1)
-    assert a.to_dict() == b.to_dict() == c.to_dict()
-    assert a.config["regime"] == "materialized-fresh"
+    a, *rest = _per_worker_count(monkeypatch, lambda: simulate(*args).to_dict())
+    assert all(r == a for r in rest)
+    assert a["config"]["regime"] == "materialized-fresh"
 
 
-def test_virtual_regime_is_deterministic_across_threads():
+def test_virtual_regime_is_deterministic_across_threads(monkeypatch):
     cfg = CodeConfig(n=64, rate=0.5, alpha=1.0)  # 2^32 codewords: never materialized
     args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 2 * 4096, 2718)
-    a = simulate(*args, threads=1)
-    b = simulate(*args, threads=6)
-    assert a.to_dict() == b.to_dict()
-    assert a.config["regime"] == "virtual-fresh"
+    a, *rest = _per_worker_count(monkeypatch, lambda: simulate(*args).to_dict())
+    assert all(r == a for r in rest)
+    assert a["config"]["regime"] == "virtual-fresh"
+
+
+def test_only_multi_batch_fresh_runs_build_a_pool(monkeypatch):
+    pools = []
+    real_pool = coding.ThreadPoolExecutor
+
+    def counted_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(coding, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setattr(coding, "_cpu_count", lambda: 8)
+    cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
+    args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 3 * 4096 + 1, 5)
+    simulate(*args, fresh_codebook=False)
+    simulate_full_codebook(cfg, make_partition(cfg, "contiguous"), bsc(0.05), UNIFORM2,
+                           3 * 4096 + 1, 5)
+    simulate(*args[:-2], 4096, 5)  # fresh, but one batch
+    assert pools == []
+    simulate(*args)  # fresh: one worker per batch, below the CPU count
+    assert pools == [4]
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(coding.os, "sched_getaffinity", raising=False)
+    assert coding._cpu_count() == (coding.os.cpu_count() or 1)
 
 
 def test_virtual_agrees_with_materialized(monkeypatch):
@@ -459,7 +531,7 @@ def test_samplers_match_searchsorted_and_broadcast_references():
     for probs in ([0.5, 0.5], [0.0, 0.3, 0.7], [0.25, 0.0, 0.5, 0.25], [1.0, 0.0]):
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        got = coding._sample_symbols(ChannelRng(9, 1).generator(), (50, 40), cdf)
+        got = coding._sample_symbols(ChannelRng(9, 1).generator(), (50, 40), probs)
         u = ChannelRng(9, 1).generator().random((50, 40))
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
         matrix = gen.dirichlet(np.ones(3), size=len(probs))
@@ -655,8 +727,10 @@ def test_blocked_virtual_draw_pinned(monkeypatch, block_elements, ch, probs, n, 
         monkeypatch.setattr(coding, "BLOCK_ELEMENTS", block_elements)
     cfg = CodeConfig(n=n, rate=rate, alpha=0.95)
     px = ProbVector(ch.input_labels, probs)
-    for threads in (1, 2, 3):
-        rep = simulate(cfg, "contiguous", ch, px, "ml", 2 * 4096 + 777, 2026, threads=threads)
+    reps = _per_worker_count(
+        monkeypatch, lambda: simulate(cfg, "contiguous", ch, px, "ml", 2 * 4096 + 777, 2026)
+    )
+    for rep in reps:
         assert rep.config["regime"] == "virtual-fresh"
         assert (rep.semantic_errors, rep.message_errors) == counts
 
@@ -694,10 +768,12 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
     part = make_partition(cfg, "contiguous")
     ch = bsc(0.1)
     trials = 9 * 4096  # enough to engage the table fast path
+    # Shared codebooks run their batches in order whatever the CPU count.
+    monkeypatch.setattr(coding, "_cpu_count", lambda: 4)
     runs = [
-        lambda: simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99, threads=4),
+        lambda: simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99),
         lambda: simulate(cfg, "contiguous", ch, UNIFORM2, "ml", trials, 99,
-                         fresh_codebook=False, threads=4),
+                         fresh_codebook=False),
     ]
     tables = []
     table = coding._decision_table
@@ -1095,9 +1171,10 @@ def test_engines_match_the_loop_references(monkeypatch, case, decoder):
 
 def test_sampled_symbols_use_the_narrowest_dtype():
     for size, dtype in ((2, np.uint8), (256, np.uint8), (257, np.uint16)):
-        cdf = np.cumsum(np.full(size, 1.0 / size))
+        probs = np.full(size, 1.0 / size)
+        cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        got = coding._sample_symbols(ChannelRng(4, 2).generator(), (30, 20), cdf)
+        got = coding._sample_symbols(ChannelRng(4, 2).generator(), (30, 20), probs)
         u = ChannelRng(4, 2).generator().random((30, 20))
         assert got.dtype == dtype
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
@@ -1111,7 +1188,7 @@ def test_sampled_symbols_in_blocks_equal_one_draw(monkeypatch):
         cdf[-1] = 1.0
         for shape in ((13, 3, 5), (4, 5), (7,), (0, 5)):
             gen, ref_gen = ChannelRng(6, 3).generator(), ChannelRng(6, 3).generator()
-            got = coding._sample_symbols(gen, shape, cdf)
+            got = coding._sample_symbols(gen, shape, probs)
             u = ref_gen.random(shape)
             ref = np.zeros(shape, dtype=np.uint8)
             for c in cdf[:-1]:
@@ -1124,11 +1201,11 @@ def test_sampled_symbols_in_blocks_equal_one_draw(monkeypatch):
 def test_symbol_sampling_memory_stays_bounded():
     # A whole-batch draw of (4096, 256, 4) uniforms alone would take 32 MiB;
     # the uint8 symbols take 4 MiB.
-    cdf = np.array([0.25, 0.5, 0.75, 1.0])
+    probs = np.full(4, 0.25)
     gen = ChannelRng(2, 1).generator()
     tracemalloc.start()
     try:
-        got = coding._sample_symbols(gen, (4096, 256, 4), cdf)
+        got = coding._sample_symbols(gen, (4096, 256, 4), probs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,9 +1,14 @@
 """Command-line experiment driver.
 
-Subcommands: entropy, capacity, simulate, fano. Every run's output embeds
-the fully resolved parameter record (defaults filled) plus a version string,
-so rerunning with the embedded record reproduces the data bytes exactly.
-Randomized commands refuse to run without --seed unless --ephemeral is
+Subcommands: entropy, capacity, simulate, fano. Every command resolves its
+parameter record the same way (resolve_spec), in three layers: the
+command's defaults table, then the --config document, then every flag
+given, so flags beat config on every command. The document is a JSON object
+(literal or file), an emitted CSV's "# spec:" line, or a previous JSON
+report, whose resolved_spec is taken. Every output embeds the fully
+resolved record plus a version string, so feeding a command its own JSON
+report (or simulate's CSV) as --config reproduces the data bytes exactly.
+Randomized commands refuse to run without a seed unless --ephemeral is
 passed, in which case the drawn seed is printed for later reproduction.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numeric or
@@ -30,7 +35,7 @@ from .coding import (
     FULL_CODEBOOK_CAP, CodeConfig, Codebook, FanoInstance, check_fano,
     converse_chain, partition_from_counts, run_fano_campaign, simulate,
 )
-from .errors import ConfigError, ConvergenceError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError
 from .info import ProbVector, entropy, load_json_doc
 from .semantics import KnowledgeBase, compression_gain, semantic_distribution, semantic_entropy
 
@@ -121,13 +126,6 @@ def parse_channel(spec) -> Dmc:
     raise ConfigError(f"channel: unknown kind {kind!r}")
 
 
-def _load_config(path_or_json: str | None) -> dict:
-    if path_or_json is None:
-        return {}
-    doc = load_json_doc(path_or_json, "config")
-    return dict(doc)
-
-
 def _integer(value, what: str) -> int:
     """int(value), or ConfigError if it is not a whole number (8.7 is not 8)."""
     try:
@@ -160,134 +158,8 @@ def _require_seed(seed, ephemeral: bool) -> int:
     return drawn
 
 
-def _emit_json(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if out:
-        Path(out).write_text(text + "\n")
-
-
-# --- entropy ---------------------------------------------------------------
-
-
-def cmd_entropy(ns) -> int:
-    cfg = _load_config(ns.config)
-    if ns.knowledge is not None:
-        cfg["knowledge"] = ns.knowledge
-    if ns.probs is not None:
-        cfg["probs"] = ns.probs
-    if "knowledge" not in cfg:
-        raise ConfigError("entropy: provide a knowledge base (--knowledge or config key 'knowledge')")
-    kb = KnowledgeBase.from_json(cfg["knowledge"])
-    probs = cfg.get("probs", "uniform")
-    if probs == "uniform":
-        px = ProbVector.uniform(kb.source_labels)
-    else:
-        px = ProbVector(kb.source_labels, probs.split(",") if isinstance(probs, str) else probs)
-    hx = entropy(px)
-    ps = semantic_distribution(px, kb)
-    hs = semantic_entropy(px, kb)
-    gain = compression_gain(hx, hs)
-    report = {
-        "artifact_version": ARTIFACT_VERSION,
-        "resolved_spec": {
-            "knowledge": {
-                "source": list(kb.source_labels),
-                "semantic": list(kb.semantic_labels),
-                "kernel": [list(row) for row in kb.kernel],
-            },
-            "probs": [float(p) for p in px.probs],
-        },
-        "shannon_entropy_bits": hx,
-        "semantic_entropy_bits": hs,
-        "semantic_distribution": {l: float(p) for l, p in zip(ps.labels, ps.probs)},
-        "compression_gain": gain,
-    }
-    _emit_json(report, ns.out)
-    return 0
-
-
-# --- capacity --------------------------------------------------------------
-
-
-def cmd_capacity(ns) -> int:
-    cfg = _load_config(ns.config)
-    if ns.channel is not None:
-        cfg["channel"] = ns.channel
-    if ns.alpha is not None:
-        cfg["alpha"] = ns.alpha
-    if "channel" not in cfg:
-        raise ConfigError("capacity: provide a channel (--channel or config key 'channel')")
-    alpha = _real(cfg.get("alpha", 1.0), "capacity: alpha")
-    chspec = cfg["channel"]
-    fields = _channel_fields(chspec)
-    kind = None if fields is None else fields["kind"]
-    if ns.snr_db is not None:
-        if kind not in ("mpsk", "awgn"):
-            raise ConfigError("--snr-db applies only to mpsk and awgn channels")
-        fields = dict(fields, snr=10.0 ** (ns.snr_db / 10.0))
-
-    _check_alpha(alpha, "capacity" if kind == "awgn" else "semantic_capacity")
-    if kind == "awgn":
-        snr = _channel_field(fields, "snr", _real)
-        cap = awgn_capacity(snr)
-        report = {
-            "artifact_version": ARTIFACT_VERSION,
-            "resolved_spec": {"channel": f"awgn:{snr!r}", "alpha": alpha},
-            "capacity_bits": cap,
-            "semantic_capacity_bits": cap / alpha,
-            "optimal_input": None,
-            "iterations": 0,
-            "gap": 0.0,
-        }
-        _emit_json(report, ns.out)
-        return 0
-
-    ch = parse_channel(chspec if fields is None else fields)
-    if ns.snr_db is not None:
-        chspec = fields if isinstance(chspec, dict) else f"mpsk:{fields['order']}:{fields['snr']}"
-    try:
-        result = blahut_arimoto(ch, tol=1e-9)
-    except ConvergenceError as e:
-        best = e.best
-        if isinstance(best, CapacityResult):
-            print(
-                f"error: {e} (best so far: capacity {best.capacity!r} after "
-                f"{best.iterations} iterations, gap {e.gap!r})",
-                file=sys.stderr,
-            )
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 3
-    report = {
-        "artifact_version": ARTIFACT_VERSION,
-        "resolved_spec": {"channel": chspec, "alpha": alpha},
-        "capacity_bits": result.capacity,
-        "semantic_capacity_bits": result.capacity / alpha,
-        "optimal_input": {
-            l: float(p)
-            for l, p in zip(result.optimal_input.labels, result.optimal_input.probs)
-        },
-        "iterations": result.iterations,
-        "gap": result.gap,
-    }
-    _emit_json(report, ns.out)
-    return 0
-
-
-# --- simulate --------------------------------------------------------------
-
-SIMULATE_DEFAULTS = {
-    "n-grid": [64, 128, 256, 512],
-    "rate-fraction": 0.9,
-    "alpha": 1.0,
-    "partition-scheme": "contiguous",
-    "decoder": "ml",
-    "trials": 10_000,
-}
-
-
-def _spec_from_csv(path: Path) -> dict | None:
+def _spec_from_csv(path: Path):
+    """The record on an emitted CSV's '# spec:' line."""
     try:
         with path.open() as fh:
             for line in fh:
@@ -297,45 +169,139 @@ def _spec_from_csv(path: Path) -> dict | None:
                     break
     except (OSError, ValueError) as e:
         raise ConfigError(f"config {path}: {e}") from None
-    return None
+    raise ConfigError(f"config {path}: no '# spec:' header line found")
 
 
-def resolve_simulate_spec(ns) -> dict:
-    """Merge defaults, config file (raw spec, JSON report, or emitted CSV),
-    and flag overrides into the fully resolved experiment record."""
-    raw: dict = {}
-    if ns.config is not None:
-        p = Path(ns.config)
-        if p.exists() and p.suffix == ".csv":
-            raw = _spec_from_csv(p)
-            if raw is None:
-                raise ConfigError(f"config {p}: no '# spec:' header line found")
+def resolve_spec(ns, defaults: dict) -> dict:
+    """A command's parameter record, in three layers: its defaults table,
+    then the --config document, then every flag given.
+
+    The document is a mapping, JSON text or file, an emitted CSV (its
+    '# spec:' line) or a previous JSON report (its resolved_spec). A flag's
+    argparse dest is its spec key and its default None, so a flag given
+    always beats the config. Keys outside the defaults table are ignored.
+    """
+    spec = dict(defaults)
+    config = ns.config
+    if config is not None:
+        if isinstance(config, str) and config.endswith(".csv") and os.path.exists(config):
+            doc = _spec_from_csv(Path(config))
         else:
-            raw = _load_config(ns.config)
-            raw = raw.get("resolved_spec", raw)  # a previous JSON report
-        if not isinstance(raw, dict):
-            raise ConfigError(f"simulate: the config spec must be a JSON object, got {raw!r}")
-    spec = dict(SIMULATE_DEFAULTS)
-    spec.update(raw)
-    if ns.channel is not None:
-        spec["channel"] = ns.channel
-    if ns.alpha is not None:
-        spec["alpha"] = float(ns.alpha)
-    if ns.rate_fraction is not None:
-        spec["rate-fraction"] = float(ns.rate_fraction)
-    if ns.trials is not None:
-        spec["trials"] = int(ns.trials)
-    if ns.scheme is not None:
-        spec["partition-scheme"] = ns.scheme
-    if ns.decoder is not None:
-        spec["decoder"] = ns.decoder
-    if ns.n_grid is not None:
-        spec["n-grid"] = [t for t in ns.n_grid.split(",") if t.strip()]
-    if ns.seed is not None:
-        spec["seed"] = int(ns.seed)
-    if "channel" not in spec:
+            doc = load_json_doc(config, "config")
+            doc = doc.get("resolved_spec", doc)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{ns.command}: the config spec must be a JSON object, got {doc!r}")
+        spec.update((k, v) for k, v in doc.items() if k in defaults)
+    spec.update((k, v) for k, v in vars(ns).items() if k in defaults and v is not None)
+    return spec
+
+
+def _emit_json(ns, spec: dict, body: dict) -> None:
+    """Print the report {artifact_version, resolved_spec, **body}, and write
+    the same text to --out when given."""
+    report = {"artifact_version": ARTIFACT_VERSION, "resolved_spec": spec, **body}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
+    if ns.out:
+        Path(ns.out).write_text(text + "\n")
+
+
+# --- entropy ---------------------------------------------------------------
+
+ENTROPY_DEFAULTS = {"knowledge": None, "probs": "uniform"}
+
+
+def cmd_entropy(ns, spec: dict) -> int:
+    if spec["knowledge"] is None:
+        raise ConfigError("entropy: provide a knowledge base (--knowledge or config key 'knowledge')")
+    kb = KnowledgeBase.from_json(spec["knowledge"])
+    probs = spec["probs"]
+    if probs == "uniform":
+        px = ProbVector.uniform(kb.source_labels)
+    else:
+        px = ProbVector(kb.source_labels, probs.split(",") if isinstance(probs, str) else probs)
+    hx = entropy(px)
+    ps = semantic_distribution(px, kb)
+    hs = semantic_entropy(px, kb)
+    resolved = {
+        "knowledge": {
+            "source": list(kb.source_labels),
+            "semantic": list(kb.semantic_labels),
+            "kernel": [list(row) for row in kb.kernel],
+        },
+        "probs": [float(p) for p in px.probs],
+    }
+    _emit_json(ns, resolved, {
+        "shannon_entropy_bits": hx,
+        "semantic_entropy_bits": hs,
+        "semantic_distribution": {l: float(p) for l, p in zip(ps.labels, ps.probs)},
+        "compression_gain": compression_gain(hx, hs),
+    })
+    return 0
+
+
+# --- capacity --------------------------------------------------------------
+
+CAPACITY_DEFAULTS = {"channel": None, "alpha": 1.0}
+
+
+def cmd_capacity(ns, spec: dict) -> int:
+    if spec["channel"] is None:
+        raise ConfigError("capacity: provide a channel (--channel or config key 'channel')")
+    alpha = _real(spec["alpha"], "capacity: alpha")
+    chspec = spec["channel"]
+    fields = _channel_fields(chspec)
+    kind = None if fields is None else fields["kind"]
+    if ns.snr_db is not None:
+        if kind not in ("mpsk", "awgn"):
+            raise ConfigError("--snr-db applies only to mpsk and awgn channels")
+        try:
+            fields = dict(fields, snr=10.0 ** (ns.snr_db / 10.0))
+        except OverflowError:
+            raise ConfigError(f"--snr-db {ns.snr_db!r} is past the float range") from None
+
+    _check_alpha(alpha, "capacity" if kind == "awgn" else "semantic_capacity")
+    if kind == "awgn":
+        snr = _channel_field(fields, "snr", _real)
+        chspec = f"awgn:{snr!r}"
+        result = CapacityResult(awgn_capacity(snr), None, 0, 0.0)
+    else:
+        ch = parse_channel(chspec if fields is None else fields)
+        if ns.snr_db is not None:
+            chspec = (fields if isinstance(chspec, dict)
+                      else f"mpsk:{fields['order']}:{fields['snr']}")
+        result = blahut_arimoto(ch, tol=1e-9)
+    px = result.optimal_input
+    _emit_json(ns, {"channel": chspec, "alpha": alpha}, {
+        "capacity_bits": result.capacity,
+        "semantic_capacity_bits": result.capacity / alpha,
+        "optimal_input": None if px is None else {
+            l: float(p) for l, p in zip(px.labels, px.probs)
+        },
+        "iterations": result.iterations,
+        "gap": result.gap,
+    })
+    return 0
+
+
+# --- simulate --------------------------------------------------------------
+
+SIMULATE_DEFAULTS = {
+    "channel": None,
+    "n-grid": [64, 128, 256, 512],
+    "rate-fraction": 0.9,
+    "alpha": 1.0,
+    "partition-scheme": "contiguous",
+    "decoder": "ml",
+    "trials": 10_000,
+    "seed": None,
+}
+
+
+def cmd_simulate(ns, spec: dict) -> int:
+    if spec["channel"] is None:
         raise ConfigError("simulate: provide a channel (--channel or config key 'channel')")
-    spec["seed"] = _require_seed(spec.get("seed"), ns.ephemeral)
+    spec["seed"] = _require_seed(spec["seed"], ns.ephemeral)
     if not isinstance(spec["n-grid"], list):
         raise ConfigError(f"simulate: n-grid must be a list, got {spec['n-grid']!r}")
     spec["n-grid"] = [_integer(n, "simulate: n-grid entry") for n in spec["n-grid"]]
@@ -344,18 +310,7 @@ def resolve_simulate_spec(ns) -> dict:
     spec["trials"] = _integer(spec["trials"], "simulate: trials")
     if spec["trials"] < 1:
         raise ConfigError("simulate: trials must be >= 1")
-    ordered = {
-        k: spec[k]
-        for k in (
-            "channel", "n-grid", "rate-fraction", "alpha",
-            "partition-scheme", "decoder", "trials", "seed",
-        )
-    }
-    return ordered
 
-
-def cmd_simulate(ns) -> int:
-    spec = resolve_simulate_spec(ns)
     ch = parse_channel(spec["channel"])
     alpha = _real(spec["alpha"], "simulate: alpha")
     cs = semantic_capacity(ch, alpha, tol=1e-9)
@@ -375,6 +330,9 @@ def cmd_simulate(ns) -> int:
              rep.p_msg, seed_i)
         )
 
+    if ns.out and ns.out.endswith(".json"):
+        _emit_json(ns, spec, {"rows": [dict(zip(CSV_COLUMNS, row)) for row in rows]})
+        return 0
     spec_line = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     lines = [
         f"# {CSV_SCHEMA}",
@@ -384,15 +342,7 @@ def cmd_simulate(ns) -> int:
     ]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
-
-    if ns.out and ns.out.endswith(".json"):
-        report = {
-            "artifact_version": ARTIFACT_VERSION,
-            "resolved_spec": spec,
-            "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
-        }
-        _emit_json(report, ns.out)
-    elif ns.out:
+    if ns.out:
         Path(ns.out).write_text(text)
         print(f"wrote {len(rows)} rows to {ns.out}")
     else:
@@ -401,6 +351,18 @@ def cmd_simulate(ns) -> int:
 
 
 # --- fano ------------------------------------------------------------------
+
+FANO_DEFAULTS = {
+    "mode": "campaign",
+    "instances": 1000,
+    "converse": True,
+    "seed": None,
+    "channel": None,
+    "n": None,
+    "message-bits": None,
+    "semantic-bits": None,
+    "partition-scheme": "contiguous",
+}
 
 
 def _digit_codebook(count: int, n: int, base: int) -> Codebook:
@@ -419,51 +381,36 @@ def _digit_codebook(count: int, n: int, base: int) -> Codebook:
     return Codebook(digits, base, provenance={"kind": "digits"})
 
 
-def cmd_fano(ns) -> int:
-    cfg = _load_config(ns.config)
-    single = ns.single or cfg.get("mode") == "single"
-    if single:
-        for key, flag in (
-            ("channel", ns.channel), ("n", ns.n),
-            ("message-bits", ns.message_bits), ("semantic-bits", ns.semantic_bits),
-        ):
-            if flag is not None:
-                cfg[key] = flag
-        if ns.scheme is not None:
-            cfg["partition-scheme"] = ns.scheme
+def cmd_fano(ns, spec: dict) -> int:
+    if spec["mode"] == "single":
         for key in ("channel", "n", "message-bits", "semantic-bits"):
-            if key not in cfg:
+            if spec[key] is None:
                 raise ConfigError(f"fano --single: missing {key!r}")
-        ch = parse_channel(cfg["channel"])
-        n = _integer(cfg["n"], "fano: n")
-        mb = _integer(cfg["message-bits"], "fano: message-bits")
-        sb = _integer(cfg["semantic-bits"], "fano: semantic-bits")
+        ch = parse_channel(spec["channel"])
+        n = _integer(spec["n"], "fano: n")
+        mb = _integer(spec["message-bits"], "fano: message-bits")
+        sb = _integer(spec["semantic-bits"], "fano: semantic-bits")
         if not (1 <= sb <= mb):
             raise ConfigError(f"fano: need 1 <= semantic-bits <= message-bits, got {sb}/{mb}")
         if _exceeds(1, mb, FULL_CODEBOOK_CAP):
             raise ConfigError(f"fano: 2^{mb} messages exceed the {FULL_CODEBOOK_CAP} cap")
-        scheme = cfg.get("partition-scheme", "contiguous")
-        part_seed = cfg.get("seed", ns.seed)
-        if scheme == "seeded-random":
-            part_seed = _require_seed(part_seed, ns.ephemeral)
-        partition = partition_from_counts(1 << mb, 1 << sb, scheme, part_seed)
-        cb = _digit_codebook(1 << sb, n, ch.num_inputs)
-        inst = FanoInstance(partition=partition, codebook=cb, channel=ch)
-        chk = check_fano(inst)
-        chain = converse_chain(inst)
+        scheme = spec["partition-scheme"]
         resolved = {
             "mode": "single",
-            "channel": cfg["channel"],
+            "channel": spec["channel"],
             "n": n,
             "message-bits": mb,
             "semantic-bits": sb,
             "partition-scheme": scheme,
         }
         if scheme == "seeded-random":
-            resolved["seed"] = part_seed
-        report = {
-            "artifact_version": ARTIFACT_VERSION,
-            "resolved_spec": resolved,
+            resolved["seed"] = _require_seed(spec["seed"], ns.ephemeral)
+        partition = partition_from_counts(1 << mb, 1 << sb, scheme, resolved.get("seed"))
+        cb = _digit_codebook(1 << sb, n, ch.num_inputs)
+        inst = FanoInstance(partition=partition, codebook=cb, channel=ch)
+        chk = check_fano(inst)
+        chain = converse_chain(inst)
+        _emit_json(ns, resolved, {
             "holds": chk.holds,
             "lhs_bits": chk.lhs,
             "rhs_bits": chk.rhs,
@@ -480,8 +427,7 @@ def cmd_fano(ns) -> int:
                 "n_capacity": chain.n_capacity,
                 "holds": chain.holds,
             },
-        }
-        _emit_json(report, ns.out)
+        })
         print(
             f"fano single: lhs {chk.lhs!r} <= rhs {chk.rhs!r} "
             f"(slack {chk.slack!r}) holds={chk.holds}",
@@ -489,22 +435,14 @@ def cmd_fano(ns) -> int:
         )
         return 0
 
-    instances = _integer(
-        ns.instances if ns.instances is not None else cfg.get("instances", 1000), "fano: instances"
-    )
-    converse = cfg.get("converse", True)
+    instances = _integer(spec["instances"], "fano: instances")
+    converse = spec["converse"]
     if not isinstance(converse, bool):
         raise ConfigError(f"fano: converse must be true or false, got {converse!r}")
-    converse = converse and not ns.no_converse
-    seed = _require_seed(cfg.get("seed", ns.seed), ns.ephemeral)
+    seed = _require_seed(spec["seed"], ns.ephemeral)
     camp = run_fano_campaign(instances, seed, include_converse=converse)
-    report = {
-        "artifact_version": ARTIFACT_VERSION,
-        "resolved_spec": {"mode": "campaign", "instances": instances,
-                          "seed": seed, "converse": converse},
-    }
-    report.update(camp.to_dict())
-    _emit_json(report, ns.out)
+    resolved = {"mode": "campaign", "instances": instances, "seed": seed, "converse": converse}
+    _emit_json(ns, resolved, camp.to_dict())
     print(
         f"fano campaign: {camp.fano_holds}/{instances} hold"
         + (f", converse {camp.converse_holds}/{instances}" if converse else "")
@@ -517,61 +455,72 @@ def cmd_fano(ns) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+def _grid(text: str) -> list[str]:
+    """--n-grid's comma-separated blocklengths, checked as integers later."""
+    return [t for t in text.split(",") if t.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand carries its defaults table; every flag that sets a
+    spec key has that key as its dest and None as its default."""
     parser = argparse.ArgumentParser(
         prog="semcomm",
         description="Semantic information measures and semantic channel coding experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
+    def command(name, func, defaults, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, defaults=defaults)
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--config", default=None, help="JSON config file or literal JSON")
+        p.add_argument("--config", default=None,
+                       help="JSON spec (file or literal), an emitted CSV or a previous JSON report")
         p.add_argument(
             "--ephemeral", action="store_true",
             help="allow running a randomized command without --seed",
         )
+        return p
 
-    p = sub.add_parser("entropy", help="semantic and Shannon entropy of a source")
-    shared(p)
+    schemes = ("contiguous", "interleaved", "seeded-random")
+
+    p = command("entropy", cmd_entropy, ENTROPY_DEFAULTS,
+                "semantic and Shannon entropy of a source")
     p.add_argument("--knowledge", default=None, help="knowledge-base JSON file or literal")
     p.add_argument("--probs", default=None, help="comma-separated source probabilities, or 'uniform'")
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("capacity", help="channel capacity and semantic capacity")
-    shared(p)
+    p = command("capacity", cmd_capacity, CAPACITY_DEFAULTS,
+                "channel capacity and semantic capacity")
     p.add_argument("--channel", default=None,
                    help="bsc:p | identity:order | mpsk:order:snr | awgn:snr | JSON file")
     p.add_argument("--alpha", type=float, default=None, help="semantic fraction in (0, 1]")
     p.add_argument("--snr-db", type=float, default=None, dest="snr_db",
                    help="SNR in dB (mpsk/awgn only; converted to linear)")
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("simulate", help="semantic error-rate sweep over a blocklength grid")
-    shared(p)
+    p = command("simulate", cmd_simulate, SIMULATE_DEFAULTS,
+                "semantic error-rate sweep over a blocklength grid")
     p.add_argument("--channel", default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--rate-fraction", type=float, default=None, dest="rate_fraction",
+    p.add_argument("--rate-fraction", type=float, default=None, dest="rate-fraction",
                    help="R as a fraction of the semantic capacity")
-    p.add_argument("--n-grid", default=None, dest="n_grid", help="comma-separated blocklengths")
+    p.add_argument("--n-grid", type=_grid, default=None, dest="n-grid",
+                   help="comma-separated blocklengths")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--scheme", default=None, choices=("contiguous", "interleaved", "seeded-random"))
+    p.add_argument("--scheme", default=None, choices=schemes, dest="partition-scheme")
     p.add_argument("--decoder", default=None, choices=("ml", "typicality"))
     p.add_argument("--threads", type=int, help="accepted and ignored")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fano", help="verify the semantic Fano bound and converse chain")
-    shared(p)
+    p = command("fano", cmd_fano, FANO_DEFAULTS,
+                "verify the semantic Fano bound and converse chain")
     p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--no-converse", action="store_true", dest="no_converse")
-    p.add_argument("--single", action="store_true", help="evaluate one explicit instance")
+    p.add_argument("--no-converse", action="store_false", default=None, dest="converse")
+    p.add_argument("--single", action="store_const", const="single", default=None, dest="mode",
+                   help="evaluate one explicit instance")
     p.add_argument("--channel", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--message-bits", type=int, default=None, dest="message_bits")
-    p.add_argument("--semantic-bits", type=int, default=None, dest="semantic_bits")
-    p.add_argument("--scheme", default=None, choices=("contiguous", "interleaved", "seeded-random"))
-    p.set_defaults(func=cmd_fano)
+    p.add_argument("--message-bits", type=int, default=None, dest="message-bits")
+    p.add_argument("--semantic-bits", type=int, default=None, dest="semantic-bits")
+    p.add_argument("--scheme", default=None, choices=schemes, dest="partition-scheme")
 
     return parser
 
@@ -580,16 +529,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
-    except (ConfigError, ValidationError) as e:
+        return ns.func(ns, resolve_spec(ns, ns.defaults))
+    except (ConfigError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
+        message = str(e)
+        best = getattr(e, "best", None)
+        if isinstance(best, CapacityResult):
+            message += (f" (best so far: capacity {best.capacity!r} after "
+                        f"{best.iterations} iterations, gap {e.gap!r})")
+        print(f"error: {message}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -123,6 +123,14 @@ class CodeConfig:
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError(f"CodeConfig: alpha must be in (0, 1], got {self.alpha}")
         object.__setattr__(self, "n", int(self.n))
+        try:
+            bits = self.n * self.rate
+        except OverflowError:  # n past the float range
+            bits = math.inf
+        if not math.isfinite(bits):
+            raise ValidationError(
+                f"CodeConfig: n * rate = {bits} is not finite (rate {self.rate!r})"
+            )
 
     @property
     def message_bits(self) -> int:
@@ -281,8 +289,14 @@ def make_partition(
     """Partition cfg's message set into its semantic classes.
 
     Counts derived from CodeConfig are powers of two, so the classes always
-    come out equal-sized here.
+    come out equal-sized here. The cap is checked on the bit count, so a
+    message set too large to build is refused without forming its size.
     """
+    if _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
+        raise BudgetError(
+            f"cannot materialize a partition of 2^{cfg.message_bits} messages, over the "
+            f"{FULL_CODEBOOK_CAP} cap; large-message simulations use the virtual regime"
+        )
     return partition_from_counts(cfg.message_count, cfg.semantic_count, scheme, seed)
 
 
@@ -882,9 +896,11 @@ def _simulate_materialized(
     """
     fresh = codebook is None
     count = int(cfg.message_count if per_message else cfg.semantic_count)
-    # Only a partition's check forms 2^message_bits, which can be gigabytes.
+    # A built partition is small, so 2^message_bits is formed only once the
+    # bit counts show it is no larger.
     if part is not None and (
-        part.message_count != cfg.message_count
+        _exceeds(1, cfg.message_bits, part.message_count)
+        or part.message_count != cfg.message_count
         or (not per_message and part.class_count != count)
     ):
         raise ValidationError(

@@ -20,12 +20,12 @@ simulation regimes cover this:
   The competitor codewords' score distribution given y is computed exactly
   (it depends on y only through its symbol counts), so the simulated error
   process is distributed identically to the literal one. It runs in two
-  phases: the batches first draw every trial a row block at a time,
-  counting each (input, output) cell once per trial, and keep only its own
-  score, y-type counts and two uniforms (n_out + 3 numbers per trial); then
-  each distinct y type gets one upper-tail table, built only from the grid
-  points that can score at least the lowest own score of that type, and
-  answers all of its trials.
+  phases: each batch draws every trial's joint type of (x, y), the
+  (input, output) cell counts, as one multinomial over px(a) W(b|a), then
+  its rep_hit and u_win uniforms, and keeps only its own score, y-type
+  counts and those two uniforms; then each distinct y type gets one
+  upper-tail table, built only from the grid points that can score at
+  least the lowest own score of that type, and answers all of its trials.
 
 Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
@@ -735,10 +735,14 @@ def _run_batches(trials: int, fresh: bool, worker: Callable[[int, int], tuple]) 
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
-def _binomial_pmf(count: int, p: float) -> np.ndarray:
-    # Deferred: scipy.special costs about 0.3 s to import; only the virtual engine needs it.
-    from scipy.special import gammaln
+def _log_choose(count: int) -> np.ndarray:
+    """log C(count, k) for k = 0..count, from log-factorials summed in order."""
+    log_fact = np.zeros(count + 1)
+    np.cumsum(np.log(np.arange(1, count + 1)), out=log_fact[1:])
+    return log_fact[-1] - log_fact - log_fact[::-1]
 
+
+def _binomial_pmf(count: int, p: float) -> np.ndarray:
     k = np.arange(count + 1)
     if p == 0.0:
         out = np.zeros(count + 1)
@@ -748,13 +752,7 @@ def _binomial_pmf(count: int, p: float) -> np.ndarray:
         out = np.zeros(count + 1)
         out[-1] = 1.0
         return out
-    logs = (
-        gammaln(count + 1)
-        - gammaln(k + 1)
-        - gammaln(count - k + 1)
-        + k * math.log(p)
-        + (count - k) * math.log1p(-p)
-    )
+    logs = _log_choose(count) + k * math.log(p) + (count - k) * math.log1p(-p)
     return np.exp(logs)
 
 
@@ -1058,18 +1056,17 @@ def _simulate_virtual(
     drawing that Bernoulli per trial reproduces the literal protocol's law
     without 2^hundreds of codewords.
 
-    Two phases. Draw: batch b draws x, u, rep_hit and u_win from stream b,
-    in that order. It takes u and the outputs a row block at a time
-    (BLOCK_ELEMENTS symbols, as in the materialized kernels): each block's
-    joint index x * |Y| + y is counted once per (a, b) cell and trial, the
-    own score is _combine of those counts, and the y-type counts are their
-    sums over a. Philox hands the uniforms out in sequence, so they are
-    those of one whole-batch draw. Per trial only the own score, the y-type
-    counts, rep_hit and u_win outlive a batch (n_out + 3 numbers), and x is
-    the only array of the batch's full (trials, n) size. Decide: T is built
-    once per distinct y type over all trials, from only the grid points
-    that can score at least the type's lowest own score (see
-    _competitor_tail), and every trial of the type is answered from it.
+    Two phases. Draw: the outcome depends on the codeword x and the output y
+    only through their joint type, the (a, b) cell counts. The own score is
+    _combine of them and the competitor law reads only their column sums,
+    the y type. With i.i.d. codewords that type is exactly Multinomial(n,
+    px(a) W(b|a)) (the method of types), so batch b draws it, then rep_hit,
+    then u_win, from stream b in that order: O(|X| |Y|) work per trial
+    whatever n is, and only the own score, the y-type counts, rep_hit and
+    u_win outlive a batch. Decide: T is built once per distinct y type over
+    all trials, from only the grid points that can score at least the
+    type's lowest own score (see _competitor_tail), and every trial of the
+    type is answered from it.
     Batches are joined in batch order, so the report is the same for any
     worker count.
     """
@@ -1086,33 +1083,21 @@ def _simulate_virtual(
             "float64; reduce the blocklength, rate or alpha"
         )
     logmat = _log_matrix(ch.matrix)
-    ch_cdf = _row_cdfs(ch.matrix)
+    # P(a, b) = px(a) W(b|a) in the canonical row-major (a, b) cell order.
+    # Masses may exceed 1 by up to MASS_TOL, so the cell probabilities are
+    # renormalized and the competitors' input-0 probability is clamped.
+    cell_probs = (px.probs[:, None] * ch.matrix).ravel()
+    cell_probs /= cell_probs.sum()
+    p0 = min(float(px.probs[0]), 1.0)
     rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
-    n_out = ch.num_outputs
-    cell_count = logmat.size
-    cell_type = np.min_scalar_type(cell_count - 1)
-    count_type = np.min_scalar_type(cfg.n)
 
     def draw(b: int, nb: int) -> tuple[np.ndarray, ...]:
         gen = ChannelRng(seed, b).generator()
-        x = _sample_symbols(gen, (nb, cfg.n), px.probs)
-        cells = np.empty((nb, cell_count), dtype=count_type)
-        for rows in _blocks(nb, cfg.n):
-            xb = x[rows]
-            u = gen.random(xb.shape)
-            # joint = x * |Y| + y, with y counting the row-cdf entries u
-            # reaches (as channels._draw_outputs does).
-            joint = xb.astype(cell_type)
-            joint *= n_out
-            for col in ch_cdf.T[:-1]:
-                joint += u >= col.take(xb)
-            for cell in range(cell_count):
-                hit = (joint == cell).view(np.uint8)
-                np.sum(hit, axis=1, dtype=count_type, out=cells[rows, cell])
+        cells = gen.multinomial(cfg.n, cell_probs, size=nb)
         rep_hit = gen.random(nb) < rep_prob
         u_win = gen.random(nb)
         own = _combine(cells.T, logmat, np.empty(nb))
-        counts = cells.reshape(nb, -1, n_out).sum(axis=1, dtype=np.int64)
+        counts = cells.reshape(nb, *logmat.shape).sum(axis=1)
         return own, counts, rep_hit, u_win
 
     own, counts, rep_hit, u_win = (
@@ -1123,7 +1108,7 @@ def _simulate_virtual(
     at_or_above = np.empty(trials)
     for g, y_counts in enumerate(types):
         sel = inverse == g
-        at_or_above[sel] = _competitor_tail(px.probs[0], logmat, y_counts, own[sel])
+        at_or_above[sel] = _competitor_tail(p0, logmat, y_counts, own[sel])
     # P(all competitors strictly below) = (1 - T)^(count - 1); with T down at
     # 2^-hundreds and the exponent up at 2^+hundreds only the log1p form keeps
     # the product meaningful. T = 1 (every competitor ties or beats the own

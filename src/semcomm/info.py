@@ -42,7 +42,7 @@ def load_json_doc(source: Union[str, Path, Mapping], what: str) -> Mapping:
         raise ConfigError(f"{what} document must be a JSON object, got {reprlib.repr(source)}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-str limit
         raise ConfigError(f"{what} document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} document must be a JSON object")

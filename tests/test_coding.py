@@ -743,10 +743,15 @@ _VIRTUAL_PINS = [
 ]
 
 
+@pytest.mark.parametrize("block_elements", [None, 1001])
 @pytest.mark.parametrize(
     "ch, probs, n, rate, counts", _VIRTUAL_PINS, ids=["bsc", "z", "dmc3", "skewed-px"]
 )
-def test_virtual_joint_type_draw_pinned(monkeypatch, ch, probs, n, rate, counts):
+def test_blocked_virtual_draw_pinned(monkeypatch, block_elements, ch, probs, n, rate, counts):
+    if block_elements is not None:
+        # The joint-type draw holds no per-row arrays, so an odd block size
+        # must leave its counts as they are.
+        monkeypatch.setattr(coding, "BLOCK_ELEMENTS", block_elements)
     cfg = CodeConfig(n=n, rate=rate, alpha=0.95)
     px = ProbVector(ch.input_labels, probs)
     reps = _per_worker_count(

@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ValidationError, ConfigError, ConvergenceError
+from .errors import ValidationError, ConvergenceError
 from .info import (
     JointDist, ProbVector, _check_kernel, _check_labels, load_json_doc, mutual_information,
 )
@@ -69,10 +69,7 @@ class Dmc:
     def from_json(cls, source: Union[str, Path, Mapping]) -> "Dmc":
         """Load from a mapping or JSON file/string with keys
         "inputs", "outputs", "matrix"."""
-        doc = load_json_doc(source, "channel")
-        missing = {"inputs", "outputs", "matrix"} - set(doc)
-        if missing:
-            raise ConfigError(f"channel document missing keys {sorted(missing)}")
+        doc = load_json_doc(source, "channel", ("inputs", "outputs", "matrix"))
         return cls(doc["inputs"], doc["outputs"], doc["matrix"])
 
     def to_dict(self) -> dict:

@@ -18,13 +18,15 @@ import numpy as np
 
 from .capacity import Dmc
 from .errors import BudgetError, ValidationError
-from .info import Sequence
+from .info import Sequence, _integrate
 
 MC_MIN_SAMPLES = 10_000
 # Largest array, in eight-byte elements, one allocation may hold: an order x
 # order matrix (identity, M-PSK), a Monte Carlo M-PSK row's samples x 2
 # normals, or a codebook's count x n int64 symbols. 2^25 elements are 256 MiB.
 CHANNEL_ELEMENT_BUDGET = 2**25
+# Absolute error bound each analytic M-PSK sector probability must meet.
+SECTOR_TOL = 1e-14
 
 
 def _exceeds(count: int, bits: int, cap: int) -> bool:
@@ -121,19 +123,22 @@ def bsc(p: float) -> Dmc:
     return Dmc(("0", "1"), ("0", "1"), [[1.0 - p, p], [p, 1.0 - p]])
 
 
-def _phase_density(theta: float, snr: float) -> float:
-    """Density of the received phase when phase 0 is sent at the given snr.
+def _phase_density(theta: np.ndarray, snr: float) -> np.ndarray:
+    """Density of the received phase, at each angle of theta, when phase 0
+    is sent at the given snr.
 
     Standard closed form for a unit-total-power complex Gaussian around a
     point of energy snr: integrating the radial coordinate out of the
     bivariate normal leaves
-        f(theta) = e^{-g}/(2 pi) + b/(2 sqrt(pi)) e^{-g sin^2 theta} (1 + erf(b)),
-    with g = snr and b = sqrt(g) cos(theta).
+        f(theta) = e^{-g}/(2 pi) + b/(2 sqrt(pi)) e^{-g sin^2 theta} erfc(-b),
+    with g = snr and b = sqrt(g) cos(theta). erfc(-b) is 1 + erf(b) without
+    its cancellation for b << 0; numpy has no erfc, so math's runs per node.
     """
-    b = math.sqrt(snr) * math.cos(theta)
+    b = math.sqrt(snr) * np.cos(theta)
+    tail = np.array([math.erfc(-v) for v in b.tolist()])
     return math.exp(-snr) / (2.0 * math.pi) + (
         b / (2.0 * math.sqrt(math.pi))
-    ) * math.exp(-snr * math.sin(theta) ** 2) * (1.0 + math.erf(b))
+    ) * np.exp(-snr * np.sin(theta) ** 2) * tail
 
 
 def _psk_labels(m: int) -> tuple[str, ...]:
@@ -141,22 +146,25 @@ def _psk_labels(m: int) -> tuple[str, ...]:
 
 
 def _mpsk_row_analytic(m: int, snr: float) -> np.ndarray:
-    # Deferred: scipy.integrate costs about 0.6 s to import; only M-PSK needs it.
-    from scipy import integrate
-
+    """Sector probabilities for phase 0 sent. The density is even, so sector
+    m - j mirrors sector j: only j <= m / 2 is integrated, and the row is
+    exactly symmetric, as the channel is."""
     half = math.pi / m
     row = np.empty(m)
-    for j in range(m):
+    worst = 0.0
+    for j in range(m // 2 + 1):
         center = 2.0 * math.pi * j / m
-        val, _ = integrate.quad(
-            _phase_density, center - half, center + half, args=(snr,), limit=200
+        row[j], bound = _integrate(
+            lambda theta: _phase_density(theta, snr), center - half, center + half,
+            SECTOR_TOL, limit=200,
         )
-        row[j] = val
+        row[-j] = row[j]
+        worst = max(worst, bound)
     total = row.sum()
-    if abs(total - 1.0) > 1e-9:
+    if worst > SECTOR_TOL or abs(total - 1.0) > 1e-9:
         raise ValidationError(
-            f"mpsk_hard_dmc: sector probabilities sum to {total!r}; "
-            "phase-density integration failed"
+            f"mpsk_hard_dmc: sector probabilities sum to {total!r}, sector error "
+            f"bound {worst:.1e}; phase-density integration failed"
         )
     return row / total
 
@@ -166,10 +174,11 @@ def mpsk_hard_dmc(cfg: PskConfig) -> Dmc:
 
     Entry (i, j) is the probability that constellation point i, disturbed by
     circular complex Gaussian noise, lands in the angular decision sector of
-    point j. Analytic mode integrates the received-phase density once and
-    rotates the row (the matrix is exactly circulant); Monte Carlo mode
-    simulates each row independently as a cross-check, so its matrix is
-    circulant only within sampling error.
+    point j. Analytic mode integrates the received-phase density over each
+    sector by 20-point Gauss-Legendre panels, bisected until the sector is
+    within SECTOR_TOL (info._integrate), and rotates the row (the matrix is
+    exactly circulant); Monte Carlo mode simulates each row independently as
+    a cross-check, so its matrix is circulant only within sampling error.
     """
     m = cfg.order
     if cfg.estimation == "analytic":

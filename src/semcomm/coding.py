@@ -58,7 +58,7 @@ from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _exceeds, _row_cdfs, check_channel_elements
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import (
-    JointDist, ProbVector, Sequence, _log_matrix, _typical_mask, entropy_bits,
+    JointDist, ProbVector, Sequence, _log_matrix, _typical_mask, _typical_tables, entropy_bits,
 )
 
 BATCH_TRIALS = 4096
@@ -594,8 +594,9 @@ def _typicality_decisions(
     """The unique typical codeword (or -1) for every row of ys, a trial block
     at a time; cw is shared (count, n) or per trial (trials, count, n)."""
     picks = np.empty(ys.shape[0], dtype=np.int64)
+    tables = _typical_tables(joint)
     for rows in _blocks(ys.shape[0], cw.shape[-2] * cw.shape[-1]):
-        mask = _typical_mask(cw[rows] if cw.ndim == 3 else cw, ys[rows], joint, eps)
+        mask = _typical_mask(cw[rows] if cw.ndim == 3 else cw, ys[rows], joint, eps, tables)
         picks[rows] = np.where(mask.sum(axis=-1) == 1, mask.argmax(axis=-1), -1)
     return picks
 
@@ -615,10 +616,8 @@ def decode_typicality(
     nx, ny = joint.table.shape
     if cb.alphabet_size != nx or y.alphabet_size != ny:
         raise ValidationError("decode_typicality: alphabets do not match the joint")
-    mask = _typical_mask(cb.codewords, y.symbols, joint, eps)
-    if mask.sum() != 1:
-        return ERASURE
-    return DecodeOutcome(int(np.argmax(mask)))
+    pick = _typicality_decisions(cb.codewords, y.symbols[None, :], joint, eps)[0]
+    return ERASURE if pick < 0 else DecodeOutcome(int(pick))
 
 
 def wilson_interval(errors: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -695,19 +694,7 @@ class SimulationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "semantic_errors": self.semantic_errors,
-            "message_errors": self.message_errors,
-            "p_sem": self.p_sem,
-            "p_sem_lo": self.p_sem_lo,
-            "p_sem_hi": self.p_sem_hi,
-            "p_msg": self.p_msg,
-            "p_msg_lo": self.p_msg_lo,
-            "p_msg_hi": self.p_msg_hi,
-            "seed": self.seed,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _cpu_count() -> int:
@@ -1558,16 +1545,7 @@ class CampaignReport:
     failures: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "seed": self.seed,
-            "fano_holds": self.fano_holds,
-            "converse_holds": self.converse_holds,
-            "worst_slack": self.worst_slack,
-            "worst_index": self.worst_index,
-            "intermediate_violations": self.intermediate_violations,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "failures": list(self.failures)}
 
 
 def run_fano_campaign(

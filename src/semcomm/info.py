@@ -11,6 +11,7 @@ a SemcommError, never a bare TypeError or ValueError.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,28 +25,33 @@ MASS_TOL = 1e-12
 NEG = -1.0e30  # stand-in for log2(0); sums of these stay far below any real score
 
 
-def load_json_doc(source: Union[str, Path, Mapping], what: str) -> Mapping:
-    """A JSON object given as a mapping, a file path or literal JSON text."""
+def load_json_doc(source: Union[str, Path, Mapping], what: str, keys: tuple = ()) -> Mapping:
+    """A JSON object given as a mapping, a file path or literal JSON text,
+    holding at least the given keys."""
     if isinstance(source, Mapping):
-        return source
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    elif isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"{what} file not found: {path}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{what} file {path}: {exc}") from None
+        doc = source
     else:
-        raise ConfigError(f"{what} document must be a JSON object, got {reprlib.repr(source)}")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-str limit
-        raise ConfigError(f"{what} document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} document must be a JSON object")
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
+        elif isinstance(source, (str, Path)):
+            path = Path(source)
+            try:
+                text = path.read_text()
+            except FileNotFoundError:
+                raise ConfigError(f"{what} file not found: {path}") from None
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{what} file {path}: {exc}") from None
+        else:
+            raise ConfigError(f"{what} document must be a JSON object, got {reprlib.repr(source)}")
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-str limit
+            raise ConfigError(f"{what} document is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{what} document must be a JSON object")
+    missing = set(keys) - set(doc)
+    if missing:
+        raise ConfigError(f"{what} document missing keys {sorted(missing)}")
     return doc
 
 
@@ -125,6 +131,39 @@ def entropy_bits(mass: np.ndarray) -> float:
     p = np.asarray(mass, dtype=float).ravel()
     nz = p[p > 0.0]
     return float(-np.dot(nz, np.log2(nz)))
+
+
+def _integrate(f, a: float, b: float, tol: float, limit: int) -> tuple[float, float]:
+    """(integral of f over [a, b], error bound) by bisecting Gauss-Legendre panels.
+
+    f maps an array of nodes to an array of values. G is the 20-point
+    Gauss-Legendre rule (Golub & Welsch 1969); a panel's value is G over its
+    two halves and its bound is |G(panel) - G(left half) - G(right half)|.
+    The panel with the largest bound is bisected until the bounds sum to at
+    most tol or there are limit panels. Never raises: the caller decides
+    what a bound above tol means.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def rule(lo: list[float], hi: list[float]) -> np.ndarray:  # G per panel, one call of f
+        lo, hi = np.array(lo), np.array(hi)
+        half = 0.5 * (hi - lo)
+        s = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+        return half * (f(s.ravel()).reshape(s.shape) @ weights)
+
+    mid = 0.5 * (a + b)
+    g, gl, gr = rule([a, a, mid], [b, mid, b])
+    # (lo, hi, G(left half), G(right half), bound), left to right.
+    panels = [(a, b, gl, gr, abs(g - gl - gr))]
+    while len(panels) < limit and math.fsum(p[4] for p in panels) > tol:
+        i = max(range(len(panels)), key=lambda k: panels[k][4])
+        lo, hi, gl, gr, _ = panels[i]
+        mid = 0.5 * (lo + hi)
+        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        ll, lr, rl, rr = rule([lo, q1, mid, q3], [q1, mid, q3, hi])
+        panels[i:i + 1] = [(lo, mid, ll, lr, abs(gl - ll - lr)),
+                           (mid, hi, rl, rr, abs(gr - rl - rr))]
+    return math.fsum(p[2] + p[3] for p in panels), math.fsum(p[4] for p in panels)
 
 
 @dataclass(frozen=True)
@@ -253,12 +292,9 @@ class Sequence:
         sym = np.asarray(self.symbols)
         if sym.ndim != 1 or sym.size == 0:
             raise ValidationError("Sequence: need a non-empty 1-D index array")
-        if not np.issubdtype(sym.dtype, np.integer):
-            if not np.all(sym == np.floor(sym)):
-                raise ValidationError("Sequence: symbols must be integers")
-            sym = sym.astype(np.int64)
-        else:
-            sym = sym.astype(np.int64)
+        if not np.issubdtype(sym.dtype, np.integer) and not np.all(sym == np.floor(sym)):
+            raise ValidationError("Sequence: symbols must be integers")
+        sym = sym.astype(np.int64)
         if self.alphabet_size < 1:
             raise ValidationError("Sequence: alphabet_size must be >= 1")
         if sym.min() < 0 or sym.max() >= self.alphabet_size:
@@ -334,25 +370,28 @@ def empirical_rate_bits(probs: np.ndarray) -> float:
     return float(-np.mean(np.log2(p)))
 
 
+def _typical_tables(joint: JointDist) -> tuple:
+    """H(X), H(Y), H(X, Y) and the log2 tables of p(x), p(y), p(x, y)."""
+    px, py = joint.marginal_table((0,)), joint.marginal_table((1,))
+    return (entropy_bits(px), entropy_bits(py), entropy_bits(joint.table),
+            _log_matrix(px[None, :])[0], _log_matrix(py[None, :])[0], _log_matrix(joint.table))
+
+
 def _typical_mask(
-    cws: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float
+    cws: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float, tables: tuple = ()
 ) -> np.ndarray:
     """Weak joint typicality of (..., count, n) codewords against (..., n)
     outputs: the one typicality rule of the package.
 
     Leading axes broadcast, so one shared (count, n) codebook can face many
     outputs. Returns the (..., count) mask; an output whose own surprisal
-    rate is atypical makes its whole row false. The entropies and log tables
-    are computed once per call. Each log is gathered by a flat take with
-    intp indices (the pair (x, y) at x * |Y| + y), which is far cheaper than
+    rate is atypical makes its whole row false. tables is
+    _typical_tables(joint), which a caller masking many blocks builds once;
+    empty, it is built here. Each log is gathered by a flat take with intp
+    indices (the pair (x, y) at x * |Y| + y), which is far cheaper than
     fancy indexing with narrow or paired index arrays.
     """
-    hx = entropy_bits(joint.marginal_table((0,)))
-    hy = entropy_bits(joint.marginal_table((1,)))
-    hxy = entropy_bits(joint.table)
-    lpx = _log_matrix(joint.marginal_table((0,))[None, :])[0]
-    lpy = _log_matrix(joint.marginal_table((1,))[None, :])[0]
-    lpxy = _log_matrix(joint.table)
+    hx, hy, hxy, lpx, lpy, lpxy = tables or _typical_tables(joint)
     n = ys.shape[-1]
     cws = np.asarray(cws, dtype=np.intp)
     ys = np.asarray(ys, dtype=np.intp)

@@ -15,12 +15,13 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ValidationError, ConfigError, ConvergenceError
+from .errors import ValidationError, ConvergenceError
 from .info import (
     JointDist,
     ProbVector,
     _check_kernel,
     _check_labels,
+    _integrate,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -59,10 +60,7 @@ class KnowledgeBase:
     def from_json(cls, source: Union[str, Path, Mapping]) -> "KnowledgeBase":
         """Load from a mapping or a JSON file/string with keys
         "source", "semantic", "kernel"."""
-        doc = load_json_doc(source, "knowledge base")
-        missing = {"source", "semantic", "kernel"} - set(doc)
-        if missing:
-            raise ConfigError(f"knowledge base document missing keys {sorted(missing)}")
+        doc = load_json_doc(source, "knowledge base", ("source", "semantic", "kernel"))
         return cls(doc["source"], doc["semantic"], doc["kernel"])
 
 
@@ -104,10 +102,9 @@ class GaussianDensity:
         return np.exp(-0.5 * z * z) / (self.stddev * math.sqrt(2.0 * math.pi))
 
     def mass_outside(self, lo: float, hi: float) -> float:
-        def cdf(s: float) -> float:
-            return 0.5 * (1.0 + math.erf((s - self.mean) / (self.stddev * math.sqrt(2.0))))
-
-        return cdf(lo) + (1.0 - cdf(hi))
+        # Both tails through erfc: 1 + erf(z) would cancel to 0 far out.
+        scale = self.stddev * math.sqrt(2.0)
+        return 0.5 * (math.erfc((self.mean - lo) / scale) + math.erfc((hi - self.mean) / scale))
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.mean,)
@@ -200,11 +197,13 @@ def differential_semantic_entropy(
     """h_s(X) in bits: differential entropy of the semantic mixture density.
 
     The mixture is m(s) = sum_x p(x) f_x(s); the integrand -m log2 m is
-    integrated by adaptive quadrature over the kernel's domain, split at
-    component breakpoints so uniform edges and Gaussian peaks land on panel
-    boundaries. Mixture mass outside the domain must stay below
-    quad_tol / 10, otherwise the domain is too small and a ValidationError
-    is raised.
+    integrated over the kernel's domain, split at component breakpoints so
+    uniform edges and Gaussian peaks land on panel boundaries. Each piece
+    gets an equal share of quad_tol / 2 and is integrated by 20-point
+    Gauss-Legendre panels, bisected until their error bounds meet that share
+    or number 500 (info._integrate). Mixture mass outside the domain must
+    stay below quad_tol / 10, otherwise the domain is too small and a
+    ValidationError is raised.
 
     Raises ConvergenceError (carrying the partial estimate) if the summed
     quadrature error bound exceeds quad_tol.
@@ -216,45 +215,29 @@ def differential_semantic_entropy(
         )
     if quad_tol <= 0:
         raise ValidationError(f"quad_tol must be > 0, got {quad_tol}")
-    weights = px.probs
-    dens = kernel.densities
     lo, hi = kernel.domain
+    active = [(w, d) for w, d in zip(px.probs, kernel.densities) if w > 0.0]
 
-    tail = sum(
-        w * d.mass_outside(lo, hi) for w, d in zip(weights, dens) if w > 0.0
-    )
+    tail = sum(w * d.mass_outside(lo, hi) for w, d in active)
     if tail >= quad_tol / 10.0:
         raise ValidationError(
             f"differential_semantic_entropy: mixture mass {tail:.3e} outside "
             f"domain [{lo}, {hi}] exceeds quad_tol/10 = {quad_tol / 10.0:.3e}"
         )
 
-    def neg_m_log2_m(s: float) -> float:
-        m = 0.0
-        for w, d in zip(weights, dens):
-            if w > 0.0:
-                m += w * float(d.pdf(s))
-        if m <= 0.0:
-            return 0.0
-        return -m * math.log2(m)
+    def neg_m_log2_m(s: np.ndarray) -> np.ndarray:
+        m = sum(w * d.pdf(s) for w, d in active)
+        return -m * np.log2(np.where(m > 0.0, m, 1.0))
 
-    points: set[float] = set()
-    for w, d in zip(weights, dens):
-        if w > 0.0:
-            points.update(d.breakpoints())
+    points = {p for _, d in active for p in d.breakpoints()}
     cuts = sorted(p for p in points if lo < p < hi)
     edges = [lo, *cuts, hi]
-
-    # Deferred: scipy.integrate costs about 0.6 s to import; only this needs it.
-    from scipy import integrate
 
     panel_tol = quad_tol / (2.0 * (len(edges) - 1))
     total = 0.0
     err = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, bound = integrate.quad(
-            neg_m_log2_m, a, b, epsabs=panel_tol, epsrel=0.0, limit=500
-        )
+        val, bound = _integrate(neg_m_log2_m, a, b, panel_tol, limit=500)
         total += val
         err += bound
     if err > quad_tol:
@@ -333,10 +316,7 @@ def compression_gain(source_entropy: float, semantic_entropy_bits: float) -> flo
 def load_triple(source: Union[str, Path, Mapping]) -> SemanticTriple:
     """Load a three-axis (X, S, K) joint from JSON with keys
     "source", "semantic", "knowledge", "table"."""
-    doc = load_json_doc(source, "semantic triple")
-    missing = {"source", "semantic", "knowledge", "table"} - set(doc)
-    if missing:
-        raise ConfigError(f"semantic triple document missing keys {sorted(missing)}")
+    doc = load_json_doc(source, "semantic triple", ("source", "semantic", "knowledge", "table"))
     return JointDist(
         (doc["source"], doc["semantic"], doc["knowledge"]),
         doc["table"],

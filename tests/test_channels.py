@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 import semcomm.channels as channels
 from semcomm import (
@@ -75,6 +75,54 @@ def test_bpsk_matches_erfc_oracle():
         q = 0.5 * special.erfc(math.sqrt(snr))
         assert ch.matrix[0, 1] == pytest.approx(q, abs=1e-12)
         assert ch.matrix[0, 0] == pytest.approx(1.0 - q, abs=1e-12)
+
+
+def test_bpsk_deep_tail_is_not_cancelled():
+    # At 20 dB, 1 + erf(b) cancels to 0.0 over much of the wrong half-plane.
+    ch = mpsk_hard_dmc(PskConfig(order=2, snr=100.0))
+    assert ch.matrix[0, 1] == pytest.approx(0.5 * math.erfc(10.0), rel=1e-8)
+
+
+def _quad_row(m: int, snr: float) -> np.ndarray:
+    """The sector probabilities by scipy's adaptive quadrature of a scalar
+    phase density: an oracle independent of the package's rule."""
+    def density(theta):
+        b = math.sqrt(snr) * math.cos(theta)
+        return math.exp(-snr) / (2.0 * math.pi) + b / (2.0 * math.sqrt(math.pi)) * math.exp(
+            -snr * math.sin(theta) ** 2
+        ) * math.erfc(-b)
+
+    half = math.pi / m
+    return np.array([
+        integrate.quad(density, c - half, c + half, limit=200)[0]
+        for c in 2.0 * math.pi * np.arange(m) / m
+    ])
+
+
+@pytest.mark.parametrize("snr_db", [0, 9, 20, 30])
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
+def test_mpsk_rows_match_quad(m, snr_db):
+    snr = 10.0 ** (snr_db / 10.0)
+    row = mpsk_hard_dmc(PskConfig(order=m, snr=snr)).matrix[0]
+    np.testing.assert_allclose(row, _quad_row(m, snr), rtol=0.0, atol=1e-14)
+
+
+def test_mpsk_row_is_exactly_symmetric():
+    # Sector m - j mirrors sector j, so mathematically tied ML scores stay tied.
+    for m in (3, 4, 8, 64):
+        row = mpsk_hard_dmc(PskConfig(order=m, snr=9.0)).matrix[0]
+        np.testing.assert_array_equal(row[1:], row[1:][::-1])
+
+
+def test_mpsk_sectors_sum_to_one_at_high_snr():
+    # The raw sector integrals, before _mpsk_row_analytic normalizes them.
+    sectors = [
+        channels._integrate(lambda t: channels._phase_density(t, 200.0), c - math.pi / 4,
+                            c + math.pi / 4, channels.SECTOR_TOL, 200)
+        for c in (0.0, math.pi / 2, math.pi, 1.5 * math.pi)
+    ]
+    assert all(bound <= channels.SECTOR_TOL for _, bound in sectors)
+    assert abs(sum(v for v, _ in sectors) - 1.0) <= 1e-12
 
 
 def test_mpsk_rows_sum_to_one_and_are_circulant():

@@ -359,7 +359,7 @@ def test_readme_sweep_golden_bytes(capsys):
     assert out.endswith("\n")
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.2.0',
+        '# version: 0.3.0',
         '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":10000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '64,1.2844854771912786,0.5,0.2173,0.20932632273707832,0.2254907899417022,1.0,2026',
@@ -387,12 +387,12 @@ def test_short_block_qary_ml_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.2.0',
+        '# version: 0.3.0',
         '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
-        '2,1.7733336033809246,1.0,0.6126,0.5990154291136075,0.6260116844083657,0.6126,2026',
-        '3,1.7733336033809246,1.0,0.623,0.6094772503508077,0.6363338949707082,0.623,1002029',
-        '4,1.7733336033809246,1.0,0.633,0.619542895384541,0.6462528958980738,0.633,2002032',
+        '2,1.7733336033809244,1.0,0.6128,0.5992165566055586,0.6262102498356364,0.6128,2026',
+        '3,1.7733336033809244,1.0,0.623,0.6094772503508077,0.6363338949707082,0.623,1002029',
+        '4,1.7733336033809244,1.0,0.633,0.619542895384541,0.6462528958980738,0.633,2002032',
     ]
 
 
@@ -401,7 +401,7 @@ def test_short_block_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.2.0',
+        '# version: 0.3.0',
         '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '8,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,2026',
@@ -700,23 +700,33 @@ def test_arbitrary_documents_raise_only_semcomm_errors(channel, kb, labels, prob
 
 # --- imports ----------------------------------------------------------------
 
-# Runs CLI commands in a fresh interpreter; after each one, prints its exit
-# code and the scipy modules loaded so far as one JSON line on stderr.
+# Runs each step in a fresh interpreter: a list is a CLI argv, the string
+# "differential_semantic_entropy" is one library call on a Gaussian/uniform
+# kernel. After each step it prints its exit code (0 for the library call) and
+# the scipy modules loaded so far as one JSON line on stderr.
 IMPORT_PROBE = """
 import json, sys
 import semcomm
 import semcomm.cli as cli
-for argv in json.loads(sys.argv[1]):
-    code = cli.main(argv)
+
+def entropy():
+    dens = (semcomm.GaussianDensity(0.0, 1.0), semcomm.UniformDensity(-1.0, 2.0))
+    kernel = semcomm.ContinuousKernel(("a", "b"), dens, domain=(-40.0, 40.0))
+    pv = semcomm.ProbVector(("a", "b"), [0.5, 0.5])
+    semcomm.differential_semantic_entropy(pv, kernel)
+    return 0
+
+for step in json.loads(sys.argv[1]):
+    code = entropy() if step == "differential_semantic_entropy" else cli.main(step)
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
 
-def _import_probe(*commands):
+def _import_probe(*steps):
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -739,9 +749,15 @@ def test_discrete_commands_import_no_scipy():
 
 
 def test_scipy_loads_only_where_it_is_used():
-    steps = _import_probe(["capacity", "--channel", "mpsk:4:9"])
-    assert [code for code, _ in steps] == [0]
-    assert "scipy.integrate" in steps[0][1]
+    # The M-PSK rows and differential entropy were the last scipy users; their
+    # quadrature is numpy now, so no step may load any scipy module.
+    steps = _import_probe(
+        ["capacity", "--channel", "mpsk:4:9"],
+        ["simulate", "--channel", "mpsk:4:9", "--n-grid", "2", "--trials", "200",
+         "--seed", "1"],
+        "differential_semantic_entropy",
+    )
+    assert steps == [[0, []]] * 3
 
 
 def test_console_script_is_installed():

@@ -18,6 +18,7 @@ from semcomm import (
     joint_entropy,
     mutual_information,
 )
+from semcomm.info import _integrate
 
 
 def test_entropy_hand_values():
@@ -207,3 +208,36 @@ def test_mi_bounded_by_marginal_entropies(nx, ny, weights):
     assert mi <= min(hx, hy) + 1e-9
     # conditioning never raises entropy on average
     assert conditional_entropy(j, 0, 1) <= hx + 1e-9
+
+
+# --- quadrature -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("f, a, b, exact", [
+    (np.exp, 0.0, 1.0, math.e - 1.0),
+    (np.cos, -3.0, 7.0, math.sin(7.0) + math.sin(3.0)),
+    (lambda s: np.exp(-400.0 * s * s), -1.0, 2.0, math.sqrt(math.pi / 400.0)),
+    (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+])
+def test_integrate_bound_covers_the_error(f, a, b, exact):
+    value, bound = _integrate(f, a, b, 1e-12, 200)
+    assert bound <= 1e-12
+    # The bound covers the rule's error; rounding the nodes of a width-10
+    # interval alone moves the sum by up to about 1e-14.
+    assert abs(value - exact) <= bound + 1e-14
+
+
+def test_integrate_honours_limit_and_returns_unmet_bound():
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return np.abs(s - 1.0 / 3.0) ** 0.25
+
+    value, bound = _integrate(f, 0.0, 1.0, 1e-300, 7)
+    # One call scores the first panel and its halves; each bisection adds one
+    # call, and the first panel plus 6 bisections make 7 panels.
+    assert calls == [60] + [80] * 6
+    assert bound > 1e-300
+    exact = 0.8 * ((2.0 / 3.0) ** 1.25 + (1.0 / 3.0) ** 1.25)
+    assert abs(value - exact) <= bound

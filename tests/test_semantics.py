@@ -205,6 +205,37 @@ def test_mixture_against_plain_quadrature():
     assert got.bits == pytest.approx(want, abs=1e-7)
 
 
+def test_differential_entropy_within_its_bound_of_quad():
+    px = ProbVector(("a", "b", "c"), [0.2, 0.5, 0.3])
+    dens = (GaussianDensity(-2.0, 0.5), GaussianDensity(1.0, 1.5), UniformDensity(-1.0, 0.5))
+    k = ContinuousKernel(("a", "b", "c"), dens, domain=(-30.0, 30.0))
+
+    def integrand(s):
+        m = sum(w * float(d.pdf(s)) for w, d in zip(px.probs, dens))
+        return -m * math.log2(m) if m > 0 else 0.0
+
+    pieces = [
+        integrate.quad(integrand, a, b, epsabs=1e-12, epsrel=0.0, limit=300)
+        for a, b in zip((-30.0, -2.0, -1.0, 0.5, 1.0), (-2.0, -1.0, 0.5, 1.0, 30.0))
+    ]
+    for tol in (1e-6, 1e-10, 1e-13):
+        got = differential_semantic_entropy(px, k, quad_tol=tol)
+        assert got.error_bound <= tol
+        assert abs(got.bits - sum(v for v, _ in pieces)) <= (
+            got.error_bound + sum(e for _, e in pieces) + 1e-15
+        )
+
+
+def test_gaussian_tail_mass_does_not_cancel():
+    # 1 + erf(-8.4 / sqrt 2) cancels to 0.0; the true mass above 8.4 is 2.2e-17.
+    got = GaussianDensity(0.0, 1.0).mass_outside(-60.0, 8.4)
+    assert got == pytest.approx(0.5 * math.erfc(8.4 / math.sqrt(2.0)), rel=1e-12)
+    px = ProbVector(("only",), [1.0])
+    k = ContinuousKernel(("only",), (GaussianDensity(0.0, 1.0),), domain=(-60.0, 8.4))
+    with pytest.raises(ValidationError, match="outside"):
+        differential_semantic_entropy(px, k, quad_tol=1e-16)
+
+
 def test_narrow_domain_rejected():
     px = ProbVector(("only",), [1.0])
     k = ContinuousKernel(("only",), (GaussianDensity(0.0, 1.0),), domain=(-2.0, 2.0))
@@ -219,12 +250,14 @@ def test_quadrature_failure_carries_partial_estimate():
         (GaussianDensity(0.0, 1.0), GaussianDensity(0.3, 2.0)),
         domain=(-60.0, 60.0),
     )
+    # Far below the rounding floor of the panel bounds (about 2e-17 here),
+    # so no panel count can certify it.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError) as exc:
-            differential_semantic_entropy(px, k, quad_tol=1e-15)
+            differential_semantic_entropy(px, k, quad_tol=1e-18)
     assert exc.value.best is not None
-    assert exc.value.gap > 1e-15
+    assert exc.value.gap > 1e-18
     # the partial estimate is still the right number, just not certified
     ref = differential_semantic_entropy(px, k, quad_tol=1e-8).bits
     assert exc.value.best.bits == pytest.approx(ref, abs=1e-8)

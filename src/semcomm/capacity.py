@@ -121,7 +121,6 @@ def blahut_arimoto(
     ch: Dmc,
     tol: float = 1e-9,
     max_iter: int = 100_000,
-    start: ProbVector | None = None,
     threshold: float | None = None,
 ) -> CapacityResult:
     """Capacity of a DMC in bits per use, with a certified gap <= tol.
@@ -147,13 +146,7 @@ def blahut_arimoto(
     if max_iter < 1:
         raise ValidationError(f"blahut_arimoto: max_iter must be >= 1, got {max_iter}")
     m = ch.matrix
-    if start is None:
-        p = np.full(ch.num_inputs, 1.0 / ch.num_inputs)
-    else:
-        if start.labels != ch.input_labels:
-            raise ValidationError("blahut_arimoto: start distribution alphabet mismatch")
-        p = np.maximum(start.probs, PROB_FLOOR)
-        p = p / p.sum()
+    p = np.full(ch.num_inputs, 1.0 / ch.num_inputs)
 
     lower = 0.0
     gap = math.inf

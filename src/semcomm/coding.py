@@ -2,6 +2,10 @@
 Monte Carlo simulation, exact small-instance evaluation, and the semantic
 Fano machinery.
 
+A semantic partition is the many-to-one map itself, stored as one array of
+class indices (SemanticPartition.class_of) that every scheme builds with one
+array expression; sizes, representatives and member lists derive from it.
+
 Message counts are powers of two derived from (n, R, alpha) by ceilings, so
 they can exceed what fits in memory by hundreds of orders of magnitude. Two
 simulation regimes cover this:
@@ -50,6 +54,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -173,67 +178,64 @@ PARTITION_SCHEMES = ("contiguous", "interleaved", "seeded-random")
 
 @dataclass(frozen=True)
 class SemanticPartition:
-    """Disjoint classes covering the message set [0, message_count).
+    """The many-to-one map from messages to semantic classes.
 
-    class_of[w] is the class index of message w; classes holds each class's
-    sorted member indices. Messages and classes are 0-based throughout.
+    class_of[w] is the class index of message w in [0, message_count), a
+    read-only int64 array and the only stored form, so classes are disjoint
+    and cover the messages by construction; no id in [0, class_count) may go
+    unused. Everything else derives from it. Messages and classes are 0-based.
     """
 
-    message_count: int
-    classes: tuple[np.ndarray, ...]
+    class_of: np.ndarray
     scheme: str = "explicit"
 
     def __post_init__(self):
-        if self.message_count < 1:
-            raise ValidationError("SemanticPartition: message_count must be >= 1")
-        if not self.classes:
-            raise ValidationError("SemanticPartition: no classes")
-        classes = tuple(np.sort(np.asarray(c, dtype=np.int64)) for c in self.classes)
-        sizes = np.array([c.size for c in classes], dtype=np.int64)
-        if np.any(sizes == 0):
-            raise ValidationError("SemanticPartition: empty class")
-        allm = np.concatenate(classes)
-        if allm.size != self.message_count or not np.array_equal(
-            np.sort(allm), np.arange(self.message_count)
-        ):
+        class_of = np.asarray(self.class_of)
+        if class_of.ndim != 1 or class_of.size == 0 or class_of.dtype.kind not in "iu":
             raise ValidationError(
-                "SemanticPartition: classes must disjointly cover the message set"
+                "SemanticPartition: class_of must be a non-empty 1-D integer array"
             )
-        class_of = np.empty(self.message_count, dtype=np.int64)
-        for m, members in enumerate(classes):
-            class_of[members] = m
+        class_of = class_of.astype(np.int64)
+        if class_of.min() < 0:
+            raise ValidationError("SemanticPartition: negative class id")
+        # An id >= the message count leaves a class empty; bincount never sees it.
+        if class_of.max() >= class_of.size or not np.bincount(class_of).all():
+            raise ValidationError("SemanticPartition: empty class")
         class_of.setflags(write=False)
-        for c in classes:
-            c.setflags(write=False)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "_class_of", class_of)
-        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "class_of", class_of)
+
+    @property
+    def message_count(self) -> int:
+        return self.class_of.size
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
-
-    @property
-    def class_of(self) -> np.ndarray:
-        return self._class_of
+        return int(self.class_of.max()) + 1
 
     @property
     def sizes(self) -> np.ndarray:
-        return self._sizes
+        return np.bincount(self.class_of)
 
     @property
     def is_equal_sized(self) -> bool:
-        return bool(np.all(self._sizes == self._sizes[0]))
+        return bool(np.ptp(self.sizes) == 0)
 
     @property
     def representatives(self) -> np.ndarray:
         """Smallest member of each class; the class's canonical message."""
-        return np.array([c[0] for c in self.classes], dtype=np.int64)
+        return np.unique(self.class_of, return_index=True)[1]
 
     @property
     def beta(self) -> float:
         """Largest class mass fraction max_m |class m| / message_count."""
-        return float(self._sizes.max()) / self.message_count
+        return float(self.sizes.max()) / self.message_count
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        """Each class's sorted members, read-only (computed on first use)."""
+        order = np.argsort(self.class_of, kind="stable")
+        order.setflags(write=False)
+        return tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
 
 
 def partition_from_counts(
@@ -244,9 +246,12 @@ def partition_from_counts(
 ) -> SemanticPartition:
     """Partition [0, message_count) into class_count classes.
 
-    When class_count does not divide message_count, the last class absorbs
-    the remainder (contiguous and seeded-random) or sizes differ by one
-    (interleaved); downstream reports flag the unequal sizes.
+    Message w goes to class min(w // base, class_count - 1) (contiguous,
+    base = message_count // class_count) or w % class_count (interleaved);
+    seeded-random gives message order[i] the contiguous class of i, for a
+    Philox permutation order (stream PARTITION_STREAM). So when class_count
+    does not divide message_count, the last class absorbs the remainder or
+    (interleaved) sizes differ by one; downstream reports flag that.
     """
     if scheme not in PARTITION_SCHEMES:
         raise ConfigError(
@@ -264,23 +269,16 @@ def partition_from_counts(
         raise ConfigError(
             f"cannot split {message_count} messages into more than {message_count} classes"
         )
-    base = message_count // class_count
+    w = np.arange(message_count)
     if scheme == "interleaved":
-        classes = [
-            np.arange(m, message_count, class_count) for m in range(class_count)
-        ]
-    else:
-        if scheme == "seeded-random":
-            if seed is None:
-                raise ConfigError("seeded-random partitions need a seed")
-            order = ChannelRng(seed, PARTITION_STREAM).generator().permutation(
-                message_count
-            )
-        else:
-            order = np.arange(message_count)
-        bounds = [m * base for m in range(class_count)] + [message_count]
-        classes = [order[bounds[m]:bounds[m + 1]] for m in range(class_count)]
-    return SemanticPartition(message_count, tuple(classes), scheme=scheme)
+        return SemanticPartition(w % class_count, scheme=scheme)
+    class_of = np.minimum(w // (message_count // class_count), class_count - 1)
+    if scheme == "seeded-random":
+        if seed is None:
+            raise ConfigError("seeded-random partitions need a seed")
+        order = ChannelRng(seed, PARTITION_STREAM).generator().permutation(message_count)
+        class_of[order] = class_of.copy()
+    return SemanticPartition(class_of, scheme=scheme)
 
 
 def make_partition(
@@ -1312,7 +1310,7 @@ class FanoInstance:
     Carries the exact joint law of (W, Y^n) implicitly; evaluation() runs
     the exact evaluator once and caches it. beta is the largest class mass
     fraction; unequal-sized partitions still give a valid (weaker) bound
-    via the largest class and are flagged in notes.
+    via the largest class.
     """
 
     partition: SemanticPartition
@@ -1347,10 +1345,6 @@ class FanoInstance:
         return math.log2(self.partition.message_count)
 
     @property
-    def rate(self) -> float:
-        return self.total_bits / self.n
-
-    @property
     def alpha(self) -> float:
         return math.log2(self.partition.class_count) / self.total_bits
 
@@ -1361,10 +1355,6 @@ class FanoInstance:
     @property
     def gamma(self) -> float:
         return math.log2(1.0 - self.beta) / self.total_bits + 1.0
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        return () if self.partition.is_equal_sized else ("unequal-partition",)
 
     def evaluation(self) -> ExactEvaluation:
         if self._cached is None:

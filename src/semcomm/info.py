@@ -14,6 +14,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence as _Seq, Union
 
@@ -133,6 +134,17 @@ def entropy_bits(mass: np.ndarray) -> float:
     return float(-np.dot(nz, np.log2(nz)))
 
 
+@cache
+def _gauss_legendre_20() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-point rule's nodes and weights, built on first use: importing
+    numpy.polynomial is left to the commands that integrate. Read-only, since
+    every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _integrate(f, a: float, b: float, tol: float, limit: int) -> tuple[float, float]:
     """(integral of f over [a, b], error bound) by bisecting Gauss-Legendre panels.
 
@@ -143,7 +155,7 @@ def _integrate(f, a: float, b: float, tol: float, limit: int) -> tuple[float, fl
     most tol or there are limit panels. Never raises: the caller decides
     what a bound above tol means.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _gauss_legendre_20()
 
     def rule(lo: list[float], hi: list[float]) -> np.ndarray:  # G per panel, one call of f
         lo, hi = np.array(lo), np.array(hi)

@@ -703,9 +703,13 @@ def test_arbitrary_documents_raise_only_semcomm_errors(channel, kb, labels, prob
 # Runs each step in a fresh interpreter: a list is a CLI argv, the string
 # "differential_semantic_entropy" is one library call on a Gaussian/uniform
 # kernel. After each step it prints its exit code (0 for the library call) and
-# the scipy modules loaded so far as one JSON line on stderr.
+# the watched modules (scipy unless told otherwise) loaded so far as one JSON
+# line on stderr.
 IMPORT_PROBE = """
 import json, sys
+import numpy
+# numpy before 1.25 imports numpy.polynomial itself; only later loads count.
+preloaded = set(sys.modules)
 import semcomm
 import semcomm.cli as cli
 
@@ -716,17 +720,21 @@ def entropy():
     semcomm.differential_semantic_entropy(pv, kernel)
     return 0
 
-for step in json.loads(sys.argv[1]):
+watch, steps = json.loads(sys.argv[1])
+for step in steps:
     code = entropy() if step == "differential_semantic_entropy" else cli.main(step)
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    loaded = sorted(
+        m for m in set(sys.modules) - preloaded
+        if any(m == w or m.startswith(w + ".") for w in watch)
+    )
     print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
 
-def _import_probe(*steps):
+def _import_probe(*steps, watch=("scipy",)):
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps([watch, steps])],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -734,6 +742,8 @@ def _import_probe(*steps):
 
 
 def test_discrete_commands_import_no_scipy():
+    # Nor numpy.polynomial: only the M-PSK rows and differential entropy
+    # integrate, and the Gauss-Legendre rule is built on their first use.
     steps = _import_probe(
         ["capacity", "--channel", "bsc:0.1", "--alpha", "0.5"],
         ["fano", "--single", "--channel", "bsc:0.1", "--n", "3", "--message-bits", "4",
@@ -744,6 +754,7 @@ def test_discrete_commands_import_no_scipy():
         # virtual regime
         ["simulate", "--channel", "bsc:0.05", "--n-grid", "64", "--trials", "200",
          "--seed", "1"],
+        watch=("scipy", "numpy.polynomial"),
     )
     assert steps == [[0, []]] * 5
 

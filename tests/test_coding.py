@@ -147,12 +147,70 @@ def test_partition_errors():
 
 
 def test_semantic_partition_axioms_enforced():
-    with pytest.raises(ValidationError):
-        SemanticPartition(4, (np.array([0, 1]), np.array([1, 2, 3])))
-    with pytest.raises(ValidationError):
-        SemanticPartition(4, (np.array([0, 1]), np.array([2])))
-    with pytest.raises(ValidationError):
-        SemanticPartition(4, (np.array([0, 1, 2, 3]), np.array([], dtype=np.int64)))
+    for bad in (
+        [0, 0, 2, 2],  # class 1 unused
+        [0, -1, 1],
+        [0, 2**40],  # refused before any table of 2^40 counts is allocated
+        np.array([0.0, 1.0]),
+        np.array([False, True]),
+        np.zeros((2, 2), dtype=np.int64),
+        np.array([], dtype=np.int64),
+    ):
+        with pytest.raises(ValidationError):
+            SemanticPartition(np.asarray(bad))
+    source = np.array([1, 0, 1])
+    p = SemanticPartition(source)
+    source[0] = 0  # the partition holds its own read-only copy
+    np.testing.assert_array_equal(p.class_of, [1, 0, 1])
+    assert not p.class_of.flags.writeable
+    assert [list(c) for c in p.classes] == [[1], [0, 2]]
+    np.testing.assert_array_equal(p.representatives, [1, 0])
+
+
+def _slice_partition(mcount: int, kcount: int, scheme: str, seed: int):
+    """Reference: the slice-by-slice construction, classes first, then class_of."""
+    if scheme == "interleaved":
+        classes = [np.arange(m, mcount, kcount) for m in range(kcount)]
+    else:
+        order = np.arange(mcount)
+        if scheme == "seeded-random":
+            order = ChannelRng(seed, coding.PARTITION_STREAM).generator().permutation(mcount)
+        bounds = [m * (mcount // kcount) for m in range(kcount)] + [mcount]
+        classes = [np.sort(order[bounds[m]:bounds[m + 1]]) for m in range(kcount)]
+    class_of = np.empty(mcount, dtype=np.int64)
+    for m, members in enumerate(classes):
+        class_of[members] = m
+    return class_of, classes
+
+
+def _assert_matches_slices(mcount: int, kcount: int, scheme: str, seed: int):
+    p = partition_from_counts(mcount, kcount, scheme, seed)
+    class_of, classes = _slice_partition(mcount, kcount, scheme, seed)
+    np.testing.assert_array_equal(p.class_of, class_of)
+    np.testing.assert_array_equal(p.sizes, [c.size for c in classes])
+    np.testing.assert_array_equal(p.representatives, [c[0] for c in classes])
+    # Equal sizes and equal concatenations mean equal classes.
+    assert len(p.classes) == kcount
+    np.testing.assert_array_equal(np.concatenate(p.classes), np.concatenate(classes))
+
+
+def test_partition_matches_slice_construction():
+    rng = np.random.default_rng(18)
+    for scheme in coding.PARTITION_SCHEMES:
+        for mcount in (1, 2, 7, 16, 100, 1000):
+            for kcount in sorted({1, 2, 3, mcount // 3 + 1, mcount - 1, mcount}):
+                if 1 <= kcount <= mcount:
+                    _assert_matches_slices(mcount, kcount, scheme, int(rng.integers(2**32)))
+    for _ in range(60):
+        mcount = int(rng.integers(1, 5000))
+        scheme = coding.PARTITION_SCHEMES[int(rng.integers(3))]
+        _assert_matches_slices(mcount, int(rng.integers(1, mcount + 1)), scheme,
+                               int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("scheme", coding.PARTITION_SCHEMES)
+def test_largest_partition_matches_slice_construction(scheme):
+    _assert_matches_slices(2**20, 2**19, scheme, 7)
 
 
 def test_make_partition_matches_config():

@@ -28,7 +28,7 @@ from .info import (
 PROB_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dmc:
     """A discrete memoryless channel: row-stochastic matrix p(y|x)."""
 

@@ -38,14 +38,16 @@ partitions PARTITION_STREAM, and Fano campaign instance i stream
 FANO_STREAM + i. Results are therefore bit-identical across runs and worker
 counts (see _run_batches).
 
-Scores are canonical: every path computes sum over (a, b) in row-major
-order of count(a, b) * log2 p(b|a), so equal empirical count matrices give
-bit-equal floats and "exact tie" is well defined. Every path gets there in
-two steps: exact integer counts per (a, b) cell (joint types of codeword
-and output, or a competitor's grid point), then the one combine,
-_combine. (A shared codebook whose possible count matrices are few
-combines each of them once and looks scores up by an exact count key.)
-Ties and all-impossible likelihoods decode to the erasure mark.
+Scores are canonical: a decoder scores a (codeword, output) pair's joint
+type. ML's score is sum over (a, b) in row-major order of count(a, b) *
+log2 p(b|a) (_combine); typicality's is 0.0 or NEG from three surprisal
+rates summed over the counts in that order (info._typical_score). Equal
+count matrices give bit-equal floats, so "exact tie" is well defined.
+Every path counts each (a, b) cell exactly (joint types of codeword and
+output, or a competitor's grid point), then scores; a shared codebook
+whose possible count matrices are few scores each once and looks scores
+up by an exact count key. One rule (_decisions) decides for both: the
+unique best score wins; a tie or an impossible best erases.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _exceeds, _row_cdfs, check_channel_elements
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import (
-    JointDist, ProbVector, Sequence, _log_matrix, _typical_mask, _typical_tables, entropy_bits,
+    JointDist, ProbVector, Sequence, _log_matrix, _typical_score, entropy_bits,
 )
 
 BATCH_TRIALS = 4096
@@ -176,7 +178,7 @@ class CodeConfig:
 PARTITION_SCHEMES = ("contiguous", "interleaved", "seeded-random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemanticPartition:
     """The many-to-one map from messages to semantic classes.
 
@@ -307,7 +309,7 @@ def semantic_map(w: int, p: SemanticPartition) -> int:
     return int(p.class_of[w])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """A matrix of codewords (one row each) over a channel input alphabet."""
 
@@ -436,8 +438,8 @@ def _combine(cells, logmat: np.ndarray, out: np.ndarray) -> np.ndarray:
     broadcasting to out, and out becomes sum over (a, b) of
     count(a, b) * log2 W(b|a) accumulated in that order. A generator may
     reuse one buffer for every cell: each count is consumed before the next
-    is drawn. Every score in the package comes from here, so equal count
-    matrices give bit-equal floats.
+    is drawn. Every likelihood score in the package comes from here, so
+    equal count matrices give bit-equal floats.
     """
     out.fill(0.0)
     for cnt, weight in zip(cells, logmat.flat, strict=True):
@@ -445,17 +447,19 @@ def _combine(cells, logmat: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
-    """Canonical scores, one codebook per trial, a trial block at a time.
+def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable):
+    """Scores, one codebook per trial, a trial block at a time.
 
-    cws is (trials, count, n), ys (trials, n). Yields (rows, cols, scores):
-    scores[i, k] scores codeword cols[k] of trial rows[i]; cols always spans
-    the whole codebook. Each block builds the joint index x * |Y| + y with
-    position as the leading axis, so a cell's count is a sum of n contiguous
-    rows, and hands the exact integer counts to _combine.
+    cws is (trials, count, n), ys (trials, n), shape the (|X|, |Y|) cell
+    grid and score(cells, out) the decoder's score of a pair's cell counts
+    (see _decoder_score). Yields (rows, cols, scores): scores[i, k] scores
+    codeword cols[k] of trial rows[i]; cols always spans the whole codebook.
+    Each block builds the joint index x * |Y| + y with position as the
+    leading axis, so a cell's count is a sum of n contiguous rows, and
+    hands the exact integer counts to score.
     """
     trials, count, n = cws.shape
-    a_count, b_count = logmat.shape
+    a_count, b_count = shape
     cell_type = np.min_scalar_type(a_count * b_count - 1)
     count_type = np.min_scalar_type(n)
     for rows in _blocks(trials, count * n):
@@ -468,12 +472,12 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
             np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type, out=cnt)
             for cell in range(a_count * b_count)
         )
-        yield rows, slice(0, count), _combine(cells, logmat, np.empty(joint.shape[1:]))
+        yield rows, slice(0, count), score(cells, np.empty(joint.shape[1:]))
 
 
-def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
-    """Canonical scores, one shared (count, n) codebook against every row of
-    ys, a tile of trials and codewords at a time.
+def _scores_shared(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable):
+    """Scores, one shared (count, n) codebook against every row of ys, a
+    tile of trials and codewords at a time.
 
     Yields (rows, cols, scores) like _scores_per_trial. A tile spans at most
     BLOCK_ELEMENTS // n codewords (all of them unless the codebook is wide),
@@ -485,17 +489,17 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
     With C = |X||Y| cells, a pair's first C - 1 cell counts, read as digits
     in base n + 1, form its count key; the last count is n minus the others.
     While the (n + 1)^(C - 1) keys number at most BLOCK_ELEMENTS and at most
-    the trial-codeword pairs, _combine scores every key once into a table,
+    the trial-codeword pairs, every key is scored once into a table,
     and a tile is one float64 matmul plus a table lookup: the trials' output
     one-hots against the codewords' radix weights, where symbol a meeting
     output b weighs (n + 1)^(a|Y| + b) and the last cell weighs 0. Every
     partial sum of that matmul is an integer no larger than the key, which
     is below BLOCK_ELEMENTS = 2^16, far inside float64's exact integers, so
     the key is exact. Otherwise each of the C cell counts is its own 0/1
-    matmul, exact in float64, and the tile goes through _combine. Both paths
-    give _combine's floats for the same counts.
+    matmul, exact in float64, and the tile goes through score. Both paths
+    give score's floats for the same counts.
     """
-    a_count, b_count = logmat.shape
+    a_count, b_count = shape
     count, n = cw.shape
     chunks = _blocks(count, n)
     width = chunks[0].stop
@@ -508,7 +512,7 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
         radix = (n + 1) ** np.arange(cells - 1, dtype=np.int64)
         digits = np.arange(keys)[:, None] // radix % (n + 1)
         counts = [*digits.T, n - digits.sum(axis=1)]
-        table = _combine(counts, logmat, np.empty(keys))
+        table = score(counts, np.empty(keys))
         weight = np.append(radix, 0).reshape(a_count, b_count)
         keyed = np.concatenate([weight[cw, b] for b in range(b_count)], axis=1).astype(float)
         index = np.empty(height * width, dtype=np.intp)
@@ -532,29 +536,43 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray):
                 for a in range(a_count)
                 for b in range(b_count)
             )
-            yield rows, cols, _combine(cells, logmat, scores)
+            yield rows, cols, score(cells, scores)
 
 
-def _ml_decisions(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
-    """ML decision for every row of ys: the codeword index, or -1 on an exact
-    tie for the best score or when every codeword is impossible.
+def _decoder_score(decoder: str, ch: Dmc, px: ProbVector | None, eps: float, n: int) -> Callable:
+    """The decoder's score(cells, out) of a pair's (x, y) cell counts at
+    blocklength n: ML's log-likelihood under log2 W, or typicality's 0.0/NEG
+    against px(a) W(b|a) (info._typical_score, which checks eps)."""
+    if decoder == "ml":
+        logmat = _log_matrix(ch.matrix)
+        return lambda cells, out: _combine(cells, logmat, out)
+    joint = JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
+    return _typical_score(joint, eps, n)
+
+
+def _decisions(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable) -> np.ndarray:
+    """The decision for every row of ys: the codeword index with the unique
+    best score, or -1 on an exact tie for the best score or when the best is
+    at or below NEG_THRESHOLD. For ML that is the likelihood rule with
+    erasures; for typicality's 0.0/NEG score it is "exactly one typical
+    codeword".
 
     cw is one shared (count, n) codebook, or one (trials, count, n) codebook
-    per trial. Scores arrive a tile at a time. A tile's row is read by one
-    argmax (the first best codeword), the score there, and one max over the
-    rest of the row once that entry is knocked out: the row ties exactly
-    when the runner-up equals the best. The tile is the scorer's scratch
-    buffer, so knocking an entry out costs nothing. Per trial the best
-    score, the first codeword reaching it and whether another one reaches
-    it carry over from one codeword chunk to the next, so the decisions are
-    those of whole rows.
+    per trial; shape and score are as in _scores_per_trial. Scores arrive a
+    tile at a time. A tile's row is read by one argmax (the first best
+    codeword), the score there, and one max over the rest of the row once
+    that entry is knocked out: the row ties exactly when the runner-up
+    equals the best. The tile is the scorer's scratch buffer, so knocking an
+    entry out costs nothing. Per trial the best score, the first codeword
+    reaching it and whether another one reaches it carry over from one
+    codeword chunk to the next, so the decisions are those of whole rows.
     """
     trials = ys.shape[0]
     best = np.empty(trials)
     first = np.empty(trials, dtype=np.int64)
     tied = np.empty(trials, dtype=bool)
     scorer = _scores_per_trial if cw.ndim == 3 else _scores_shared
-    for rows, cols, scores in scorer(cw, ys, logmat):
+    for rows, cols, scores in scorer(cw, ys, shape, score):
         at = scores.argmax(axis=1)
         row = np.arange(at.size)
         top = scores[row, at]
@@ -582,31 +600,16 @@ def decode_ml(y: Sequence, cb: Codebook, ch: Dmc) -> DecodeOutcome:
         raise ValidationError("decode_ml: codebook alphabet does not match channel inputs")
     if cb.n != len(y):
         raise ValidationError(f"decode_ml: codeword length {cb.n} != len(y) {len(y)}")
-    pick = _ml_decisions(cb.codewords, y.symbols[None, :], _log_matrix(ch.matrix))[0]
+    score = _decoder_score("ml", ch, None, 0.0, cb.n)
+    pick = _decisions(cb.codewords, y.symbols[None, :], ch.matrix.shape, score)[0]
     return ERASURE if pick < 0 else DecodeOutcome(int(pick))
-
-
-def _typicality_decisions(
-    cw: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float
-) -> np.ndarray:
-    """The unique typical codeword (or -1) for every row of ys, a trial block
-    at a time; cw is shared (count, n) or per trial (trials, count, n)."""
-    picks = np.empty(ys.shape[0], dtype=np.int64)
-    tables = _typical_tables(joint)
-    for rows in _blocks(ys.shape[0], cw.shape[-2] * cw.shape[-1]):
-        mask = _typical_mask(cw[rows] if cw.ndim == 3 else cw, ys[rows], joint, eps, tables)
-        picks[rows] = np.where(mask.sum(axis=-1) == 1, mask.argmax(axis=-1), -1)
-    return picks
 
 
 def decode_typicality(
     y: Sequence, cb: Codebook, joint: JointDist, eps: float
 ) -> DecodeOutcome:
     """Weak-joint-typicality decoding: a unique typical codeword, else erasure."""
-    if joint.ndim != 2:
-        raise ValidationError("decode_typicality: need a two-axis joint")
-    if eps <= 0:
-        raise ValidationError(f"decode_typicality: eps must be > 0, got {eps}")
+    score = _typical_score(joint, eps, len(y))
     if cb.n != len(y):
         raise ValidationError(
             f"decode_typicality: codeword length {cb.n} != len(y) {len(y)}"
@@ -614,7 +617,7 @@ def decode_typicality(
     nx, ny = joint.table.shape
     if cb.alphabet_size != nx or y.alphabet_size != ny:
         raise ValidationError("decode_typicality: alphabets do not match the joint")
-    pick = _typicality_decisions(cb.codewords, y.symbols[None, :], joint, eps)[0]
+    pick = _decisions(cb.codewords, y.symbols[None, :], joint.table.shape, score)[0]
     return ERASURE if pick < 0 else DecodeOutcome(int(pick))
 
 
@@ -898,13 +901,9 @@ def _simulate_materialized(
     if not fresh and codebook.alphabet_size != ch.num_inputs:
         raise ValidationError("codebook alphabet does not match channel inputs")
 
-    logmat = _log_matrix(ch.matrix)
+    shape = ch.matrix.shape
+    score = _decoder_score(decoder, ch, px, eps, cfg.n)
     ch_cdf = _row_cdfs(ch.matrix)
-    joint = (
-        JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
-        if decoder == "typicality"
-        else None
-    )
     codewords = np.arange(count)
     if part is None:
         owner_class = codewords
@@ -915,17 +914,17 @@ def _simulate_materialized(
         sent_of, owner_class, owner_msg = part.class_of, codewords, part.representatives
 
     # A shared codebook's decisions can come from a table of every output
-    # word's decision, bit-identical to direct scoring because both use the
-    # same canonical score routine. Both score count codewords per word, so
-    # the table pays when the |Y|^n words number no more than the trials.
+    # word's decision, bit-identical to direct scoring because a score is a
+    # function of the cell counts alone. Both score count codewords per
+    # word, so the table pays when the |Y|^n words number no more than the
+    # trials.
     decisions = None
     if (
         not fresh
-        and decoder == "ml"
         and ch.num_outputs ** cfg.n <= trials
         and ch.num_outputs ** cfg.n * count <= ENUM_BUDGET
     ):
-        decisions = _decision_table(codebook.codewords, ch)
+        decisions = _decision_table(codebook.codewords, shape, score)
         radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
 
     def worker(b: int, nb: int) -> tuple[int, int]:
@@ -941,10 +940,8 @@ def _simulate_materialized(
         y = _draw_outputs(ch_cdf, cw[np.arange(nb), sent] if fresh else cw[sent], u)
         if decisions is not None:
             picks = decisions[y @ radix]
-        elif decoder == "ml":
-            picks = _ml_decisions(cw, y, logmat)
         else:
-            picks = _typicality_decisions(cw, y, joint, eps)
+            picks = _decisions(cw, y, shape, score)
         # An erasure (-1) indexes the last owner below; `erased` overrules it.
         erased = picks < 0
         sem_err = erased | (owner_class[picks] != owner_class[sent])
@@ -991,7 +988,7 @@ def simulate(
     virtual engine, which realizes each trial's outcome with the exact
     conditional correctness probability of ML decoding over the un-drawn
     competitor codewords. Everything else runs in the materialized engine
-    that simulate_full_codebook shares; there a shared codebook is ML-decoded
+    that simulate_full_codebook shares; there a shared codebook is decoded
     from a table of every output word's decision when the output words
     number no more than the trials and fit ENUM_BUDGET, with unchanged
     results. Reports are bit-identical across runs and worker counts for a
@@ -1127,7 +1124,7 @@ def simulate_full_codebook(
     The decoder estimates the message index; a semantic error is an
     estimate outside the transmitted message's class (erasures count), a
     message error any estimate different from the message itself. It runs
-    in the materialized engine simulate shares, including its table of ML
+    in the materialized engine simulate shares, including its table of
     decisions over an enumerable output space.
     """
     _check_run("simulate_full_codebook", ch, px, decoder, trials)
@@ -1151,10 +1148,9 @@ def _enumerate_outputs(n_out: int, n: int) -> np.ndarray:
     )
 
 
-def _decision_table(cw: np.ndarray, ch: Dmc) -> np.ndarray:
-    """The ML decoder's decision for every possible output word."""
-    yall = _enumerate_outputs(ch.num_outputs, cw.shape[1])
-    return _ml_decisions(cw, yall, _log_matrix(ch.matrix))
+def _decision_table(cw: np.ndarray, shape: tuple, score: Callable) -> np.ndarray:
+    """The decoder's decision for every possible output word."""
+    return _decisions(cw, _enumerate_outputs(shape[1], cw.shape[1]), shape, score)
 
 
 @dataclass(frozen=True)
@@ -1226,16 +1222,12 @@ def exact_evaluate(
             f"class count {kcount} nor the message count {mcount}"
         )
 
+    if decoder == "typicality" and px is None:
+        raise ValidationError("exact_evaluate: typicality decoding needs px")
+    score = _decoder_score(decoder, ch, px, eps, n)
     yall = _enumerate_outputs(ch.num_outputs, n)
     cw = cb.codewords
-
-    if decoder == "ml":
-        decisions = _ml_decisions(cw, yall, _log_matrix(ch.matrix))
-    else:
-        if px is None:
-            raise ValidationError("exact_evaluate: typicality decoding needs px")
-        joint = JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
-        decisions = _typicality_decisions(cw, yall, joint, eps)
+    decisions = _decisions(cw, yall, ch.matrix.shape, score)
 
     # p(y | owner) as an exact per-position product.
     pyo = np.ones((cb.count, yall.shape[0]))
@@ -1303,7 +1295,7 @@ def exact_evaluate(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class FanoInstance:
     """A fixed (codebook, partition, channel) system with uniform messages.
 
@@ -1320,7 +1312,7 @@ class FanoInstance:
     px: ProbVector | None = None
     eps: float = 0.1
     label: str = ""
-    _cached: ExactEvaluation | None = field(default=None, repr=False, compare=False)
+    _cached: ExactEvaluation | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.codebook.count not in (

@@ -5,7 +5,9 @@ within MASS_TOL, and alphabets are tuples of string labels with positions
 doubling as integer symbol indices. Every container of the package turns
 outside values into arrays through the checks here (_as_floats,
 _check_labels, _check_kernel, load_json_doc), so a malformed value raises
-a SemcommError, never a bare TypeError or ValueError.
+a SemcommError, never a bare TypeError or ValueError. Containers that hold
+arrays compare and hash by identity. Joint typicality is a score of a
+pair's joint type (_typical_score), which the decoders share.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _integrate(f, a: float, b: float, tol: float, limit: int) -> tuple[float, fl
     return math.fsum(p[2] + p[3] for p in panels), math.fsum(p[4] for p in panels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbVector:
     """A probability distribution over a finite labeled alphabet."""
 
@@ -228,7 +230,7 @@ class ProbVector:
         return cls(tuple(labels), w / total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDist:
     """A joint distribution over two or three labeled axes.
 
@@ -293,7 +295,7 @@ class JointDist:
         return cls((px.labels, out_labels), px.probs[:, None] * k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sequence:
     """A length-n word of symbol indices over an alphabet of known size."""
 
@@ -382,36 +384,45 @@ def empirical_rate_bits(probs: np.ndarray) -> float:
     return float(-np.mean(np.log2(p)))
 
 
-def _typical_tables(joint: JointDist) -> tuple:
-    """H(X), H(Y), H(X, Y) and the log2 tables of p(x), p(y), p(x, y)."""
-    px, py = joint.marginal_table((0,)), joint.marginal_table((1,))
-    return (entropy_bits(px), entropy_bits(py), entropy_bits(joint.table),
-            _log_matrix(px[None, :])[0], _log_matrix(py[None, :])[0], _log_matrix(joint.table))
+def _typical_score(joint: JointDist, eps: float, n: int):
+    """Weak joint typicality at blocklength n as a score of a pair's joint
+    type: the one typicality rule of the package.
 
-
-def _typical_mask(
-    cws: np.ndarray, ys: np.ndarray, joint: JointDist, eps: float, tables: tuple = ()
-) -> np.ndarray:
-    """Weak joint typicality of (..., count, n) codewords against (..., n)
-    outputs: the one typicality rule of the package.
-
-    Leading axes broadcast, so one shared (count, n) codebook can face many
-    outputs. Returns the (..., count) mask; an output whose own surprisal
-    rate is atypical makes its whole row false. tables is
-    _typical_tables(joint), which a caller masking many blocks builds once;
-    empty, it is built here. Each log is gathered by a flat take with intp
-    indices (the pair (x, y) at x * |Y| + y), which is far cheaper than
-    fancy indexing with narrow or paired index arrays.
+    Returns score(cells, out): cells yields one count array per (x, y) cell
+    in row-major order, each broadcasting to out, and out becomes 0.0 where
+    the pair is typical, NEG elsewhere. The rates -sum N(a, b) log2 p / n,
+    for p = p(a), p(b) and p(a, b), accumulate in that order, so equal joint
+    types give bit-equal rates, and each must sit within eps of H(X), H(Y),
+    H(X, Y) up to their rounding, (|X||Y| + 2) machine epsilons of rate plus
+    entropy: a pair exactly on the boundary is typical however its counts
+    split (BSC(0.2), uniform input, 3 or 5 flips in 20, eps 0.1). A pair
+    meeting a zero-probability cell sums a NEG into its joint rate and is
+    never typical. Raises ValidationError unless the joint has two axes and
+    eps > 0 (not NaN).
     """
-    hx, hy, hxy, lpx, lpy, lpxy = tables or _typical_tables(joint)
-    n = ys.shape[-1]
-    cws = np.asarray(cws, dtype=np.intp)
-    ys = np.asarray(ys, dtype=np.intp)
-    rx = -lpx.take(cws).sum(axis=-1) / n
-    ry = -lpy.take(ys).sum(axis=-1) / n
-    rxy = -lpxy.take(cws * lpxy.shape[1] + ys[..., None, :]).sum(axis=-1) / n
-    y_ok = ~(np.abs(ry - hy) > eps)
-    return (np.abs(rx - hx) <= eps) & (np.abs(rxy - hxy) <= eps) & y_ok[..., None]
+    if joint.ndim != 2:
+        raise ValidationError("typicality: need a two-axis joint")
+    if not eps > 0:
+        raise ValidationError(f"typicality: eps must be > 0, got {eps}")
+    px, py = joint.marginal_table((0,)), joint.marginal_table((1,))
+    logs = np.broadcast_arrays(_log_matrix(px)[:, None], _log_matrix(py), _log_matrix(joint.table))
+    weights = np.stack(logs, axis=-1).reshape(-1, 3)
+    centres = (entropy_bits(px), entropy_bits(py), entropy_bits(joint.table))
+    slack = (weights.shape[0] + 2) * np.finfo(float).eps
+
+    def score(cells, out: np.ndarray) -> np.ndarray:
+        sums = np.zeros((3, *out.shape))
+        for cnt, weight in zip(cells, weights, strict=True):
+            for total, w in zip(sums, weight):
+                total += cnt * w
+        typical = sums[2] > NEG / 2
+        for total, centre in zip(sums, centres):
+            rate = -total / n
+            typical &= np.abs(rate - centre) <= eps + slack * (rate + centre)
+        out[...] = np.where(typical, 0.0, NEG)
+        return out
+
+    return score
 
 
 def is_jointly_typical(
@@ -420,14 +431,11 @@ def is_jointly_typical(
     """Weak joint typicality of (x, y) against a two-axis joint distribution.
 
     Checks all three empirical rates: the per-symbol surprisals of x, of y,
-    and of the pair must each sit within eps of H(X), H(Y), H(X, Y). A pair
-    that uses a zero-probability transition is never typical, however large
-    eps is.
+    and of the pair must each sit within eps of H(X), H(Y), H(X, Y), as
+    _typical_score computes them from the pair's joint type. A pair that
+    uses a zero-probability transition is never typical, whatever eps is.
     """
-    if joint.ndim != 2:
-        raise ValidationError("is_jointly_typical: need a two-axis joint")
-    if eps <= 0:
-        raise ValidationError(f"is_jointly_typical: eps must be > 0, got {eps}")
+    score = _typical_score(joint, eps, len(x))
     if len(x) != len(y):
         raise ValidationError(
             f"is_jointly_typical: length mismatch {len(x)} vs {len(y)}"
@@ -437,6 +445,5 @@ def is_jointly_typical(
         raise ValidationError(
             "is_jointly_typical: sequence alphabets do not match the joint table"
         )
-    if np.any(joint.table[x.symbols, y.symbols] <= 0.0):
-        return False
-    return bool(_typical_mask(x.symbols[None, :], y.symbols, joint, eps)[0])
+    cells = np.bincount(x.symbols * ny + y.symbols, minlength=nx * ny)
+    return bool(score(cells[:, None], np.empty(1))[0] == 0.0)

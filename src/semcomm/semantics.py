@@ -34,7 +34,7 @@ from .info import (
 SemanticTriple = JointDist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeBase:
     """Row-stochastic interpretation kernel p(s | x)."""
 

@@ -18,6 +18,7 @@ from semcomm import (
     ERASURE,
     FanoInstance,
     JointDist,
+    KnowledgeBase,
     ProbVector,
     PskConfig,
     Sequence,
@@ -34,6 +35,7 @@ from semcomm import (
     fano_bound,
     generate_codebook,
     generate_full_codebook,
+    is_jointly_typical,
     make_partition,
     mpsk_hard_dmc,
     partition_from_counts,
@@ -44,7 +46,7 @@ from semcomm import (
     simulate_full_codebook,
     wilson_interval,
 )
-from semcomm.info import entropy_bits
+from semcomm.info import NEG, entropy_bits
 
 UNIFORM2 = ProbVector(("0", "1"), [0.5, 0.5])
 
@@ -863,9 +865,9 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
     tables = []
     table = coding._decision_table
 
-    def counted_table(cw, channel):
+    def counted_table(cw, *args):
         tables.append(cw.shape)
-        return table(cw, channel)
+        return table(cw, *args)
 
     monkeypatch.setattr(coding, "_decision_table", counted_table)
     a = [run() for run in runs]
@@ -886,9 +888,9 @@ def test_decision_table_needs_no_more_words_than_trials(monkeypatch):
     tables = []
     table = coding._decision_table
 
-    def counted_table(cw, channel):
+    def counted_table(cw, *args):
         tables.append(cw.shape)
-        return table(cw, channel)
+        return table(cw, *args)
 
     def run(trials):
         report = simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", trials, 3,
@@ -1007,9 +1009,36 @@ def _ref_typicality_picks(cw, ys, joint, eps):
     return picks
 
 
+def _ml(logmat):
+    """The (shape, score) pair of ML's likelihood score under logmat, as the
+    kernels and coding._decisions take it."""
+    return logmat.shape, lambda cells, out: coding._combine(cells, logmat, out)
+
+
 def _ref_ml_decisions(cw, ys, logmat):
     scorer = _ref_scores_per_trial if cw.ndim == 3 else _ref_scores_shared
     return _ref_decide(scorer(cw, ys, logmat))
+
+
+def _use_reference_decisions(monkeypatch, matrix):
+    """Route every decision of the engines through the loop references: ML
+    under matrix, and typicality at whatever joint and eps the engine
+    builds its score for."""
+    typical = {}
+    make = coding._typical_score
+
+    def spy(joint, eps, n):
+        score = make(joint, eps, n)
+        typical[score] = (joint, eps)
+        return score
+
+    def reference(cw, ys, shape, score):
+        if score in typical:
+            return _ref_typicality_picks(cw, ys, *typical[score])
+        return _ref_ml_decisions(cw, ys, coding._log_matrix(matrix))
+
+    monkeypatch.setattr(coding, "_typical_score", spy)
+    monkeypatch.setattr(coding, "_decisions", reference)
 
 
 def _dmc3x2_with_zero() -> np.ndarray:
@@ -1058,11 +1087,11 @@ def _shared_inputs(matrix, trials, count, n, seed):
     return cw, ys
 
 
-def _tiled_scores(scorer, cw, ys, logmat, count):
+def _tiled_scores(scorer, cw, ys, shape, score, count):
     """Assemble a kernel's tiles; also return how many tiles it yielded."""
     out = np.full((ys.shape[0], count), np.nan)
     tiles = 0
-    for rows, cols, scores in scorer(cw, ys, logmat):
+    for rows, cols, scores in scorer(cw, ys, shape, score):
         assert np.all(np.isnan(out[rows, cols]))
         out[rows, cols] = scores
         tiles += 1
@@ -1078,11 +1107,11 @@ def test_per_trial_kernel_matches_loop_reference(name, n, count):
     step = coding.BLOCK_ELEMENTS // (count * n)
     trials = 2 * step + 3  # two full trial blocks and a short one
     cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, logmat, count)
+    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, *_ml(logmat), count)
     ref = _ref_scores_per_trial(cws, ys, logmat)
     assert tiles == 3
     assert np.array_equal(got, ref)
-    assert np.array_equal(coding._ml_decisions(cws, ys, logmat), _ref_decide(ref))
+    assert np.array_equal(coding._decisions(cws, ys, *_ml(logmat)), _ref_decide(ref))
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
@@ -1094,11 +1123,11 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
     step = coding.BLOCK_ELEMENTS // width
     trials = 2 * step + 3
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, logmat, count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, *_ml(logmat), count)
     ref = _ref_scores_shared(cw, ys, logmat)
     assert tiles == 3 * math.ceil(count / width)
     assert np.array_equal(got, ref)
-    picks = coding._ml_decisions(cw, ys, logmat)
+    picks = coding._decisions(cw, ys, *_ml(logmat))
     assert np.array_equal(picks, _ref_decide(ref))
     if count > 1:
         assert np.any(picks == -1) and np.any(picks >= 0)
@@ -1106,7 +1135,8 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
     cb = Codebook(cw, matrix.shape[0])
     for y in ys[:4]:
         one = _ref_scores_for_one(cw, y, logmat)
-        assert np.array_equal(_tiled_scores(coding._scores_shared, cw, y[None, :], logmat, count)[0][0], one)
+        tiled = _tiled_scores(coding._scores_shared, cw, y[None, :], *_ml(logmat), count)
+        assert np.array_equal(tiled[0][0], one)
         pick = _ref_decide(one[None, :])[0]
         out = decode_ml(Sequence(y, matrix.shape[1]), cb, ch)
         assert out.index == (None if pick < 0 else pick)
@@ -1151,18 +1181,18 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
         return combine(cells, lm, out)
 
     monkeypatch.setattr(coding, "_combine", spy)
-    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, logmat, count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, *_ml(logmat), count)
     ref = _ref_scores_shared(cw, ys, logmat)
     assert np.array_equal(got, ref)
     if keyed:
         assert combined == [(keys,)]
     else:
         assert len(combined) == tiles and all(len(shape) == 2 for shape in combined)
-    picks = coding._ml_decisions(cw, ys, logmat)
+    picks = coding._decisions(cw, ys, *_ml(logmat))
     assert np.array_equal(picks, _ref_decide(ref))
     assert np.any(picks == -1) and np.any(picks >= 0)
     if count > coding.BLOCK_ELEMENTS // n:
-        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, logmat)}
+        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, *_ml(logmat))}
         assert len(starts) == 2
         best = ref.max(axis=1, keepdims=True)
         across = (ref[:, :1] == best)[:, 0] & (ref[:, -1:] == best)[:, 0]
@@ -1188,12 +1218,16 @@ def test_typical_mask_matches_per_row_loop(monkeypatch, name, n, count, fresh):
     trials = 2 * 4 + 3
     make = _fresh_inputs if fresh else _shared_inputs
     cw, ys = make(matrix, trials, count, n, seed=n * 100 + count)
+    scorer = coding._scores_per_trial if fresh else coding._scores_shared
     for eps in (0.05, 0.3, 2.0):
         ref_mask = np.stack([
             _ref_typical_mask(cw[t] if fresh else cw, ys[t], joint, eps) for t in range(trials)
         ])
-        assert np.array_equal(coding._typical_mask(cw, ys, joint, eps), ref_mask)
-        picks = coding._typicality_decisions(cw, ys, joint, eps)
+        score = coding._typical_score(joint, eps, n)
+        got = _tiled_scores(scorer, cw, ys, matrix.shape, score, count)[0]
+        assert np.array_equal(got == 0.0, ref_mask)
+        assert np.all((got == 0.0) | (got == NEG))
+        picks = coding._decisions(cw, ys, matrix.shape, score)
         assert np.array_equal(picks, _ref_typicality_picks(cw, ys, joint, eps))
         if not fresh:
             out = decode_typicality(Sequence(ys[0], matrix.shape[1]), Codebook(cw, matrix.shape[0]), joint, eps)
@@ -1208,9 +1242,9 @@ def test_ml_decisions_keep_the_first_best_across_codeword_chunks(monkeypatch):
     logmat = coding._log_matrix(bsc(0.1).matrix)
     y = np.zeros((1, 4), dtype=np.int64)
     cw = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 0], [1, 0, 1, 1]])
-    assert coding._ml_decisions(cw, y, logmat)[0] == 3
+    assert coding._decisions(cw, y, *_ml(logmat))[0] == 3
     cw[5] = cw[3]
-    assert coding._ml_decisions(cw, y, logmat)[0] == -1
+    assert coding._decisions(cw, y, *_ml(logmat))[0] == -1
 
 
 def _engine_cases():
@@ -1248,10 +1282,122 @@ def test_engines_match_the_loop_references(monkeypatch, case, decoder):
         ]
 
     got = reports()
-    monkeypatch.setattr(coding, "_ml_decisions", _ref_ml_decisions)
-    monkeypatch.setattr(coding, "_typicality_decisions", _ref_typicality_picks)
+    _use_reference_decisions(monkeypatch, ch.matrix)
     assert got == reports()
     assert 0 < got[0]["semantic_errors"] < trials
+
+
+@pytest.mark.parametrize("n", [16, 8], ids=["key-table", "decision-table"])
+def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
+    # 2^ceil(0.375 n) codewords against BSC(0.05). At n=16 the 65536 output
+    # words outnumber the trials, so the batch is scored tile by tile; at
+    # n=8 the 256 words get a decision table. Either way the (n + 1)^3 count
+    # keys are few, and the typicality score runs once, on the 1-D key table.
+    cfg = CodeConfig(n=n, rate=0.375, alpha=1.0)
+    ch = bsc(0.05)
+    trials = 2000
+    calls, tables = [], []
+    make, table = coding._typical_score, coding._decision_table
+
+    def spy(joint, eps, length):
+        score = make(joint, eps, length)
+
+        def recorded(cells, out):
+            calls.append(out.shape)
+            return score(cells, out)
+
+        return recorded
+
+    def counted_table(cw, *args):
+        tables.append(cw.shape)
+        return table(cw, *args)
+
+    def run():
+        return simulate(cfg, "contiguous", ch, UNIFORM2, "typicality", trials, 3, eps=0.3,
+                        fresh_codebook=False).to_dict()
+
+    monkeypatch.setattr(coding, "_typical_score", spy)
+    monkeypatch.setattr(coding, "_decision_table", counted_table)
+    got = run()
+    assert calls == [((n + 1) ** 3,)]
+    assert tables == ([] if n == 16 else [(2 ** cfg.semantic_bits, n)])
+    assert 0 < got["semantic_errors"] < trials
+    monkeypatch.undo()
+    _use_reference_decisions(monkeypatch, ch.matrix)
+    assert run() == got
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "shared"])
+def test_typicality_is_invariant_under_a_joint_permutation_of_positions(name, fresh):
+    # A score is a function of the pair's joint type, so permuting the
+    # positions of x and y together changes no float and no decision.
+    matrix = KERNEL_CHANNELS[name]
+    n, count, trials = 12, 16, 64
+    _, joint = _joint_for(matrix, seed=n)
+    make = _fresh_inputs if fresh else _shared_inputs
+    cw, ys = make(matrix, trials, count, n, seed=9)
+    perm = np.random.default_rng(10).permutation(n)
+    scorer = coding._scores_per_trial if fresh else coding._scores_shared
+    typical = 0
+    for eps in (0.05, 0.3, 2.0, 8.0):
+        score = coding._typical_score(joint, eps, n)
+        got = _tiled_scores(scorer, cw, ys, matrix.shape, score, count)[0]
+        moved = _tiled_scores(scorer, cw[..., perm], ys[:, perm], matrix.shape, score, count)[0]
+        assert np.array_equal(moved, got)
+        picks = coding._decisions(cw, ys, matrix.shape, score)
+        assert np.array_equal(coding._decisions(cw[..., perm], ys[:, perm], matrix.shape, score), picks)
+        x = cw[0, 0] if fresh else cw[0]
+        pair = [Sequence(x, matrix.shape[0]), Sequence(ys[0], matrix.shape[1])]
+        moved_pair = [Sequence(x[perm], matrix.shape[0]), Sequence(ys[0][perm], matrix.shape[1])]
+        assert is_jointly_typical(*pair, joint, eps) == is_jointly_typical(*moved_pair, joint, eps)
+        assert is_jointly_typical(*pair, joint, eps) == (got[0, 0] == 0.0)
+        typical += int(np.sum(got == 0.0))
+    assert 0 < typical < 4 * got.size
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan")], ids=["negative", "zero", "nan"])
+def test_every_typicality_path_rejects_a_bad_eps(eps):
+    cfg = CodeConfig(n=4, rate=0.5, alpha=1.0)
+    ch = bsc(0.05)
+    part = make_partition(cfg, "contiguous")
+    cb = generate_full_codebook(cfg, UNIFORM2, ChannelRng(1, 1))
+    joint = JointDist.from_input_and_kernel(UNIFORM2, ch.matrix, ch.output_labels)
+    y = Sequence(np.zeros(4, dtype=np.int64), 2)
+    runs = [
+        lambda: simulate(cfg, "contiguous", ch, UNIFORM2, "typicality", 10, 1, eps=eps),
+        lambda: simulate(cfg, "contiguous", ch, UNIFORM2, "typicality", 10, 1, eps=eps,
+                         fresh_codebook=False),
+        lambda: simulate_full_codebook(cfg, part, ch, UNIFORM2, 10, 1, decoder="typicality",
+                                       eps=eps),
+        lambda: exact_evaluate(cb, part, ch, decoder="typicality", px=UNIFORM2, eps=eps),
+        lambda: decode_typicality(y, cb, joint, eps),
+        lambda: is_jointly_typical(y, y, joint, eps),
+    ]
+    for run in runs:
+        with pytest.raises(ValidationError, match="eps must be > 0"):
+            run()
+
+
+def test_array_holding_classes_compare_and_hash_by_identity():
+    # Their fields hold numpy arrays, so a field-wise == (or hash) would be
+    # ambiguous; they compare and hash as objects instead.
+    ch = bsc(0.1)
+    part = partition_from_counts(4, 2, "contiguous")
+    objects = [
+        part,
+        Codebook(np.zeros((2, 3), dtype=np.int64), 2),
+        random_fano_instance(2026, 0),
+        UNIFORM2,
+        JointDist.from_input_and_kernel(UNIFORM2, ch.matrix, ch.output_labels),
+        Sequence(np.array([0, 1]), 2),
+        ch,
+        KnowledgeBase.identity(("0", "1")),
+    ]
+    for obj in objects:
+        assert obj == obj and hash(obj) == hash(obj)
+        assert obj in {obj} and obj in [part, obj]
+    assert part != partition_from_counts(4, 2, "contiguous")
 
 
 def test_sampled_symbols_use_the_narrowest_dtype():

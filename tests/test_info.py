@@ -144,8 +144,28 @@ def test_typicality_independent_uniform_always_typical():
 def test_typicality_zero_probability_pair_fails():
     j = JointDist((("0", "1"), ("0", "1")), np.array([[0.5, 0.0], [0.0, 0.5]]))
     x = Sequence(np.array([0, 0]), 2)
-    assert is_jointly_typical(x, Sequence(np.array([0, 0]), 2), j, eps=0.5)
-    assert not is_jointly_typical(x, Sequence(np.array([0, 1]), 2), j, eps=0.5)
+    for eps in (0.5, 1e29, 1e300, math.inf):  # however large eps is
+        assert is_jointly_typical(x, Sequence(np.array([0, 0]), 2), j, eps=eps)
+        assert not is_jointly_typical(x, Sequence(np.array([0, 1]), 2), j, eps=eps)
+
+
+@pytest.mark.parametrize("flips, typical", [(2, False), (3, True), (4, True), (5, True), (6, False)])
+def test_typicality_boundary_pairs_follow_the_exact_rule(flips, typical):
+    # BSC(0.2) with uniform input: the joint rate is 1 + h(0.2) + 2 (flips/20
+    # - 0.2) exactly, so 3 and 5 flips in 20 sit exactly eps = 0.1 from
+    # H(X, Y) and are typical, in every split of the counts over the cells.
+    j = JointDist.from_input_and_kernel(
+        ProbVector(("0", "1"), [0.5, 0.5]), np.array([[0.8, 0.2], [0.2, 0.8]]), ("0", "1")
+    )
+    n = 20
+    for n01 in range(flips + 1):
+        for n00 in range(n - flips + 1):
+            cells = [(0, 0)] * n00 + [(0, 1)] * n01 + [(1, 0)] * (flips - n01)
+            cells += [(1, 1)] * (n - flips - n00)
+            x, y = (Sequence(np.array(axis), 2) for axis in zip(*cells))
+            assert is_jointly_typical(x, y, j, eps=0.1) == typical
+            if flips in (3, 5):
+                assert not is_jointly_typical(x, y, j, eps=0.0999)
 
 
 def test_typicality_eps_gates_skewed_composition():

@@ -65,7 +65,7 @@ from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _exceeds, _row_cdfs, check_channel_elements
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import (
-    JointDist, ProbVector, Sequence, _log_matrix, _typical_score, entropy_bits,
+    JointDist, ProbVector, Sequence, _CellScore, _log_matrix, _typical_score, entropy_bits,
 )
 
 BATCH_TRIALS = 4096
@@ -447,19 +447,18 @@ def _combine(cells, logmat: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable):
+def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
     """Scores, one codebook per trial, a trial block at a time.
 
-    cws is (trials, count, n), ys (trials, n), shape the (|X|, |Y|) cell
-    grid and score(cells, out) the decoder's score of a pair's cell counts
-    (see _decoder_score). Yields (rows, cols, scores): scores[i, k] scores
+    cws is (trials, count, n), ys (trials, n), score the decoder's (see
+    _decoder_score). Yields (rows, cols, scores): scores[i, k] scores
     codeword cols[k] of trial rows[i]; cols always spans the whole codebook.
     Each block builds the joint index x * |Y| + y with position as the
     leading axis, so a cell's count is a sum of n contiguous rows, and
     hands the exact integer counts to score.
     """
     trials, count, n = cws.shape
-    a_count, b_count = shape
+    a_count, b_count = score.shape
     cell_type = np.min_scalar_type(a_count * b_count - 1)
     count_type = np.min_scalar_type(n)
     for rows in _blocks(trials, count * n):
@@ -472,10 +471,10 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, shape: tuple, score: Call
             np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type, out=cnt)
             for cell in range(a_count * b_count)
         )
-        yield rows, slice(0, count), score(cells, np.empty(joint.shape[1:]))
+        yield rows, slice(0, count), score.of(cells, np.empty(joint.shape[1:]))
 
 
-def _scores_shared(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable):
+def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     """Scores, one shared (count, n) codebook against every row of ys, a
     tile of trials and codewords at a time.
 
@@ -499,7 +498,7 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable
     matmul, exact in float64, and the tile goes through score. Both paths
     give score's floats for the same counts.
     """
-    a_count, b_count = shape
+    a_count, b_count = score.shape
     count, n = cw.shape
     chunks = _blocks(count, n)
     width = chunks[0].stop
@@ -512,7 +511,7 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable
         radix = (n + 1) ** np.arange(cells - 1, dtype=np.int64)
         digits = np.arange(keys)[:, None] // radix % (n + 1)
         counts = [*digits.T, n - digits.sum(axis=1)]
-        table = score(counts, np.empty(keys))
+        table = score.of(counts, np.empty(keys))
         weight = np.append(radix, 0).reshape(a_count, b_count)
         keyed = np.concatenate([weight[cw, b] for b in range(b_count)], axis=1).astype(float)
         index = np.empty(height * width, dtype=np.intp)
@@ -536,21 +535,23 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable
                 for a in range(a_count)
                 for b in range(b_count)
             )
-            yield rows, cols, score(cells, scores)
+            yield rows, cols, score.of(cells, scores)
 
 
-def _decoder_score(decoder: str, ch: Dmc, px: ProbVector | None, eps: float, n: int) -> Callable:
-    """The decoder's score(cells, out) of a pair's (x, y) cell counts at
-    blocklength n: ML's log-likelihood under log2 W, or typicality's 0.0/NEG
-    against px(a) W(b|a) (info._typical_score, which checks eps)."""
+def _decoder_score(
+    decoder: str, ch: Dmc, px: ProbVector | None = None, eps: float = 0.0, n: int = 0
+) -> _CellScore:
+    """The decoder's score of a pair's (x, y) cell counts at blocklength n:
+    ML's log-likelihood under log2 W (it needs only ch), or typicality's
+    0.0/NEG against px(a) W(b|a) (info._typical_score, which checks eps)."""
     if decoder == "ml":
         logmat = _log_matrix(ch.matrix)
-        return lambda cells, out: _combine(cells, logmat, out)
+        return _CellScore(logmat.shape, lambda cells, out: _combine(cells, logmat, out))
     joint = JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
     return _typical_score(joint, eps, n)
 
 
-def _decisions(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable) -> np.ndarray:
+def _decisions(cw: np.ndarray, ys: np.ndarray, score: _CellScore) -> np.ndarray:
     """The decision for every row of ys: the codeword index with the unique
     best score, or -1 on an exact tie for the best score or when the best is
     at or below NEG_THRESHOLD. For ML that is the likelihood rule with
@@ -558,21 +559,21 @@ def _decisions(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable) ->
     codeword".
 
     cw is one shared (count, n) codebook, or one (trials, count, n) codebook
-    per trial; shape and score are as in _scores_per_trial. Scores arrive a
-    tile at a time. A tile's row is read by one argmax (the first best
-    codeword), the score there, and one max over the rest of the row once
-    that entry is knocked out: the row ties exactly when the runner-up
-    equals the best. The tile is the scorer's scratch buffer, so knocking an
-    entry out costs nothing. Per trial the best score, the first codeword
-    reaching it and whether another one reaches it carry over from one
-    codeword chunk to the next, so the decisions are those of whole rows.
+    per trial. Scores arrive a tile at a time. A tile's row is read by one
+    argmax (the first best codeword), the score there, and one max over the
+    rest of the row once that entry is knocked out: the row ties exactly
+    when the runner-up equals the best. The tile is the scorer's scratch
+    buffer, so knocking an entry out costs nothing. Per trial the best
+    score, the first codeword reaching it and whether another one reaches
+    it carry over from one codeword chunk to the next, so the decisions are
+    those of whole rows.
     """
     trials = ys.shape[0]
     best = np.empty(trials)
     first = np.empty(trials, dtype=np.int64)
     tied = np.empty(trials, dtype=bool)
     scorer = _scores_per_trial if cw.ndim == 3 else _scores_shared
-    for rows, cols, scores in scorer(cw, ys, shape, score):
+    for rows, cols, scores in scorer(cw, ys, score):
         at = scores.argmax(axis=1)
         row = np.arange(at.size)
         top = scores[row, at]
@@ -592,33 +593,29 @@ def _decisions(cw: np.ndarray, ys: np.ndarray, shape: tuple, score: Callable) ->
     return picks
 
 
+def _decode_word(y: Sequence, cb: Codebook, score: _CellScore, name: str) -> DecodeOutcome:
+    """The one decision rule (_decisions) for one output word y."""
+    if (cb.alphabet_size, y.alphabet_size) != score.shape:
+        raise ValidationError(
+            f"{name}: codebook and y alphabets {(cb.alphabet_size, y.alphabet_size)} "
+            f"do not match the decoder's {score.shape}"
+        )
+    if cb.n != len(y):
+        raise ValidationError(f"{name}: codeword length {cb.n} != len(y) {len(y)}")
+    pick = _decisions(cb.codewords, y.symbols[None, :], score)[0]
+    return ERASURE if pick < 0 else DecodeOutcome(int(pick))
+
+
 def decode_ml(y: Sequence, cb: Codebook, ch: Dmc) -> DecodeOutcome:
     """Maximum-likelihood decoding; exact ties and impossible y erase."""
-    if y.alphabet_size != ch.num_outputs:
-        raise ValidationError("decode_ml: y alphabet does not match channel outputs")
-    if cb.alphabet_size != ch.num_inputs:
-        raise ValidationError("decode_ml: codebook alphabet does not match channel inputs")
-    if cb.n != len(y):
-        raise ValidationError(f"decode_ml: codeword length {cb.n} != len(y) {len(y)}")
-    score = _decoder_score("ml", ch, None, 0.0, cb.n)
-    pick = _decisions(cb.codewords, y.symbols[None, :], ch.matrix.shape, score)[0]
-    return ERASURE if pick < 0 else DecodeOutcome(int(pick))
+    return _decode_word(y, cb, _decoder_score("ml", ch), "decode_ml")
 
 
 def decode_typicality(
     y: Sequence, cb: Codebook, joint: JointDist, eps: float
 ) -> DecodeOutcome:
     """Weak-joint-typicality decoding: a unique typical codeword, else erasure."""
-    score = _typical_score(joint, eps, len(y))
-    if cb.n != len(y):
-        raise ValidationError(
-            f"decode_typicality: codeword length {cb.n} != len(y) {len(y)}"
-        )
-    nx, ny = joint.table.shape
-    if cb.alphabet_size != nx or y.alphabet_size != ny:
-        raise ValidationError("decode_typicality: alphabets do not match the joint")
-    pick = _decisions(cb.codewords, y.symbols[None, :], joint.table.shape, score)[0]
-    return ERASURE if pick < 0 else DecodeOutcome(int(pick))
+    return _decode_word(y, cb, _typical_score(joint, eps, len(y)), "decode_typicality")
 
 
 def wilson_interval(errors: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -901,7 +898,6 @@ def _simulate_materialized(
     if not fresh and codebook.alphabet_size != ch.num_inputs:
         raise ValidationError("codebook alphabet does not match channel inputs")
 
-    shape = ch.matrix.shape
     score = _decoder_score(decoder, ch, px, eps, cfg.n)
     ch_cdf = _row_cdfs(ch.matrix)
     codewords = np.arange(count)
@@ -924,7 +920,7 @@ def _simulate_materialized(
         and ch.num_outputs ** cfg.n <= trials
         and ch.num_outputs ** cfg.n * count <= ENUM_BUDGET
     ):
-        decisions = _decision_table(codebook.codewords, shape, score)
+        decisions = _decision_table(codebook.codewords, score)
         radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
 
     def worker(b: int, nb: int) -> tuple[int, int]:
@@ -941,7 +937,7 @@ def _simulate_materialized(
         if decisions is not None:
             picks = decisions[y @ radix]
         else:
-            picks = _decisions(cw, y, shape, score)
+            picks = _decisions(cw, y, score)
         # An erasure (-1) indexes the last owner below; `erased` overrules it.
         erased = picks < 0
         sem_err = erased | (owner_class[picks] != owner_class[sent])
@@ -1148,9 +1144,9 @@ def _enumerate_outputs(n_out: int, n: int) -> np.ndarray:
     )
 
 
-def _decision_table(cw: np.ndarray, shape: tuple, score: Callable) -> np.ndarray:
+def _decision_table(cw: np.ndarray, score: _CellScore) -> np.ndarray:
     """The decoder's decision for every possible output word."""
-    return _decisions(cw, _enumerate_outputs(shape[1], cw.shape[1]), shape, score)
+    return _decisions(cw, _enumerate_outputs(score.shape[1], cw.shape[1]), score)
 
 
 @dataclass(frozen=True)
@@ -1227,7 +1223,7 @@ def exact_evaluate(
     score = _decoder_score(decoder, ch, px, eps, n)
     yall = _enumerate_outputs(ch.num_outputs, n)
     cw = cb.codewords
-    decisions = _decisions(cw, yall, ch.matrix.shape, score)
+    decisions = _decisions(cw, yall, score)
 
     # p(y | owner) as an exact per-position product.
     pyo = np.ones((cb.count, yall.shape[0]))

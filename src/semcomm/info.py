@@ -18,7 +18,7 @@ import reprlib
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence as _Seq, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence as _Seq, Union
 
 import numpy as np
 
@@ -384,21 +384,28 @@ def empirical_rate_bits(probs: np.ndarray) -> float:
     return float(-np.mean(np.log2(p)))
 
 
-def _typical_score(joint: JointDist, eps: float, n: int):
+class _CellScore(NamedTuple):
+    """A decoder's score of a pair's joint type: of(cells, out) takes a count
+    array per cell of the (|X|, |Y|) shape, in row-major order, each
+    broadcasting to out, and writes the pairs' scores into out."""
+
+    shape: tuple
+    of: Callable
+
+
+def _typical_score(joint: JointDist, eps: float, n: int) -> _CellScore:
     """Weak joint typicality at blocklength n as a score of a pair's joint
     type: the one typicality rule of the package.
 
-    Returns score(cells, out): cells yields one count array per (x, y) cell
-    in row-major order, each broadcasting to out, and out becomes 0.0 where
-    the pair is typical, NEG elsewhere. The rates -sum N(a, b) log2 p / n,
-    for p = p(a), p(b) and p(a, b), accumulate in that order, so equal joint
-    types give bit-equal rates, and each must sit within eps of H(X), H(Y),
-    H(X, Y) up to their rounding, (|X||Y| + 2) machine epsilons of rate plus
-    entropy: a pair exactly on the boundary is typical however its counts
-    split (BSC(0.2), uniform input, 3 or 5 flips in 20, eps 0.1). A pair
-    meeting a zero-probability cell sums a NEG into its joint rate and is
-    never typical. Raises ValidationError unless the joint has two axes and
-    eps > 0 (not NaN).
+    The score is 0.0 where the pair is typical, NEG elsewhere. The rates
+    -sum N(a, b) log2 p / n, for p = p(a), p(b) and p(a, b), accumulate in
+    row-major (a, b) order, so equal joint types give bit-equal rates, and
+    each must sit within eps of H(X), H(Y), H(X, Y) up to their rounding,
+    (|X||Y| + 2) machine epsilons of rate plus entropy: a pair exactly on
+    the boundary is typical however its counts split (BSC(0.2), uniform
+    input, 3 or 5 flips in 20, eps 0.1). A pair meeting a zero-probability
+    cell sums a NEG into its joint rate and is never typical. Raises
+    ValidationError unless the joint has two axes and eps > 0 (not NaN).
     """
     if joint.ndim != 2:
         raise ValidationError("typicality: need a two-axis joint")
@@ -422,7 +429,7 @@ def _typical_score(joint: JointDist, eps: float, n: int):
         out[...] = np.where(typical, 0.0, NEG)
         return out
 
-    return score
+    return _CellScore(joint.table.shape, score)
 
 
 def is_jointly_typical(
@@ -446,4 +453,4 @@ def is_jointly_typical(
             "is_jointly_typical: sequence alphabets do not match the joint table"
         )
     cells = np.bincount(x.symbols * ny + y.symbols, minlength=nx * ny)
-    return bool(score(cells[:, None], np.empty(1))[0] == 0.0)
+    return bool(score.of(cells[:, None], np.empty(1))[0] == 0.0)

@@ -359,7 +359,7 @@ def test_readme_sweep_golden_bytes(capsys):
     assert out.endswith("\n")
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.3.0',
+        '# version: 0.4.0',
         '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":10000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '64,1.2844854771912786,0.5,0.2173,0.20932632273707832,0.2254907899417022,1.0,2026',
@@ -387,7 +387,7 @@ def test_short_block_qary_ml_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.3.0',
+        '# version: 0.4.0',
         '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '2,1.7733336033809244,1.0,0.6128,0.5992165566055586,0.6262102498356364,0.6128,2026',
@@ -401,12 +401,29 @@ def test_short_block_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.3.0',
+        '# version: 0.4.0',
         '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '8,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,2026',
         '12,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,1002029',
         '16,0.3568015214420218,1.0,0.634,0.620549798138998,0.6472444577397267,0.634,2002032',
+    ]
+
+
+def test_boundary_typicality_golden_bytes(capsys):
+    # At n=20 on BSC(0.2) a pair with 3 or 5 flips sits exactly eps = 0.1
+    # from H(X, Y) and is typical (the exact rule). Version 0.3.0 summed the
+    # rates position by position and rounded the 3-flip pairs out: p_sem 0.6646.
+    code, out, _ = run(capsys, "simulate", "--channel", "bsc:0.2", "--rate-fraction", "0.5",
+                       "--decoder", "typicality", "--n-grid", "20", "--trials", "5000",
+                       "--seed", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        '# semcomm-simulate-v1',
+        '# version: 0.4.0',
+        '# spec: {"alpha":1.0,"channel":"bsc:0.2","decoder":"typicality","n-grid":[20],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":1,"trials":5000}',
+        'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
+        '20,0.13903595255631887,1.0,0.4906,0.4767559455469566,0.5044584872496105,0.4906,1',
     ]
 
 

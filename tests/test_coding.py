@@ -1010,9 +1010,9 @@ def _ref_typicality_picks(cw, ys, joint, eps):
 
 
 def _ml(logmat):
-    """The (shape, score) pair of ML's likelihood score under logmat, as the
-    kernels and coding._decisions take it."""
-    return logmat.shape, lambda cells, out: coding._combine(cells, logmat, out)
+    """ML's likelihood score under logmat, as the kernels and
+    coding._decisions take it."""
+    return coding._CellScore(logmat.shape, lambda cells, out: coding._combine(cells, logmat, out))
 
 
 def _ref_ml_decisions(cw, ys, logmat):
@@ -1032,7 +1032,7 @@ def _use_reference_decisions(monkeypatch, matrix):
         typical[score] = (joint, eps)
         return score
 
-    def reference(cw, ys, shape, score):
+    def reference(cw, ys, score):
         if score in typical:
             return _ref_typicality_picks(cw, ys, *typical[score])
         return _ref_ml_decisions(cw, ys, coding._log_matrix(matrix))
@@ -1087,11 +1087,11 @@ def _shared_inputs(matrix, trials, count, n, seed):
     return cw, ys
 
 
-def _tiled_scores(scorer, cw, ys, shape, score, count):
+def _tiled_scores(scorer, cw, ys, score, count):
     """Assemble a kernel's tiles; also return how many tiles it yielded."""
     out = np.full((ys.shape[0], count), np.nan)
     tiles = 0
-    for rows, cols, scores in scorer(cw, ys, shape, score):
+    for rows, cols, scores in scorer(cw, ys, score):
         assert np.all(np.isnan(out[rows, cols]))
         out[rows, cols] = scores
         tiles += 1
@@ -1107,11 +1107,11 @@ def test_per_trial_kernel_matches_loop_reference(name, n, count):
     step = coding.BLOCK_ELEMENTS // (count * n)
     trials = 2 * step + 3  # two full trial blocks and a short one
     cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, *_ml(logmat), count)
+    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, _ml(logmat), count)
     ref = _ref_scores_per_trial(cws, ys, logmat)
     assert tiles == 3
     assert np.array_equal(got, ref)
-    assert np.array_equal(coding._decisions(cws, ys, *_ml(logmat)), _ref_decide(ref))
+    assert np.array_equal(coding._decisions(cws, ys, _ml(logmat)), _ref_decide(ref))
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
@@ -1123,11 +1123,11 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
     step = coding.BLOCK_ELEMENTS // width
     trials = 2 * step + 3
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, *_ml(logmat), count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, _ml(logmat), count)
     ref = _ref_scores_shared(cw, ys, logmat)
     assert tiles == 3 * math.ceil(count / width)
     assert np.array_equal(got, ref)
-    picks = coding._decisions(cw, ys, *_ml(logmat))
+    picks = coding._decisions(cw, ys, _ml(logmat))
     assert np.array_equal(picks, _ref_decide(ref))
     if count > 1:
         assert np.any(picks == -1) and np.any(picks >= 0)
@@ -1135,7 +1135,7 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
     cb = Codebook(cw, matrix.shape[0])
     for y in ys[:4]:
         one = _ref_scores_for_one(cw, y, logmat)
-        tiled = _tiled_scores(coding._scores_shared, cw, y[None, :], *_ml(logmat), count)
+        tiled = _tiled_scores(coding._scores_shared, cw, y[None, :], _ml(logmat), count)
         assert np.array_equal(tiled[0][0], one)
         pick = _ref_decide(one[None, :])[0]
         out = decode_ml(Sequence(y, matrix.shape[1]), cb, ch)
@@ -1181,18 +1181,18 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
         return combine(cells, lm, out)
 
     monkeypatch.setattr(coding, "_combine", spy)
-    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, *_ml(logmat), count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, _ml(logmat), count)
     ref = _ref_scores_shared(cw, ys, logmat)
     assert np.array_equal(got, ref)
     if keyed:
         assert combined == [(keys,)]
     else:
         assert len(combined) == tiles and all(len(shape) == 2 for shape in combined)
-    picks = coding._decisions(cw, ys, *_ml(logmat))
+    picks = coding._decisions(cw, ys, _ml(logmat))
     assert np.array_equal(picks, _ref_decide(ref))
     assert np.any(picks == -1) and np.any(picks >= 0)
     if count > coding.BLOCK_ELEMENTS // n:
-        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, *_ml(logmat))}
+        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, _ml(logmat))}
         assert len(starts) == 2
         best = ref.max(axis=1, keepdims=True)
         across = (ref[:, :1] == best)[:, 0] & (ref[:, -1:] == best)[:, 0]
@@ -1224,10 +1224,10 @@ def test_typical_mask_matches_per_row_loop(monkeypatch, name, n, count, fresh):
             _ref_typical_mask(cw[t] if fresh else cw, ys[t], joint, eps) for t in range(trials)
         ])
         score = coding._typical_score(joint, eps, n)
-        got = _tiled_scores(scorer, cw, ys, matrix.shape, score, count)[0]
+        got = _tiled_scores(scorer, cw, ys, score, count)[0]
         assert np.array_equal(got == 0.0, ref_mask)
         assert np.all((got == 0.0) | (got == NEG))
-        picks = coding._decisions(cw, ys, matrix.shape, score)
+        picks = coding._decisions(cw, ys, score)
         assert np.array_equal(picks, _ref_typicality_picks(cw, ys, joint, eps))
         if not fresh:
             out = decode_typicality(Sequence(ys[0], matrix.shape[1]), Codebook(cw, matrix.shape[0]), joint, eps)
@@ -1242,9 +1242,9 @@ def test_ml_decisions_keep_the_first_best_across_codeword_chunks(monkeypatch):
     logmat = coding._log_matrix(bsc(0.1).matrix)
     y = np.zeros((1, 4), dtype=np.int64)
     cw = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 0], [1, 0, 1, 1]])
-    assert coding._decisions(cw, y, *_ml(logmat))[0] == 3
+    assert coding._decisions(cw, y, _ml(logmat))[0] == 3
     cw[5] = cw[3]
-    assert coding._decisions(cw, y, *_ml(logmat))[0] == -1
+    assert coding._decisions(cw, y, _ml(logmat))[0] == -1
 
 
 def _engine_cases():
@@ -1304,9 +1304,9 @@ def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
 
         def recorded(cells, out):
             calls.append(out.shape)
-            return score(cells, out)
+            return score.of(cells, out)
 
-        return recorded
+        return score._replace(of=recorded)
 
     def counted_table(cw, *args):
         tables.append(cw.shape)
@@ -1342,11 +1342,11 @@ def test_typicality_is_invariant_under_a_joint_permutation_of_positions(name, fr
     typical = 0
     for eps in (0.05, 0.3, 2.0, 8.0):
         score = coding._typical_score(joint, eps, n)
-        got = _tiled_scores(scorer, cw, ys, matrix.shape, score, count)[0]
-        moved = _tiled_scores(scorer, cw[..., perm], ys[:, perm], matrix.shape, score, count)[0]
+        got = _tiled_scores(scorer, cw, ys, score, count)[0]
+        moved = _tiled_scores(scorer, cw[..., perm], ys[:, perm], score, count)[0]
         assert np.array_equal(moved, got)
-        picks = coding._decisions(cw, ys, matrix.shape, score)
-        assert np.array_equal(coding._decisions(cw[..., perm], ys[:, perm], matrix.shape, score), picks)
+        picks = coding._decisions(cw, ys, score)
+        assert np.array_equal(coding._decisions(cw[..., perm], ys[:, perm], score), picks)
         x = cw[0, 0] if fresh else cw[0]
         pair = [Sequence(x, matrix.shape[0]), Sequence(ys[0], matrix.shape[1])]
         moved_pair = [Sequence(x[perm], matrix.shape[0]), Sequence(ys[0][perm], matrix.shape[1])]

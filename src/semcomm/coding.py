@@ -44,8 +44,8 @@ log2 p(b|a) (_combine); typicality's is 0.0 or NEG from three surprisal
 rates summed over the counts in that order (info._typical_score). Equal
 count matrices give bit-equal floats, so "exact tie" is well defined.
 Every path counts each (a, b) cell exactly (joint types of codeword and
-output, or a competitor's grid point), then scores; a shared codebook
-whose possible count matrices are few scores each once and looks scores
+output, or a competitor's grid point), then scores; where the possible
+count matrices are few, either scorer scores each once and looks scores
 up by an exact count key. One rule (_decisions) decides for both: the
 unique best score wins; a tie or an impossible best erases.
 """
@@ -447,6 +447,22 @@ def _combine(cells, logmat: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _key_table(score: _CellScore, n: int, pairs: int):
+    """The count-key table of both scorers, or None unless its keys number
+    at most BLOCK_ELEMENTS and at most the pairs to score: (table, weight).
+    A pair's key sums weight[x_i, y_i] = (n + 1)^(x_i |Y| + y_i), 0 in the
+    last cell, over its positions, so its digits in base n + 1 are its first
+    |X||Y| - 1 cell counts; table[key] is score's float for those counts.
+    """
+    cells = math.prod(score.shape)
+    keys = (n + 1) ** (cells - 1)
+    if keys > min(BLOCK_ELEMENTS, pairs):
+        return None
+    digits = np.indices((n + 1,) * (cells - 1)).reshape(cells - 1, keys)[::-1]
+    table = score.of([*digits, n - digits.sum(axis=0)], np.empty(keys))
+    return table, np.append((n + 1) ** np.arange(cells - 1), 0).reshape(score.shape)
+
+
 def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
     """Scores, one codebook per trial, a trial block at a time.
 
@@ -455,12 +471,14 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
     codeword cols[k] of trial rows[i]; cols always spans the whole codebook.
     Each block builds the joint index x * |Y| + y with position as the
     leading axis, so a cell's count is a sum of n contiguous rows, and
-    hands the exact integer counts to score.
+    hands the exact integer counts to score, or, keyed (_key_table), those
+    of all but the last cell to form the keys to look scores up by.
     """
     trials, count, n = cws.shape
     a_count, b_count = score.shape
     cell_type = np.min_scalar_type(a_count * b_count - 1)
     count_type = np.min_scalar_type(n)
+    keyed = _key_table(score, n, trials * count)
     for rows in _blocks(trials, count * n):
         joint = cws[rows].transpose(2, 0, 1).astype(cell_type, order="C")
         joint *= b_count
@@ -469,9 +487,15 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
         cnt = np.empty(joint.shape[1:], dtype=count_type)
         cells = (
             np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type, out=cnt)
-            for cell in range(a_count * b_count)
+            for cell in range(a_count * b_count - (keyed is not None))
         )
-        yield rows, slice(0, count), score.of(cells, np.empty(joint.shape[1:]))
+        if keyed is None:
+            yield rows, slice(0, count), score.of(cells, np.empty(cnt.shape))
+        else:
+            key = np.zeros(cnt.shape, dtype=np.intp)
+            for counts, weight in zip(cells, keyed[1].flat):
+                key += np.multiply(counts, weight, dtype=np.intp)
+            yield rows, slice(0, count), keyed[0].take(key)
 
 
 def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
@@ -485,18 +509,13 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     in new pages on every tile), so each tile must be consumed before the
     next one is drawn.
 
-    With C = |X||Y| cells, a pair's first C - 1 cell counts, read as digits
-    in base n + 1, form its count key; the last count is n minus the others.
-    While the (n + 1)^(C - 1) keys number at most BLOCK_ELEMENTS and at most
-    the trial-codeword pairs, every key is scored once into a table,
-    and a tile is one float64 matmul plus a table lookup: the trials' output
-    one-hots against the codewords' radix weights, where symbol a meeting
-    output b weighs (n + 1)^(a|Y| + b) and the last cell weighs 0. Every
-    partial sum of that matmul is an integer no larger than the key, which
-    is below BLOCK_ELEMENTS = 2^16, far inside float64's exact integers, so
-    the key is exact. Otherwise each of the C cell counts is its own 0/1
-    matmul, exact in float64, and the tile goes through score. Both paths
-    give score's floats for the same counts.
+    Keyed (_key_table), a tile is one float32 matmul and a table lookup: a
+    pair's key is the codeword's key against the all-last output plus
+    [y_i = b] (weight[x_i, b] - weight[x_i, last]) per position i and output
+    b below the last. Each partial sum is an integer below 2 BLOCK_ELEMENTS
+    = 2^17 in magnitude (its terms of either sign add up to part of at most
+    two keys), exact in float32 (up to 2^24), and so is the key. Otherwise
+    each cell count is a 0/1 matmul, exact in float64, scored by score.
     """
     a_count, b_count = score.shape
     count, n = cw.shape
@@ -504,25 +523,22 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     width = chunks[0].stop
     slices = _blocks(ys.shape[0], width)
     height = slices[0].stop
-    buffers = [np.empty(height * width) for _ in range(2)]
-    cells = a_count * b_count
-    keys = (n + 1) ** (cells - 1)
-    if keys <= min(BLOCK_ELEMENTS, ys.shape[0] * count):
-        radix = (n + 1) ** np.arange(cells - 1, dtype=np.int64)
-        digits = np.arange(keys)[:, None] // radix % (n + 1)
-        counts = [*digits.T, n - digits.sum(axis=1)]
-        table = score.of(counts, np.empty(keys))
-        weight = np.append(radix, 0).reshape(a_count, b_count)
-        keyed = np.concatenate([weight[cw, b] for b in range(b_count)], axis=1).astype(float)
-        index = np.empty(height * width, dtype=np.intp)
+    keyed = _key_table(score, n, ys.shape[0] * count)
+    kinds = (float, float) if keyed is None else (float, np.intp, np.float32)
+    buffers = [np.empty(height * width, dtype=kind) for kind in kinds]
+    if keyed is not None:
+        weight = keyed[1][cw]
+        last = weight[..., -1:]
+        right = np.concatenate([(weight[..., :-1] - last).reshape(count, -1), last.sum(1)], axis=1)
+        right = right.astype(np.float32)
         for rows in slices:
-            yb = np.concatenate([ys[rows] == b for b in range(b_count)], axis=1).astype(float)
+            left = np.ones((rows.stop - rows.start, right.shape[1]), dtype=np.float32)
+            left[:, :-1] = (ys[rows][:, :, None] == np.arange(b_count - 1)).reshape(len(left), -1)
             for cols in chunks:
                 shape = (rows.stop - rows.start, cols.stop - cols.start)
-                scores, key = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-                at = index[: shape[0] * shape[1]].reshape(shape)
-                at[...] = np.matmul(yb, keyed[cols].T, out=key)
-                yield rows, cols, table.take(at, out=scores)
+                scores, at, key = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+                at[...] = np.matmul(left, right[cols].T, out=key)
+                yield rows, cols, keyed[0].take(at, out=scores, mode="clip")
         return
     xs = [(cw == a).astype(float) for a in range(a_count)]
     for rows in slices:
@@ -708,8 +724,9 @@ def _run_batches(trials: int, fresh: bool, worker: Callable[[int, int], tuple]) 
     same however many workers run it; callers reduce it with integer sums or
     in-order concatenation, which keeps their results identical too. Fresh
     codebooks' batches run on one worker per CPU, at most one per batch.
-    Shared codebooks' batches run in order: their scores are BLAS matrix
-    products, already spread over the CPUs, and a pool measured slower.
+    Shared codebooks' batches run in order: under default BLAS a pool
+    measured no faster (ML, n=16, 2048 codewords, 20k trials, 2 CPUs: 0.179
+    s pooled, 0.177 s in order), though with one BLAS thread it is faster.
     """
     full, rem = divmod(trials, BATCH_TRIALS)
     sizes = [BATCH_TRIALS] * full + ([rem] if rem else [])
@@ -1267,14 +1284,12 @@ def exact_evaluate(
     h_err = _conditional(err)
     h_ok = _conditional(~err)
 
-    # I(X^n; Y^n): owners sharing a codeword share an x, so group them.
-    _, group_idx, group_inv = np.unique(
-        cw, axis=0, return_index=True, return_inverse=True
-    )
-    group_inv = group_inv.reshape(-1)
-    pxg = np.zeros(group_idx.size)
-    np.add.at(pxg, group_inv, owner_prior)
-    pyx = pyo[group_idx]
+    # I(X^n; Y^n): owners sharing a codeword share an x, so group them in
+    # sorted codeword order; the stable sort keeps each group's owners in order.
+    order = np.lexsort(cw.T[::-1])
+    first = np.append(True, np.any(cw[order[1:]] != cw[order[:-1]], axis=1))
+    pxg = np.bincount(np.cumsum(first) - 1, weights=owner_prior[order])
+    pyx = pyo[order[first]]
     joint_xy = pxg[:, None] * pyx
     i_x_y = entropy_bits(pxg) + h_y - entropy_bits(joint_xy)
 

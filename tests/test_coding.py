@@ -1199,6 +1199,79 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
         assert np.any(across) and np.all(picks[across] == -1)
 
 
+def _recorded(score, calls):
+    """score, noting the shape of every out it writes into calls."""
+
+    def of(cells, out):
+        calls.append(out.shape)
+        return score.of(cells, out)
+
+    return score._replace(of=of)
+
+
+@pytest.mark.parametrize("decoder", ["ml", "typicality"])
+@pytest.mark.parametrize("case", list(KEY_RULE_CASES))
+def test_per_trial_scores_bit_match_on_both_sides_of_the_key_rule(case, decoder):
+    name, n, count, trials, keyed = KEY_RULE_CASES[case]
+    matrix = KEY_RULE_CHANNELS[name]
+    keys = (n + 1) ** (matrix.size - 1)
+    assert (keys <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
+    cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
+    logmat = coding._log_matrix(matrix)
+    _, joint = _joint_for(matrix, seed=n)
+    eps = 0.3
+    score = _ml(logmat) if decoder == "ml" else coding._typical_score(joint, eps, n)
+    # Keyed, the score runs once, on the 1-D table of every key; otherwise
+    # once per trial block.
+    calls = []
+    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, _recorded(score, calls), count)
+    if keyed:
+        assert calls == [(keys,)]
+    else:
+        assert len(calls) == tiles and all(len(shape) == 2 for shape in calls)
+    picks = coding._decisions(cws, ys, score)
+    if decoder == "ml":
+        ref = _ref_scores_per_trial(cws, ys, logmat)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(picks, _ref_decide(ref))
+        assert np.any(picks == -1) and np.any(picks >= 0)
+    else:
+        mask = np.stack([_ref_typical_mask(cws[t], ys[t], joint, eps) for t in range(trials)])
+        assert np.array_equal(got == 0.0, mask)
+        assert np.all((got == 0.0) | (got == NEG))
+        assert np.array_equal(picks, _ref_typicality_picks(cws, ys, joint, eps))
+        assert np.any(mask) and not np.all(mask) and np.any(picks == -1)
+
+
+@pytest.mark.parametrize("case", [case for case, spec in KEY_RULE_CASES.items() if spec[-1]])
+def test_shared_keys_are_exact_in_float32(monkeypatch, case):
+    # A keyed tile forms its keys by a float32 matmul whose partial sums
+    # stay below 2 BLOCK_ELEMENTS in magnitude; float32 holds every integer
+    # up to 2^24, so a larger block budget must not pass unnoticed.
+    assert 2 * coding.BLOCK_ELEMENTS <= 2**24
+    name, n, count, trials, _ = KEY_RULE_CASES[case]
+    matrix = KEY_RULE_CHANNELS[name]
+    cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
+    # A table of the keys themselves makes the tiles show the keys.
+    make = coding._key_table
+
+    def identity_table(score, length, pairs):
+        table, weight = make(score, length, pairs)
+        return np.arange(table.size, dtype=float), weight
+
+    monkeypatch.setattr(coding, "_key_table", identity_table)
+    got = _tiled_scores(coding._scores_shared, cw, ys, _ml(coding._log_matrix(matrix)), count)[0]
+    a_count, b_count = matrix.shape
+    ref = np.zeros(got.shape, dtype=np.int64)
+    for cell in range(a_count * b_count - 1):
+        a, b = divmod(cell, b_count)
+        counts = (ys == b).astype(np.int64) @ (cw == a).astype(np.int64).T
+        ref += counts * (n + 1) ** cell
+    assert np.array_equal(got, ref)
+    if case == "dmc2x3-keyed":
+        assert (n + 1) ** (matrix.size - 1) == 59049 and ref.max() > 2**15
+
+
 def _joint_for(matrix, seed):
     labels = tuple(map(str, range(matrix.shape[0])))
     probs = np.random.default_rng(seed).dirichlet(np.ones(matrix.shape[0]))
@@ -1543,6 +1616,20 @@ def test_exact_evaluate_against_brute_force(full):
         assert ev.i_w_y == pytest.approx(iwy, abs=1e-10)
         assert ev.i_x_y == pytest.approx(ixy, abs=1e-10)
         assert ev.regime == ("full" if full else "per-class")
+
+
+def test_exact_evaluate_groups_copied_codewords_with_unequal_priors():
+    # Classes of 3, 3, 3, 3 and 4 messages give the per-class owners
+    # unequal priors, and copied codewords make owners share an x, so
+    # I(X^n; Y^n) depends on which priors join which codeword group.
+    matrix = np.random.default_rng(2718).dirichlet(np.ones(3), size=2)
+    ch = Dmc(("0", "1"), ("0", "1", "2"), matrix)
+    part = partition_from_counts(16, 5, "contiguous")
+    assert list(part.sizes) == [3, 3, 3, 3, 4]
+    cb = Codebook(np.array([[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1], [0, 0, 1]]), 2)
+    ev = exact_evaluate(cb, part, ch)
+    assert ev.regime == "per-class"
+    assert ev.i_x_y == pytest.approx(_brute_force(cb, part, ch)[4], abs=1e-12)
 
 
 def test_exact_evaluate_split_entropies_recombine():

@@ -453,14 +453,20 @@ def _key_table(score: _CellScore, n: int, pairs: int):
     A pair's key sums weight[x_i, y_i] = (n + 1)^(x_i |Y| + y_i), 0 in the
     last cell, over its positions, so its digits in base n + 1 are its first
     |X||Y| - 1 cell counts; table[key] is score's float for those counts.
+    Only keys whose digits sum to at most n are scored; the rest hold NaN.
     """
     cells = math.prod(score.shape)
     keys = (n + 1) ** (cells - 1)
     if keys > min(BLOCK_ELEMENTS, pairs):
         return None
-    digits = np.indices((n + 1,) * (cells - 1)).reshape(cells - 1, keys)[::-1]
-    table = score.of([*digits, n - digits.sum(axis=0)], np.empty(keys))
-    return table, np.append((n + 1) ** np.arange(cells - 1), 0).reshape(score.shape)
+    digits = np.zeros((0, 1), dtype=np.intp)
+    for _ in range(cells - 1):
+        grown = np.repeat(digits, n + 1, axis=1), np.tile(np.arange(n + 1), digits.shape[1])
+        digits = np.vstack(grown)[:, grown[0].sum(axis=0) + grown[1] <= n]
+    weight = (n + 1) ** np.arange(cells - 1)
+    table = np.full(keys, np.nan)
+    table[weight @ digits] = score.of([*digits, n - digits.sum(axis=0)], np.empty(digits.shape[1]))
+    return table, np.append(weight, 0).reshape(score.shape)
 
 
 def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
@@ -471,31 +477,33 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
     codeword cols[k] of trial rows[i]; cols always spans the whole codebook.
     Each block builds the joint index x * |Y| + y with position as the
     leading axis, so a cell's count is a sum of n contiguous rows, and
-    hands the exact integer counts to score, or, keyed (_key_table), those
-    of all but the last cell to form the keys to look scores up by.
+    hands the exact integer counts to score, or, keyed (_key_table), folds
+    all but the last into keys by Horner's rule to look scores up by.
     """
     trials, count, n = cws.shape
     a_count, b_count = score.shape
     cell_type = np.min_scalar_type(a_count * b_count - 1)
     count_type = np.min_scalar_type(n)
     keyed = _key_table(score, n, trials * count)
+    order = range(a_count * b_count) if keyed is None else range(a_count * b_count - 2, -1, -1)
     for rows in _blocks(trials, count * n):
         joint = cws[rows].transpose(2, 0, 1).astype(cell_type, order="C")
         joint *= b_count
         joint += ys[rows].T.astype(cell_type)[:, :, None]
         hit = np.empty(joint.shape, dtype=bool)
         cnt = np.empty(joint.shape[1:], dtype=count_type)
-        cells = (
+        counts = (
             np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type, out=cnt)
-            for cell in range(a_count * b_count - (keyed is not None))
+            for cell in order
         )
         if keyed is None:
-            yield rows, slice(0, count), score.of(cells, np.empty(cnt.shape))
-        else:
-            key = np.zeros(cnt.shape, dtype=np.intp)
-            for counts, weight in zip(cells, keyed[1].flat):
-                key += np.multiply(counts, weight, dtype=np.intp)
-            yield rows, slice(0, count), keyed[0].take(key)
+            yield rows, slice(0, count), score.of(counts, np.empty(cnt.shape))
+            continue
+        key = np.zeros(cnt.shape, dtype=np.min_scalar_type(keyed[0].size))
+        for digit in counts:
+            key *= n + 1
+            key += digit
+        yield rows, slice(0, count), keyed[0].take(key)
 
 
 def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
@@ -514,7 +522,9 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     [y_i = b] (weight[x_i, b] - weight[x_i, last]) per position i and output
     b below the last. Each partial sum is an integer below 2 BLOCK_ELEMENTS
     = 2^17 in magnitude (its terms of either sign add up to part of at most
-    two keys), exact in float32 (up to 2^24), and so is the key. Otherwise
+    two keys), exact in float32 (up to 2^24), and so is the key. Keys are in
+    range by construction (a test checks them against int64 ones), so the
+    lookup clips, which unlike a checked take does not buffer. Otherwise
     each cell count is a 0/1 matmul, exact in float64, scored by score.
     """
     a_count, b_count = score.shape
@@ -527,10 +537,9 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     kinds = (float, float) if keyed is None else (float, np.intp, np.float32)
     buffers = [np.empty(height * width, dtype=kind) for kind in kinds]
     if keyed is not None:
-        weight = keyed[1][cw]
+        weight = keyed[1][cw].astype(np.float32)
         last = weight[..., -1:]
         right = np.concatenate([(weight[..., :-1] - last).reshape(count, -1), last.sum(1)], axis=1)
-        right = right.astype(np.float32)
         for rows in slices:
             left = np.ones((rows.stop - rows.start, right.shape[1]), dtype=np.float32)
             left[:, :-1] = (ys[rows][:, :, None] == np.arange(b_count - 1)).reshape(len(left), -1)

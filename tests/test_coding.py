@@ -1171,8 +1171,9 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
     keys = (n + 1) ** (logmat.size - 1)
     assert (keys <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    # The keyed path combines once, into a 1-D table of every key; the
-    # matmul path combines once per 2-D tile.
+    # The keyed path combines once, into the 1-D table entries of the
+    # math.comb(n + C - 1, C - 1) count vectors; the matmul path combines
+    # once per 2-D tile.
     combined = []
     combine = coding._combine
 
@@ -1185,7 +1186,7 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
     ref = _ref_scores_shared(cw, ys, logmat)
     assert np.array_equal(got, ref)
     if keyed:
-        assert combined == [(keys,)]
+        assert combined == [(math.comb(n + logmat.size - 1, logmat.size - 1),)]
     else:
         assert len(combined) == tiles and all(len(shape) == 2 for shape in combined)
     picks = coding._decisions(cw, ys, _ml(logmat))
@@ -1221,12 +1222,12 @@ def test_per_trial_scores_bit_match_on_both_sides_of_the_key_rule(case, decoder)
     _, joint = _joint_for(matrix, seed=n)
     eps = 0.3
     score = _ml(logmat) if decoder == "ml" else coding._typical_score(joint, eps, n)
-    # Keyed, the score runs once, on the 1-D table of every key; otherwise
-    # once per trial block.
+    # Keyed, the score runs once, on the 1-D table entries of the count
+    # vectors; otherwise once per trial block.
     calls = []
     got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, _recorded(score, calls), count)
     if keyed:
-        assert calls == [(keys,)]
+        assert calls == [(math.comb(n + matrix.size - 1, matrix.size - 1),)]
     else:
         assert len(calls) == tiles and all(len(shape) == 2 for shape in calls)
     picks = coding._decisions(cws, ys, score)
@@ -1252,7 +1253,9 @@ def test_shared_keys_are_exact_in_float32(monkeypatch, case):
     name, n, count, trials, _ = KEY_RULE_CASES[case]
     matrix = KEY_RULE_CHANNELS[name]
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    # A table of the keys themselves makes the tiles show the keys.
+    # A table of the keys themselves makes the tiles show the keys. The
+    # lookup clips, so a key out of range would show as a clipped one and
+    # differ from the reference.
     make = coding._key_table
 
     def identity_table(score, length, pairs):
@@ -1268,6 +1271,9 @@ def test_shared_keys_are_exact_in_float32(monkeypatch, case):
         counts = (ys == b).astype(np.int64) @ (cw == a).astype(np.int64).T
         ref += counts * (n + 1) ** cell
     assert np.array_equal(got, ref)
+    # Only count vectors' keys are scored; every key a tile forms is one.
+    score = _ml(coding._log_matrix(matrix))
+    assert not np.any(np.isnan(make(score, n, trials * count)[0][ref]))
     if case == "dmc2x3-keyed":
         assert (n + 1) ** (matrix.size - 1) == 59049 and ref.max() > 2**15
 
@@ -1365,7 +1371,8 @@ def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
     # 2^ceil(0.375 n) codewords against BSC(0.05). At n=16 the 65536 output
     # words outnumber the trials, so the batch is scored tile by tile; at
     # n=8 the 256 words get a decision table. Either way the (n + 1)^3 count
-    # keys are few, and the typicality score runs once, on the 1-D key table.
+    # keys are few, and the typicality score runs once, on the key table's
+    # comb(n + 3, 3) count vectors.
     cfg = CodeConfig(n=n, rate=0.375, alpha=1.0)
     ch = bsc(0.05)
     trials = 2000
@@ -1392,7 +1399,7 @@ def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
     monkeypatch.setattr(coding, "_typical_score", spy)
     monkeypatch.setattr(coding, "_decision_table", counted_table)
     got = run()
-    assert calls == [((n + 1) ** 3,)]
+    assert calls == [(math.comb(n + 3, 3),)]
     assert tables == ([] if n == 16 else [(2 ** cfg.semantic_bits, n)])
     assert 0 < got["semantic_errors"] < trials
     monkeypatch.undo()

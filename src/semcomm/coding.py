@@ -39,15 +39,16 @@ FANO_STREAM + i. Results are therefore bit-identical across runs and worker
 counts (see _run_batches).
 
 Scores are canonical: a decoder scores a (codeword, output) pair's joint
-type. ML's score is sum over (a, b) in row-major order of count(a, b) *
-log2 p(b|a) (_combine); typicality's is 0.0 or NEG from three surprisal
-rates summed over the counts in that order (info._typical_score). Equal
-count matrices give bit-equal floats, so "exact tie" is well defined.
-Every path counts each (a, b) cell exactly (joint types of codeword and
-output, or a competitor's grid point), then scores; where the possible
-count matrices are few, either scorer scores each once and looks scores
-up by an exact count key. One rule (_decisions) decides for both: the
-unique best score wins; a tie or an impossible best erases.
+type by its weight-class counts. A class is the cells (a, b) of one weight
+(log2 p(b|a) for ML, the triple log2 p(a), p(b), p(a, b) for typicality),
+numbered by first appearance in row-major order, and a score sums count *
+weight in class order (info._combine): equal class counts give bit-equal
+floats, so a tie of the model is exact, and with all weights distinct the
+sum is the row-major cell-order one. Every path counts exactly (a
+per-trial block skips the largest class, n less the others); where the
+possible counts are few, either scorer scores each once and looks scores
+up by an exact key. One rule (_decisions) decides for both: the unique
+best score wins; a tie or an impossible best erases.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _exceeds, _row_cdfs, check_channel_elements
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import (
-    JointDist, ProbVector, Sequence, _CellScore, _log_matrix, _typical_score, entropy_bits,
+    JointDist, ProbVector, Sequence, _CellScore, _combine, _log_matrix, _typical_score,
+    _weight_classes, entropy_bits,
 )
 
 BATCH_TRIALS = 4096
@@ -431,42 +433,32 @@ def _blocks(rows: int, row_elements: int) -> list[slice]:
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
-def _combine(cells, logmat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The canonical score from exact per-cell counts, written into out.
-
-    cells yields one count array per (a, b) cell in row-major order, each
-    broadcasting to out, and out becomes sum over (a, b) of
-    count(a, b) * log2 W(b|a) accumulated in that order. A generator may
-    reuse one buffer for every cell: each count is consumed before the next
-    is drawn. Every likelihood score in the package comes from here, so
-    equal count matrices give bit-equal floats.
-    """
-    out.fill(0.0)
-    for cnt, weight in zip(cells, logmat.flat, strict=True):
-        out += cnt * weight
-    return out
-
-
 def _key_table(score: _CellScore, n: int, pairs: int):
-    """The count-key table of both scorers, or None unless its keys number
-    at most BLOCK_ELEMENTS and at most the pairs to score: (table, weight).
-    A pair's key sums weight[x_i, y_i] = (n + 1)^(x_i |Y| + y_i), 0 in the
-    last cell, over its positions, so its digits in base n + 1 are its first
-    |X||Y| - 1 cell counts; table[key] is score's float for those counts.
-    Only keys whose digits sum to at most n are scored; the rest hold NaN.
+    """The count-key table of both scorers, or None unless its keys,
+    (n + 1)^(r - 1) for r classes, number at most BLOCK_ELEMENTS and at most
+    the pairs to score: (table, weight). A pair's key sums weight[x_i, y_i]
+    over its positions: (n + 1)^j in the cells of the j-th class but the
+    largest (score.largest), 0 in the largest's, so its digits in base n + 1
+    are the other class counts; table[key] is score's float for those
+    counts. Only keys whose digits sum to at most n are scored; the rest
+    hold NaN.
     """
-    cells = math.prod(score.shape)
-    keys = (n + 1) ** (cells - 1)
+    classes = len(score.weights)
+    keys = (n + 1) ** (classes - 1)
     if keys > min(BLOCK_ELEMENTS, pairs):
         return None
+    largest = score.largest
     digits = np.zeros((0, 1), dtype=np.intp)
-    for _ in range(cells - 1):
+    for _ in range(classes - 1):
         grown = np.repeat(digits, n + 1, axis=1), np.tile(np.arange(n + 1), digits.shape[1])
         digits = np.vstack(grown)[:, grown[0].sum(axis=0) + grown[1] <= n]
-    weight = (n + 1) ** np.arange(cells - 1)
+    weight = (n + 1) ** np.arange(classes - 1)
+    counts = [*digits[:largest], n - digits.sum(axis=0), *digits[largest:]]
     table = np.full(keys, np.nan)
-    table[weight @ digits] = score.of([*digits, n - digits.sum(axis=0)], np.empty(digits.shape[1]))
-    return table, np.append(weight, 0).reshape(score.shape)
+    table[weight @ digits] = score.of(counts, np.empty(digits.shape[1]))
+    place = np.zeros(classes, dtype=np.intp)
+    place[np.arange(classes) != largest] = weight
+    return table, place[score.cell_class].reshape(score.shape)
 
 
 def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
@@ -476,33 +468,36 @@ def _scores_per_trial(cws: np.ndarray, ys: np.ndarray, score: _CellScore):
     _decoder_score). Yields (rows, cols, scores): scores[i, k] scores
     codeword cols[k] of trial rows[i]; cols always spans the whole codebook.
     Each block builds the joint index x * |Y| + y with position as the
-    leading axis, so a cell's count is a sum of n contiguous rows, and
-    hands the exact integer counts to score, or, keyed (_key_table), folds
-    all but the last into keys by Horner's rule to look scores up by.
+    leading axis, so a cell's count is a sum of n contiguous rows. It counts
+    the cells of every class but the largest and hands the exact class
+    counts to score (score.class_counts), or, keyed (_key_table), adds them
+    into keys a class at a time by Horner's rule to look scores up by.
     """
     trials, count, n = cws.shape
     a_count, b_count = score.shape
     cell_type = np.min_scalar_type(a_count * b_count - 1)
     count_type = np.min_scalar_type(n)
     keyed = _key_table(score, n, trials * count)
-    order = range(a_count * b_count) if keyed is None else range(a_count * b_count - 2, -1, -1)
+    largest = score.largest
+    digits = [cells for k, cells in enumerate(score.members) if k != largest][::-1]
     for rows in _blocks(trials, count * n):
         joint = cws[rows].transpose(2, 0, 1).astype(cell_type, order="C")
         joint *= b_count
         joint += ys[rows].T.astype(cell_type)[:, :, None]
         hit = np.empty(joint.shape, dtype=bool)
-        cnt = np.empty(joint.shape[1:], dtype=count_type)
-        counts = (
-            np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type, out=cnt)
-            for cell in order
-        )
+
+        def cell_count(cell: int) -> np.ndarray:
+            return np.sum(np.equal(joint, cell, out=hit).view(np.uint8), axis=0, dtype=count_type)
+
         if keyed is None:
-            yield rows, slice(0, count), score.of(counts, np.empty(cnt.shape))
+            counts = score.class_counts(cell_count, n)
+            yield rows, slice(0, count), score.of(counts, np.empty(joint.shape[1:]))
             continue
-        key = np.zeros(cnt.shape, dtype=np.min_scalar_type(keyed[0].size))
-        for digit in counts:
+        key = np.zeros(joint.shape[1:], dtype=np.min_scalar_type(keyed[0].size))
+        for cells in digits:
             key *= n + 1
-            key += digit
+            for cell in cells:
+                key += cell_count(cell)
         yield rows, slice(0, count), keyed[0].take(key)
 
 
@@ -525,7 +520,9 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     two keys), exact in float32 (up to 2^24), and so is the key. Keys are in
     range by construction (a test checks them against int64 ones), so the
     lookup clips, which unlike a checked take does not buffer. Otherwise
-    each cell count is a 0/1 matmul, exact in float64, scored by score.
+    each cell count is a 0/1 matmul, exact in float64, and the counts of a
+    class are added up in one tile buffer that score consumes before the
+    next class is counted.
     """
     a_count, b_count = score.shape
     count, n = cw.shape
@@ -534,7 +531,7 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     slices = _blocks(ys.shape[0], width)
     height = slices[0].stop
     keyed = _key_table(score, n, ys.shape[0] * count)
-    kinds = (float, float) if keyed is None else (float, np.intp, np.float32)
+    kinds = (float, float, float) if keyed is None else (float, np.intp, np.float32)
     buffers = [np.empty(height * width, dtype=kind) for kind in kinds]
     if keyed is not None:
         weight = keyed[1][cw].astype(np.float32)
@@ -554,24 +551,29 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
         yb = [(ys[rows] == b).astype(float) for b in range(b_count)]
         for cols in chunks:
             shape = (rows.stop - rows.start, cols.stop - cols.start)
-            scores, cnt = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-            cells = (
-                np.matmul(yb[b], xs[a][cols].T, out=cnt)
-                for a in range(a_count)
-                for b in range(b_count)
-            )
-            yield rows, cols, score.of(cells, scores)
+            scores, cnt, cell = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+
+            def counts():
+                for first, *rest in score.members:
+                    np.matmul(yb[first % b_count], xs[first // b_count][cols].T, out=cnt)
+                    for c in rest:
+                        term = np.matmul(yb[c % b_count], xs[c // b_count][cols].T, out=cell)
+                        np.add(cnt, term, out=cnt)
+                    yield cnt
+
+            yield rows, cols, score.of(counts(), scores)
 
 
 def _decoder_score(
     decoder: str, ch: Dmc, px: ProbVector | None = None, eps: float = 0.0, n: int = 0
 ) -> _CellScore:
-    """The decoder's score of a pair's (x, y) cell counts at blocklength n:
+    """The decoder's score of a pair's weight-class counts at blocklength n:
     ML's log-likelihood under log2 W (it needs only ch), or typicality's
     0.0/NEG against px(a) W(b|a) (info._typical_score, which checks eps)."""
     if decoder == "ml":
-        logmat = _log_matrix(ch.matrix)
-        return _CellScore(logmat.shape, lambda cells, out: _combine(cells, logmat, out))
+        cell_class, members, weights = _weight_classes(_log_matrix(ch.matrix).ravel())
+        return _CellScore(ch.matrix.shape, cell_class, members, weights,
+                          lambda counts, out: _combine(counts, weights, out))
     joint = JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
     return _typical_score(joint, eps, n)
 
@@ -767,34 +769,29 @@ def _binomial_pmf(count: int, p: float) -> np.ndarray:
     return np.exp(logs)
 
 
-def _competitor_tail(
-    p0: float, logmat: np.ndarray, y_counts: np.ndarray, s: np.ndarray
-) -> np.ndarray:
+def _competitor_tail(p0: float, score: _CellScore, y_counts: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
     """P(competitor score >= s) for one y type, elementwise over s.
 
-    Given y, a random competitor's canonical score depends only on k[b], the
-    number of its input-0 symbols among the c_b positions where y = b. The
-    k[b] are independent Binomial(c_b, p0), so the score law lives on the
-    grid prod(c_b + 1). Binary inputs only: the count matrix is then the
-    per-column scalar k[b], and its cells in (a, b) order are k[b] for a = 0
-    and c_b - k[b] for a = 1.
+    Given y, a random competitor's score depends only on k[b], the number of
+    its input-0 symbols among the c_b positions where y = b (binary inputs
+    only): its cells in (a, b) order are k[b] for a = 0 and c_b - k[b] for
+    a = 1. The k[b] are independent Binomial(c_b, p0), so the score law
+    lives on the grid prod(c_b + 1).
 
     Only grid points scoring at least min(s) can answer a query, and only
     candidates for them are built. The score is linear in the last k[b]:
     the leading points whose best score along it can reach min(s) are
     enumerated, and the last k[b] is limited to the interval where the best
-    of those can; both tests use the real-valued score less a margin above
-    the float sums' rounding error. The candidates, taken in row-major
-    order, are scored by _combine with the same per-element operations as a
-    whole-grid build and filtered exactly, so they leave the grid's
-    flatnonzero(values >= min(s)). In a stable sort of the whole grid those
-    form its top block in the same order, and summing from the top gives
-    the very partial sums a full table would. The normalizer is the product
-    of the per-output pmf sums, which is the grid's total mass without a
-    pass over the grid; a full table's running total differs from it only
-    by rounding. Summing from the top keeps P(score >= s) resolved far below
-    1e-16, which beating 2^hundreds of competitors needs and a cdf near 1.0
-    cannot represent.
+    of those can, both tests with a margin above the float sums' rounding.
+    The candidates, in row-major order, are scored by score (ML's) with the
+    same per-element operations as a whole-grid build and filtered exactly,
+    so they are the grid's flatnonzero(values >= min(s)), the top block of
+    its stable sort in the same order: summing from the top gives the very
+    partial sums a full table would. The normalizer is the product of the
+    per-output pmf sums, the grid's mass up to rounding. Summing from the
+    top resolves P(score >= s) far below 1e-16, which beating 2^hundreds of
+    competitors needs and a cdf near 1.0 cannot represent.
     """
     shape = tuple(int(c) + 1 for c in y_counts)
     support = math.prod(shape)
@@ -804,6 +801,7 @@ def _competitor_tail(
             f"{DIST_BUDGET}; reduce the blocklength or output alphabet"
         )
     lowest = s.min()
+    logmat = score.weights[score.cell_class].reshape(score.shape)
     *lead, m = shape
     counts = np.array(shape) - 1
     # Row-major leading points, and each one's real-valued score at a last
@@ -813,7 +811,7 @@ def _competitor_tail(
     for b, k in enumerate(lead_k):
         base += k * logmat[0, b] + (counts[b] - k) * logmat[1, b]
     slope = float(logmat[0, -1] - logmat[1, -1])
-    # A float sum of the 2|Y| products errs from the real one by at most
+    # A float sum of at most 2|Y| products errs from the real one by at most
     # about |Y| * eps times the sum of their magnitudes, and so does base;
     # the margin is four times that, and the rounding of the interval's
     # bound is absorbed by widening it one step.
@@ -831,7 +829,8 @@ def _competitor_tail(
             last = min(math.floor(bound) + 1, m - 1)
     ks = [k[rows, None] for k in lead_k] + [np.arange(first, last + 1)]
     cells = [*ks, *(c - k for c, k in zip(counts, ks))]
-    values = _combine(cells, logmat, np.empty((rows.size, ks[-1].size)))
+    classes = score.class_counts(cells.__getitem__, int(counts.sum()))
+    values = score.of(classes, np.empty((rows.size, ks[-1].size)))
     keep = values >= lowest
     kept = values[keep]
     pmfs = [_binomial_pmf(int(c), p0) for c in counts]
@@ -1062,17 +1061,16 @@ def _simulate_virtual(
 
     Two phases. Draw: the outcome depends on the codeword x and the output y
     only through their joint type, the (a, b) cell counts. The own score is
-    _combine of them and the competitor law reads only their column sums,
-    the y type. With i.i.d. codewords that type is exactly Multinomial(n,
-    px(a) W(b|a)) (the method of types), so batch b draws it, then rep_hit,
-    then u_win, from stream b in that order: O(|X| |Y|) work per trial
-    whatever n is, and only the own score, the y-type counts, rep_hit and
-    u_win outlive a batch. Decide: T is built once per distinct y type over
-    all trials, from only the grid points that can score at least the
-    type's lowest own score (see _competitor_tail), and every trial of the
-    type is answered from it.
-    Batches are joined in batch order, so the report is the same for any
-    worker count.
+    ML's of their class counts and the competitor law reads only their
+    column sums, the y type. With i.i.d. codewords that type is exactly
+    Multinomial(n, px(a) W(b|a)) (the method of types), so batch b draws it,
+    then rep_hit, then u_win, from stream b in that order: O(|X| |Y|) work
+    per trial whatever n is, and only the own score, the y-type counts,
+    rep_hit and u_win outlive a batch. Decide: T is built once per distinct
+    y type over all trials, from only the grid points that can score at
+    least the type's lowest own score (see _competitor_tail), and every
+    trial of the type is answered from it. Batches are joined in batch
+    order, so the report is the same for any worker count.
     """
     if px.probs.size != 2:
         raise ConfigError(
@@ -1086,7 +1084,7 @@ def _simulate_virtual(
             f"about 2^-{cfg.semantic_bits}, fall below the smallest normal "
             "float64; reduce the blocklength, rate or alpha"
         )
-    logmat = _log_matrix(ch.matrix)
+    score = _decoder_score("ml", ch)
     # P(a, b) = px(a) W(b|a) in the canonical row-major (a, b) cell order.
     # Masses may exceed 1 by up to MASS_TOL, so the cell probabilities are
     # renormalized and the competitors' input-0 probability is clamped.
@@ -1100,8 +1098,8 @@ def _simulate_virtual(
         cells = gen.multinomial(cfg.n, cell_probs, size=nb)
         rep_hit = gen.random(nb) < rep_prob
         u_win = gen.random(nb)
-        own = _combine(cells.T, logmat, np.empty(nb))
-        counts = cells.reshape(nb, *logmat.shape).sum(axis=1)
+        own = score.of(score.class_counts(lambda cell: cells[:, cell], cfg.n), np.empty(nb))
+        counts = cells.reshape(nb, *score.shape).sum(axis=1)
         return own, counts, rep_hit, u_win
 
     own, counts, rep_hit, u_win = (
@@ -1112,7 +1110,7 @@ def _simulate_virtual(
     at_or_above = np.empty(trials)
     for g, y_counts in enumerate(types):
         sel = inverse == g
-        at_or_above[sel] = _competitor_tail(p0, logmat, y_counts, own[sel])
+        at_or_above[sel] = _competitor_tail(p0, score, y_counts, own[sel])
     # P(all competitors strictly below) = (1 - T)^(count - 1); with T down at
     # 2^-hundreds and the exponent up at 2^+hundreds only the log1p form keeps
     # the product meaningful. T = 1 (every competitor ties or beats the own

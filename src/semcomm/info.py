@@ -384,28 +384,81 @@ def empirical_rate_bits(probs: np.ndarray) -> float:
     return float(-np.mean(np.log2(p)))
 
 
+def _combine(counts, weights, out: np.ndarray) -> np.ndarray:
+    """The canonical score, sum over classes k of counts[k] * weights[k]
+    accumulated in class order, into out (each count broadcasts to it). A
+    generator may reuse one buffer for every count: each is consumed before
+    the next is drawn. Every score in the package comes from here. A class
+    holds the cells of one weight (_weight_classes), so equal class counts
+    give bit-equal floats. Unequal but commensurate weights stay outside
+    this rule: log2 weights -1, -2 and -3 give counts (1, 0, 1) and
+    (0, 2, 0) one real sum, and the floats tie there only because such
+    dyadic weights sum exactly.
+    """
+    out.fill(0.0)
+    for cnt, weight in zip(counts, weights, strict=True):
+        out += cnt * weight
+    return out
+
+
+def _weight_classes(weights: np.ndarray) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+    """(cell_class, members, class weights) of per-cell weights, entries or
+    rows in row-major cell order. Cells of equal weights (never NaN or
+    -0.0, so bit-equal) form a class, and classes are numbered by first
+    appearance; members[k] lists class k's cells."""
+    ids: dict = {}
+    keys = weights.tolist() if weights.ndim == 1 else map(tuple, weights.tolist())
+    cell_class = [ids.setdefault(key, len(ids)) for key in keys]
+    members: list[list[int]] = [[] for _ in ids]
+    for cell, k in enumerate(cell_class):
+        members[k].append(cell)
+    return np.array(cell_class), members, np.array(list(ids))
+
+
 class _CellScore(NamedTuple):
-    """A decoder's score of a pair's joint type: of(cells, out) takes a count
-    array per cell of the (|X|, |Y|) shape, in row-major order, each
-    broadcasting to out, and writes the pairs' scores into out."""
+    """A decoder's score of a pair's joint type by its weight-class counts
+    (_weight_classes): cell_class[a |Y| + b] is the class of cell (a, b),
+    members[k] lists class k's cells as Python ints (a NumPy int64 would
+    widen a uint8 comparison), weights[k] is its weight, and of(counts, out)
+    writes into out the scores of one exact count array per class, in class
+    order, each broadcasting to out."""
 
     shape: tuple
+    cell_class: np.ndarray
+    members: list
+    weights: np.ndarray
     of: Callable
+
+    @property
+    def largest(self) -> int:
+        """The last class with the most cells, whose count a kernel takes as
+        n less the others' instead of counting it."""
+        return max(range(len(self.members)), key=lambda k: (len(self.members[k]), k))
+
+    def class_counts(self, cell_count: Callable, n: int) -> list:
+        """Each class's count at blocklength n: the sum of cell_count(cell),
+        a fresh exact count, over its cells (one cell's passes through), but
+        for the largest class, which is not counted, n less the others."""
+        largest = self.largest
+        counts = [0 if k == largest else sum(map(cell_count, cells[1:]), cell_count(cells[0]))
+                  for k, cells in enumerate(self.members)]
+        counts[largest] = n - sum(counts)
+        return counts
 
 
 def _typical_score(joint: JointDist, eps: float, n: int) -> _CellScore:
     """Weak joint typicality at blocklength n as a score of a pair's joint
     type: the one typicality rule of the package.
 
-    The score is 0.0 where the pair is typical, NEG elsewhere. The rates
-    -sum N(a, b) log2 p / n, for p = p(a), p(b) and p(a, b), accumulate in
-    row-major (a, b) order, so equal joint types give bit-equal rates, and
-    each must sit within eps of H(X), H(Y), H(X, Y) up to their rounding,
-    (|X||Y| + 2) machine epsilons of rate plus entropy: a pair exactly on
-    the boundary is typical however its counts split (BSC(0.2), uniform
-    input, 3 or 5 flips in 20, eps 0.1). A pair meeting a zero-probability
-    cell sums a NEG into its joint rate and is never typical. Raises
-    ValidationError unless the joint has two axes and eps > 0 (not NaN).
+    The score is 0.0 where the pair is typical, NEG elsewhere. Its rates
+    -sum N(a, b) log2 p / n, for p = p(a), p(b), p(a, b), are summed over
+    the classes of those weight triples in one _combine pass, and each must
+    sit within eps of H(X), H(Y), H(X, Y) up to their rounding, (|X||Y| +
+    2) machine epsilons of rate plus entropy: a pair exactly on the boundary
+    is typical however its counts split (BSC(0.2), uniform input, 3 or 5
+    flips in 20, eps 0.1). A pair meeting a zero-probability cell sums a NEG
+    into its joint rate and is never typical. Raises ValidationError unless
+    the joint has two axes and eps > 0 (not NaN).
     """
     if joint.ndim != 2:
         raise ValidationError("typicality: need a two-axis joint")
@@ -413,15 +466,13 @@ def _typical_score(joint: JointDist, eps: float, n: int) -> _CellScore:
         raise ValidationError(f"typicality: eps must be > 0, got {eps}")
     px, py = joint.marginal_table((0,)), joint.marginal_table((1,))
     logs = np.broadcast_arrays(_log_matrix(px)[:, None], _log_matrix(py), _log_matrix(joint.table))
-    weights = np.stack(logs, axis=-1).reshape(-1, 3)
+    cell_class, members, weights = _weight_classes(np.stack(logs, axis=-1).reshape(-1, 3))
     centres = (entropy_bits(px), entropy_bits(py), entropy_bits(joint.table))
-    slack = (weights.shape[0] + 2) * np.finfo(float).eps
+    slack = (joint.table.size + 2) * np.finfo(float).eps
 
-    def score(cells, out: np.ndarray) -> np.ndarray:
-        sums = np.zeros((3, *out.shape))
-        for cnt, weight in zip(cells, weights, strict=True):
-            for total, w in zip(sums, weight):
-                total += cnt * w
+    def score(counts, out: np.ndarray) -> np.ndarray:
+        counts = (np.asarray(cnt)[..., None] for cnt in counts)
+        sums = np.moveaxis(_combine(counts, weights, np.empty((*out.shape, 3))), -1, 0)
         typical = sums[2] > NEG / 2
         for total, centre in zip(sums, centres):
             rate = -total / n
@@ -429,7 +480,7 @@ def _typical_score(joint: JointDist, eps: float, n: int) -> _CellScore:
         out[...] = np.where(typical, 0.0, NEG)
         return out
 
-    return _CellScore(joint.table.shape, score)
+    return _CellScore(joint.table.shape, cell_class, members, weights, score)
 
 
 def is_jointly_typical(
@@ -452,5 +503,5 @@ def is_jointly_typical(
         raise ValidationError(
             "is_jointly_typical: sequence alphabets do not match the joint table"
         )
-    cells = np.bincount(x.symbols * ny + y.symbols, minlength=nx * ny)
-    return bool(score.of(cells[:, None], np.empty(1))[0] == 0.0)
+    counts = np.bincount(score.cell_class[x.symbols * ny + y.symbols], minlength=len(score.weights))
+    return bool(score.of(counts[:, None], np.empty(1))[0] == 0.0)

@@ -354,18 +354,21 @@ README_SWEEP = (
 
 
 def test_readme_sweep_golden_bytes(capsys):
+    # Recorded under 0.5.0's tie-exact scores. Version 0.4.0 summed cells
+    # one by one, so competitors tied with the codeword could win: p_sem
+    # 0.2173 at n=64, 2.9 standard errors below the closed form's 0.2295.
     code, out, _ = run(capsys, *README_SWEEP)
     assert code == 0
     assert out.endswith("\n")
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.4.0',
+        '# version: 0.5.0',
         '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":10000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
-        '64,1.2844854771912786,0.5,0.2173,0.20932632273707832,0.2254907899417022,1.0,2026',
-        '128,1.2844854771912786,0.5,0.1389,0.1322601634838601,0.14581716013944251,1.0,1002029',
-        '256,1.2844854771912786,0.5,0.0759,0.07087056558033537,0.0812551418376725,1.0,2002032',
-        '512,1.2844854771912786,0.5,0.0255,0.022587782727039547,0.02877663172673254,1.0,3002035',
+        '64,1.2844854771912786,0.5,0.2286,0.22047464139365877,0.23693379292194447,1.0,2026',
+        '128,1.2844854771912786,0.5,0.146,0.13921517453378499,0.15305669631265403,1.0,1002029',
+        '256,1.2844854771912786,0.5,0.0784,0.07329203481457597,0.08383175261157852,1.0,2002032',
+        '512,1.2844854771912786,0.5,0.0268,0.023811791444583907,0.03015162461342442,1.0,3002035',
     ]
 
 
@@ -387,7 +390,7 @@ def test_short_block_qary_ml_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.4.0',
+        '# version: 0.5.0',
         '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '2,1.7733336033809244,1.0,0.6128,0.5992165566055586,0.6262102498356364,0.6128,2026',
@@ -401,7 +404,7 @@ def test_short_block_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.4.0',
+        '# version: 0.5.0',
         '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '8,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,2026',
@@ -420,7 +423,7 @@ def test_boundary_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.4.0',
+        '# version: 0.5.0',
         '# spec: {"alpha":1.0,"channel":"bsc:0.2","decoder":"typicality","n-grid":[20],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":1,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '20,0.13903595255631887,1.0,0.4906,0.4767559455469566,0.5044584872496105,0.4906,1',

@@ -630,6 +630,27 @@ def test_samplers_match_searchsorted_and_broadcast_references():
         assert np.array_equal(y, ref)
 
 
+def _by_weight(cells, weights) -> list:
+    """The canonical sums, written apart from the engines: cells holds each
+    (a, b) cell's count in row-major order and weights each cell's weight
+    (or row of weights). Per weight column, sum over the distinct weight
+    rows, in order of first appearance, of the row's entry times the total
+    count of its cells, accumulated from 0.0."""
+    rows = [tuple(np.atleast_1d(w)) for w in weights]
+    sums = [0.0] * len(rows[0])
+    for w in dict.fromkeys(rows):
+        total = sum(cnt for cnt, row in zip(cells, rows) if row == w)
+        sums = [acc + total * v for acc, v in zip(sums, w)]
+    return sums
+
+
+def _binary_grid_values(logmat, ks, y_counts):
+    """A binary-input competitor's scores, k[b] of its c_b positions where
+    y = b holding input 0: cells k[b] (a = 0) and c_b - k[b] (a = 1)."""
+    cells = [*ks, *(float(c) - k for c, k in zip(y_counts, ks))]
+    return _by_weight(cells, logmat.ravel())[0] + np.zeros(np.broadcast(*ks).shape)
+
+
 def _full_grid_tail(p0, logmat, y_counts, s):
     """Reference: sort and sum the whole competitor score grid of a y type.
 
@@ -639,11 +660,7 @@ def _full_grid_tail(p0, logmat, y_counts, s):
     agreement checked here.
     """
     grids = np.meshgrid(*[np.arange(c + 1, dtype=float) for c in y_counts], indexing="ij")
-    values = np.zeros(grids[0].shape)
-    for b, c in enumerate(y_counts):
-        values = values + grids[b] * logmat[0, b]
-    for b, c in enumerate(y_counts):
-        values = values + (float(c) - grids[b]) * logmat[1, b]
+    values = _binary_grid_values(logmat, grids, y_counts)
     probs = np.ones(grids[0].shape)
     for b, c in enumerate(y_counts):
         probs = probs * coding._binomial_pmf(c, p0)[grids[b].astype(int)]
@@ -687,7 +704,7 @@ def test_truncated_competitor_tail_matches_full_grid(matrix, types, p0):
                 between[between >= lo][:20],
             ])
             _, ref = _full_grid_tail(p0, logmat, y_counts, s)
-            got = coding._competitor_tail(p0, logmat, np.array(y_counts), s)
+            got = coding._competitor_tail(p0, _ml(matrix), np.array(y_counts), s)
             assert np.array_equal(got == 0.0, ref == 0.0)
             nz = ref != 0.0
             assert np.all(np.abs(got[nz] - ref[nz]) <= 4 * np.spacing(ref[nz]))
@@ -697,8 +714,8 @@ def test_truncated_competitor_tail_matches_full_grid(matrix, types, p0):
 
 def _parent_competitor_tail(p0, logmat, y_counts, s):
     """Reference: the competitor tail as it was before the candidate-only
-    build, kept verbatim. It builds the score of every grid point and keeps
-    flatnonzero(values >= min(s))."""
+    build, with the grid scored by weight class. It builds the score of every
+    grid point and keeps flatnonzero(values >= min(s))."""
     shape = tuple(int(c) + 1 for c in y_counts)
     support = math.prod(shape)
     if support > coding.DIST_BUDGET:
@@ -710,13 +727,9 @@ def _parent_competitor_tail(p0, logmat, y_counts, s):
         np.arange(m, dtype=float).reshape([-1 if i == b else 1 for i in range(len(shape))])
         for b, m in enumerate(shape)
     ]
-    # Accumulate in the canonical (a, b) row-major order so these values
-    # are bit-comparable with the scorers' outputs.
-    values = np.zeros(shape)
-    for b, k in enumerate(ks):
-        values += k * logmat[0, b]
-    for b, k in enumerate(ks):
-        values += (float(y_counts[b]) - k) * logmat[1, b]
+    # Summed by weight class so these values are bit-comparable with the
+    # scorers' outputs.
+    values = _binary_grid_values(logmat, ks, y_counts)
     flat = np.flatnonzero(values >= s.min())
     kept = values.ravel()[flat]
     pmfs = [coding._binomial_pmf(int(c), p0) for c in y_counts]
@@ -773,7 +786,7 @@ def test_competitor_tail_equals_full_grid_build(matrix, types, p0):
             ]))
         for s in queries:
             if s.size:
-                got = coding._competitor_tail(p0, logmat, np.array(y_counts), s)
+                got = coding._competitor_tail(p0, _ml(matrix), np.array(y_counts), s)
                 assert np.array_equal(got, _parent_competitor_tail(p0, logmat, y_counts, s))
 
 
@@ -792,14 +805,15 @@ def test_virtual_certain_loss_raises_no_warning():
 
 
 # Counts recorded from the joint-type draw: 2 * 4096 + 777 trials in three
-# batches, seed 2026, alpha 0.95.
+# batches, seed 2026, alpha 0.95; BSC's re-recorded under tie-exact scores
+# (0.5.0), where a competitor at the own codeword's distance ties.
 _VIRTUAL_PINS = [
-    (bsc(0.05), [0.5, 0.5], 96, 0.55, (104, 6725)),
+    (bsc(0.05), [0.5, 0.5], 96, 0.55, (112, 6726)),
     (Dmc(("0", "1"), ("0", "1"), np.array([[1.0, 0.0], [0.3, 0.7]])), [0.5, 0.5], 64, 0.4,
      (542, 4749)),
     (Dmc(("0", "1"), ("0", "1", "2"), np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])),
      [0.5, 0.5], 48, 0.3, (1957, 5413)),
-    (bsc(0.1), [0.8, 0.2], 100, 0.3, (1280, 5131)),
+    (bsc(0.1), [0.8, 0.2], 100, 0.3, (1356, 5174)),
 ]
 
 
@@ -911,6 +925,7 @@ def test_codebook_indexing_pinned():
     # Literal counts of both codebook indexings. A seeded-random partition
     # scrambles which message owns which codeword, so transmitting by class
     # where the codebook is indexed by message (or the reverse) moves them.
+    # Recorded under tie-exact scores (0.5.0): codewords at one distance tie.
     ch = bsc(0.05)
     got = {}
     for alpha in (0.5, 1.0):
@@ -920,52 +935,42 @@ def test_codebook_indexing_pinned():
         shared = simulate(cfg, "seeded-random", ch, UNIFORM2, "ml", 4096, 7,
                           fresh_codebook=False)
         got[alpha] = [(r.semantic_errors, r.message_errors) for r in (full, shared)]
-    assert got == {0.5: [(560, 602), (338, 3158)], 1.0: [(602, 602), (576, 576)]}
+    assert got == {0.5: [(576, 618), (338, 3158)], 1.0: [(618, 618), (585, 585)]}
 
 
 # --- materialized kernels against the loop references -----------------------------
 #
 # The _ref_* functions are the loop forms the block kernels replaced, kept
-# verbatim as oracles. The kernels keep the counts exact and the canonical
-# (a, b) order, so the floats must agree bit for bit.
+# as oracles, with their cell counts summed by weight (_by_weight). The
+# kernels keep the counts exact and the canonical class order, so the floats
+# must agree bit for bit.
 
 
 def _ref_scores_for_one(cw: np.ndarray, y: np.ndarray, logmat: np.ndarray) -> np.ndarray:
     """Canonical scores of each codeword row against a single y."""
-    k = cw.shape[0]
-    scores = np.zeros(k)
     a_count, b_count = logmat.shape
-    for a in range(a_count):
-        xa = cw == a
-        for b in range(b_count):
-            cnt = (xa & (y == b)).sum(axis=1).astype(float)
-            scores += cnt * logmat[a, b]
-    return scores
+    cells = [((cw == a) & (y == b)).sum(axis=1) for a in range(a_count) for b in range(b_count)]
+    return _by_weight(cells, logmat.ravel())[0] + np.zeros(cw.shape[0])
 
 
 def _ref_scores_shared(cw: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
     """Canonical scores, (trials, count), one shared codebook against many y."""
     a_count, b_count = logmat.shape
-    scores = np.zeros((ys.shape[0], cw.shape[0]))
-    for a in range(a_count):
-        xa = (cw == a).astype(float)
-        for b in range(b_count):
-            yb = (ys == b).astype(float)
-            cnt = yb @ xa.T
-            scores += cnt * logmat[a, b]
-    return scores
+    cells = [
+        (ys == b).astype(float) @ (cw == a).astype(float).T
+        for a in range(a_count) for b in range(b_count)
+    ]
+    return _by_weight(cells, logmat.ravel())[0] + np.zeros((ys.shape[0], cw.shape[0]))
 
 
 def _ref_scores_per_trial(cws: np.ndarray, ys: np.ndarray, logmat: np.ndarray) -> np.ndarray:
     """Canonical scores, (trials, count), one codebook per trial."""
     a_count, b_count = logmat.shape
-    scores = np.zeros(cws.shape[:2])
-    for a in range(a_count):
-        xa = cws == a
-        for b in range(b_count):
-            cnt = (xa & (ys == b)[:, None, :]).sum(axis=2).astype(float)
-            scores += cnt * logmat[a, b]
-    return scores
+    cells = [
+        ((cws == a) & (ys == b)[:, None, :]).sum(axis=2)
+        for a in range(a_count) for b in range(b_count)
+    ]
+    return _by_weight(cells, logmat.ravel())[0] + np.zeros(cws.shape[:2])
 
 
 def _ref_decide(scores: np.ndarray) -> np.ndarray:
@@ -978,15 +983,17 @@ def _ref_decide(scores: np.ndarray) -> np.ndarray:
 
 
 def _ref_typicality_rates(cw_rows, y, joint):
-    """Per-row empirical surprisal rates (x-rate, y-rate, joint-rate)."""
+    """Per-row empirical surprisal rates (x-rate, y-rate, joint-rate), each
+    summed over the distinct (log2 p(a), log2 p(b), log2 p(a, b)) cells."""
     n = y.size
     lpx = coding._log_matrix(joint.marginal_table((0,))[None, :])[0]
     lpy = coding._log_matrix(joint.marginal_table((1,))[None, :])[0]
     lpxy = coding._log_matrix(joint.table)
-    rx = -lpx[cw_rows].sum(axis=1) / n
-    ry = -float(lpy[y].sum()) / n
-    rxy = -lpxy[cw_rows, y[None, :]].sum(axis=1) / n
-    return rx, ry, rxy
+    a_count, b_count = lpxy.shape
+    cells = [((cw_rows == a) & (y == b)).sum(axis=1) for a in range(a_count) for b in range(b_count)]
+    triples = np.stack(np.broadcast_arrays(lpx[:, None], lpy, lpxy), axis=-1).reshape(-1, 3)
+    rx, ry, rxy = (-total / n for total in _by_weight(cells, triples))
+    return rx, ry[0], rxy
 
 
 def _ref_typical_mask(cw_rows, y, joint, eps):
@@ -1009,10 +1016,14 @@ def _ref_typicality_picks(cw, ys, joint, eps):
     return picks
 
 
-def _ml(logmat):
-    """ML's likelihood score under logmat, as the kernels and
+def _dmc(matrix) -> Dmc:
+    return Dmc(tuple(map(str, range(matrix.shape[0]))), tuple(map(str, range(matrix.shape[1]))), matrix)
+
+
+def _ml(matrix):
+    """ML's likelihood score under matrix, as the kernels and
     coding._decisions take it."""
-    return coding._CellScore(logmat.shape, lambda cells, out: coding._combine(cells, logmat, out))
+    return coding._decoder_score("ml", _dmc(np.asarray(matrix)))
 
 
 def _ref_ml_decisions(cw, ys, logmat):
@@ -1029,12 +1040,12 @@ def _use_reference_decisions(monkeypatch, matrix):
 
     def spy(joint, eps, n):
         score = make(joint, eps, n)
-        typical[score] = (joint, eps)
+        typical[score.of] = (joint, eps)
         return score
 
     def reference(cw, ys, score):
-        if score in typical:
-            return _ref_typicality_picks(cw, ys, *typical[score])
+        if score.of in typical:
+            return _ref_typicality_picks(cw, ys, *typical[score.of])
         return _ref_ml_decisions(cw, ys, coding._log_matrix(matrix))
 
     monkeypatch.setattr(coding, "_typical_score", spy)
@@ -1107,11 +1118,11 @@ def test_per_trial_kernel_matches_loop_reference(name, n, count):
     step = coding.BLOCK_ELEMENTS // (count * n)
     trials = 2 * step + 3  # two full trial blocks and a short one
     cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, _ml(logmat), count)
+    got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, _ml(matrix), count)
     ref = _ref_scores_per_trial(cws, ys, logmat)
     assert tiles == 3
     assert np.array_equal(got, ref)
-    assert np.array_equal(coding._decisions(cws, ys, _ml(logmat)), _ref_decide(ref))
+    assert np.array_equal(coding._decisions(cws, ys, _ml(matrix)), _ref_decide(ref))
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
@@ -1123,11 +1134,11 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
     step = coding.BLOCK_ELEMENTS // width
     trials = 2 * step + 3
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
-    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, _ml(logmat), count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, _ml(matrix), count)
     ref = _ref_scores_shared(cw, ys, logmat)
     assert tiles == 3 * math.ceil(count / width)
     assert np.array_equal(got, ref)
-    picks = coding._decisions(cw, ys, _ml(logmat))
+    picks = coding._decisions(cw, ys, _ml(matrix))
     assert np.array_equal(picks, _ref_decide(ref))
     if count > 1:
         assert np.any(picks == -1) and np.any(picks >= 0)
@@ -1135,7 +1146,7 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
     cb = Codebook(cw, matrix.shape[0])
     for y in ys[:4]:
         one = _ref_scores_for_one(cw, y, logmat)
-        tiled = _tiled_scores(coding._scores_shared, cw, y[None, :], _ml(logmat), count)
+        tiled = _tiled_scores(coding._scores_shared, cw, y[None, :], _ml(matrix), count)
         assert np.array_equal(tiled[0][0], one)
         pick = _ref_decide(one[None, :])[0]
         out = decode_ml(Sequence(y, matrix.shape[1]), cb, ch)
@@ -1143,15 +1154,19 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
 
 
 KEY_RULE_CASES = {
-    # name: (channel, n, count, trials, keyed); the rule keys a call when
-    # (n + 1)^(|X||Y| - 1) <= min(BLOCK_ELEMENTS, trials * count).
-    "bsc-keyed": ("bsc", 16, 300, 40, True),  # 17^3 = 4913 keys
-    "bsc-too-many-keys": ("bsc", 40, 20, 30, False),  # 41^3 > BLOCK_ELEMENTS
-    "bsc-too-few-pairs": ("bsc", 16, 20, 30, False),  # 600 pairs < 4913 keys
-    "z-keyed": ("z", 12, 64, 100, True),  # NEG entries in the table
+    # name: (channel, n, count, trials, keyed); with r weight classes the
+    # rule keys a call when (n + 1)^(r - 1) <= min(BLOCK_ELEMENTS, trials * count).
+    "bsc-keyed": ("bsc", 16, 300, 40, True),  # r = 2: 17 keys
+    "bsc-too-many-keys": ("bsc", 2**16, 3, 8, False),  # 2^16 + 1 keys; three codeword chunks
+    "bsc-too-few-pairs": ("bsc", 40, 4, 10, False),  # 40 pairs < 41 keys
+    "z-keyed": ("z", 12, 64, 100, True),  # r = 4, NEG entries in the table
     "z-too-many-keys": ("z", 45, 16, 40, False),
-    "dmc2x3-keyed": ("dmc2x3", 8, 400, 200, True),  # 9^5 = 59049 keys
+    "dmc2x3-keyed": ("dmc2x3", 8, 400, 200, True),  # r = 6: 9^5 = 59049 keys
     "dmc2x3-too-many-keys": ("dmc2x3", 9, 400, 200, False),  # 10^5 keys
+    # Hard 4-PSK: 16 cells in r = 3 classes of 4, 8 and 4 cells.
+    "mpsk-keyed": ("mpsk", 16, 64, 40, True),  # 17^2 = 289 keys
+    "mpsk-too-few-pairs": ("mpsk", 16, 8, 30, False),  # 240 pairs < 289 keys
+    "mpsk-too-many-keys": ("mpsk", 256, 4, 20, False),  # 257^2 > BLOCK_ELEMENTS
     # Wider than BLOCK_ELEMENTS // n: two codeword chunks, and the copy of
     # codeword 0 in the last slot ties with it across them.
     "bsc-wide-keyed": ("bsc", 16, 5000, 20, True),
@@ -1160,41 +1175,49 @@ KEY_RULE_CHANNELS = {
     "bsc": bsc(0.05).matrix,
     "z": KERNEL_CHANNELS["z"],
     "dmc2x3": np.random.default_rng(61).dirichlet(np.ones(3), size=2),
+    "mpsk": KERNEL_CHANNELS["mpsk"],
 }
+
+
+def _key_rule(case):
+    """A case's inputs, and its class count r as distinct log weights."""
+    name, n, count, trials, keyed = KEY_RULE_CASES[case]
+    matrix = KEY_RULE_CHANNELS[name]
+    classes = np.unique(coding._log_matrix(matrix)).size
+    assert ((n + 1) ** (classes - 1) <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
+    return matrix, n, count, trials, keyed, classes
 
 
 @pytest.mark.parametrize("case", list(KEY_RULE_CASES))
 def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case):
-    name, n, count, trials, keyed = KEY_RULE_CASES[case]
-    matrix = KEY_RULE_CHANNELS[name]
+    matrix, n, count, trials, keyed, classes = _key_rule(case)
     logmat = coding._log_matrix(matrix)
-    keys = (n + 1) ** (logmat.size - 1)
-    assert (keys <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
     # The keyed path combines once, into the 1-D table entries of the
-    # math.comb(n + C - 1, C - 1) count vectors; the matmul path combines
-    # once per 2-D tile.
+    # math.comb(n + r - 1, r - 1) class-count vectors; the matmul path
+    # combines once per 2-D tile.
     combined = []
     combine = coding._combine
 
-    def spy(cells, lm, out):
+    def spy(counts, weights, out):
         combined.append(out.shape)
-        return combine(cells, lm, out)
+        return combine(counts, weights, out)
 
     monkeypatch.setattr(coding, "_combine", spy)
-    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, _ml(logmat), count)
+    got, tiles = _tiled_scores(coding._scores_shared, cw, ys, _ml(matrix), count)
     ref = _ref_scores_shared(cw, ys, logmat)
     assert np.array_equal(got, ref)
     if keyed:
-        assert combined == [(math.comb(n + logmat.size - 1, logmat.size - 1),)]
+        assert combined == [(math.comb(n + classes - 1, classes - 1),)]
     else:
         assert len(combined) == tiles and all(len(shape) == 2 for shape in combined)
-    picks = coding._decisions(cw, ys, _ml(logmat))
+    picks = coding._decisions(cw, ys, _ml(matrix))
     assert np.array_equal(picks, _ref_decide(ref))
     assert np.any(picks == -1) and np.any(picks >= 0)
-    if count > coding.BLOCK_ELEMENTS // n:
-        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, _ml(logmat))}
-        assert len(starts) == 2
+    width = coding.BLOCK_ELEMENTS // n
+    if count > width:
+        starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, _ml(matrix))}
+        assert len(starts) == math.ceil(count / width)
         best = ref.max(axis=1, keepdims=True)
         across = (ref[:, :1] == best)[:, 0] & (ref[:, -1:] == best)[:, 0]
         assert np.any(across) and np.all(picks[across] == -1)
@@ -1203,9 +1226,9 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
 def _recorded(score, calls):
     """score, noting the shape of every out it writes into calls."""
 
-    def of(cells, out):
+    def of(counts, out):
         calls.append(out.shape)
-        return score.of(cells, out)
+        return score.of(counts, out)
 
     return score._replace(of=of)
 
@@ -1213,21 +1236,22 @@ def _recorded(score, calls):
 @pytest.mark.parametrize("decoder", ["ml", "typicality"])
 @pytest.mark.parametrize("case", list(KEY_RULE_CASES))
 def test_per_trial_scores_bit_match_on_both_sides_of_the_key_rule(case, decoder):
-    name, n, count, trials, keyed = KEY_RULE_CASES[case]
-    matrix = KEY_RULE_CHANNELS[name]
-    keys = (n + 1) ** (matrix.size - 1)
-    assert (keys <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
+    matrix, n, count, trials, keyed, classes = _key_rule(case)
     cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
     logmat = coding._log_matrix(matrix)
-    _, joint = _joint_for(matrix, seed=n)
+    # Under a uniform input these channels' typicality triples fall into
+    # the classes of their log weights, so both decoders key alike.
+    px = ProbVector.uniform(tuple(map(str, range(matrix.shape[0]))))
+    joint = JointDist.from_input_and_kernel(px, matrix, tuple(map(str, range(matrix.shape[1]))))
     eps = 0.3
-    score = _ml(logmat) if decoder == "ml" else coding._typical_score(joint, eps, n)
-    # Keyed, the score runs once, on the 1-D table entries of the count
+    score = _ml(matrix) if decoder == "ml" else coding._typical_score(joint, eps, n)
+    assert len(score.weights) == classes
+    # Keyed, the score runs once, on the 1-D table entries of the class-count
     # vectors; otherwise once per trial block.
     calls = []
     got, tiles = _tiled_scores(coding._scores_per_trial, cws, ys, _recorded(score, calls), count)
     if keyed:
-        assert calls == [(math.comb(n + matrix.size - 1, matrix.size - 1),)]
+        assert calls == [(math.comb(n + classes - 1, classes - 1),)]
     else:
         assert len(calls) == tiles and all(len(shape) == 2 for shape in calls)
     picks = coding._decisions(cws, ys, score)
@@ -1250,8 +1274,7 @@ def test_shared_keys_are_exact_in_float32(monkeypatch, case):
     # stay below 2 BLOCK_ELEMENTS in magnitude; float32 holds every integer
     # up to 2^24, so a larger block budget must not pass unnoticed.
     assert 2 * coding.BLOCK_ELEMENTS <= 2**24
-    name, n, count, trials, _ = KEY_RULE_CASES[case]
-    matrix = KEY_RULE_CHANNELS[name]
+    matrix, n, count, trials, _, classes = _key_rule(case)
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
     # A table of the keys themselves makes the tiles show the keys. The
     # lookup clips, so a key out of range would show as a clipped one and
@@ -1263,19 +1286,59 @@ def test_shared_keys_are_exact_in_float32(monkeypatch, case):
         return np.arange(table.size, dtype=float), weight
 
     monkeypatch.setattr(coding, "_key_table", identity_table)
-    got = _tiled_scores(coding._scores_shared, cw, ys, _ml(coding._log_matrix(matrix)), count)[0]
-    a_count, b_count = matrix.shape
+    got = _tiled_scores(coding._scores_shared, cw, ys, _ml(matrix), count)[0]
+    # The class keys in int64, written apart from the kernels: a class is a
+    # distinct log weight, numbered by first appearance; the last class with
+    # the most cells has no digit, and the j-th other class weighs (n + 1)^j.
+    weights = coding._log_matrix(matrix).ravel()
+    distinct = list(dict.fromkeys(weights))
+    sizes = [int(np.sum(weights == w)) for w in distinct]
+    largest = len(sizes) - 1 - sizes[::-1].index(max(sizes))
+    digit = {w: (n + 1) ** j for j, w in enumerate(distinct[:largest] + distinct[largest + 1:])}
     ref = np.zeros(got.shape, dtype=np.int64)
-    for cell in range(a_count * b_count - 1):
-        a, b = divmod(cell, b_count)
+    for cell, w in enumerate(weights):
+        a, b = divmod(cell, matrix.shape[1])
         counts = (ys == b).astype(np.int64) @ (cw == a).astype(np.int64).T
-        ref += counts * (n + 1) ** cell
+        ref += counts * digit.get(w, 0)
     assert np.array_equal(got, ref)
-    # Only count vectors' keys are scored; every key a tile forms is one.
-    score = _ml(coding._log_matrix(matrix))
-    assert not np.any(np.isnan(make(score, n, trials * count)[0][ref]))
+    # Only class-count vectors' keys are scored; every key a tile forms is one.
+    assert not np.any(np.isnan(make(_ml(matrix), n, trials * count)[0][ref]))
     if case == "dmc2x3-keyed":
-        assert (n + 1) ** (matrix.size - 1) == 59049 and ref.max() > 2**15
+        assert (n + 1) ** (classes - 1) == 59049 and ref.max() > 2**15
+    if case == "mpsk-keyed":
+        assert classes == 3 < matrix.size and sizes == [4, 8, 4]
+
+
+def test_distinct_weights_score_in_row_major_cell_order():
+    # With all weights distinct every class is one cell, numbered in
+    # row-major order, and every path's score is the row-major cell-order
+    # sum from 0.0, bit for bit: the sum version 0.4.0 made. That keeps the
+    # bytes of runs on such channels, the random campaign DMCs among them.
+    matrix = np.random.default_rng(62).dirichlet(np.ones(3), size=2)
+    logmat = coding._log_matrix(matrix)
+    score = _ml(matrix)
+    assert np.array_equal(score.cell_class, np.arange(6))
+
+    def cell_order(cells):
+        out = np.zeros(np.shape(cells[0]))
+        for cnt, weight in zip(cells, logmat.flat):
+            out += cnt * weight
+        return out
+
+    n = 7  # 8^5 = 32768 keys
+    counts = np.random.default_rng(63).multinomial(n, np.full(6, 1 / 6), size=50)
+    got = score.of(score.class_counts(lambda cell: counts[:, cell], n), np.empty(50))
+    assert np.array_equal(got, cell_order(counts.T))
+    for count, trials, keyed in ((64, 600, True), (16, 300, False)):
+        assert (coding._key_table(score, n, trials * count) is not None) == keyed
+        cws, ys = _fresh_inputs(matrix, trials, count, n, seed=count)
+        cells = [((cws == a) & (ys == b)[:, None, :]).sum(axis=2) for a in range(2) for b in range(3)]
+        got = _tiled_scores(coding._scores_per_trial, cws, ys, score, count)[0]
+        assert np.array_equal(got, cell_order(cells))
+        cw = cws[0]
+        cells = [(ys == b).astype(int) @ (cw == a).astype(int).T for a in range(2) for b in range(3)]
+        got = _tiled_scores(coding._scores_shared, cw, ys, score, count)[0]
+        assert np.array_equal(got, cell_order(cells))
 
 
 def _joint_for(matrix, seed):
@@ -1318,12 +1381,12 @@ def test_ml_decisions_keep_the_first_best_across_codeword_chunks(monkeypatch):
     # second chunk, so the merged decision must take it from there, and a
     # copy in the third chunk must turn it into a tie.
     monkeypatch.setattr(coding, "BLOCK_ELEMENTS", 8)
-    logmat = coding._log_matrix(bsc(0.1).matrix)
+    matrix = bsc(0.1).matrix
     y = np.zeros((1, 4), dtype=np.int64)
     cw = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 0], [1, 0, 1, 1]])
-    assert coding._decisions(cw, y, _ml(logmat))[0] == 3
+    assert coding._decisions(cw, y, _ml(matrix))[0] == 3
     cw[5] = cw[3]
-    assert coding._decisions(cw, y, _ml(logmat))[0] == -1
+    assert coding._decisions(cw, y, _ml(matrix))[0] == -1
 
 
 def _engine_cases():
@@ -1370,9 +1433,10 @@ def test_engines_match_the_loop_references(monkeypatch, case, decoder):
 def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
     # 2^ceil(0.375 n) codewords against BSC(0.05). At n=16 the 65536 output
     # words outnumber the trials, so the batch is scored tile by tile; at
-    # n=8 the 256 words get a decision table. Either way the (n + 1)^3 count
-    # keys are few, and the typicality score runs once, on the key table's
-    # comb(n + 3, 3) count vectors.
+    # n=8 the 256 words get a decision table. Under the uniform input the
+    # typicality triples form r = 2 classes, as the log weights do, so there
+    # are n + 1 count keys, and the typicality score runs once, on the key
+    # table's n + 1 class-count vectors.
     cfg = CodeConfig(n=n, rate=0.375, alpha=1.0)
     ch = bsc(0.05)
     trials = 2000
@@ -1399,7 +1463,7 @@ def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
     monkeypatch.setattr(coding, "_typical_score", spy)
     monkeypatch.setattr(coding, "_decision_table", counted_table)
     got = run()
-    assert calls == [(math.comb(n + 3, 3),)]
+    assert calls == [(n + 1,)]
     assert tables == ([] if n == 16 else [(2 ** cfg.semantic_bits, n)])
     assert 0 < got["semantic_errors"] < trials
     monkeypatch.undo()

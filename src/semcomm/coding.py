@@ -76,6 +76,8 @@ BATCH_TRIALS = 4096
 # the working set stays in cache whatever the codebook size or blocklength.
 BLOCK_ELEMENTS = 2**16
 FULL_CODEBOOK_CAP = 2**20
+# Cap on |Y|^n * codewords, the (output word, codeword) pairs that
+# exact_evaluate enumerates.
 ENUM_BUDGET = 10**7
 # Per-trial fresh codebooks are materialized only while count * n stays at or
 # below this; beyond it the virtual regime takes over.
@@ -883,6 +885,22 @@ def _check_run(name: str, ch: Dmc, px: ProbVector, decoder: str, trials: int) ->
         raise ValidationError(f"{name}: trials must be >= 1, got {trials}")
 
 
+def _check_partition(cfg: CodeConfig, part: SemanticPartition, per_message: bool) -> None:
+    """An explicit partition must have the config's 2^message_bits messages
+    and, under a per-class codebook, its 2^semantic_bits classes."""
+    # A built partition is small, so 2^message_bits is formed only once the
+    # bit counts show it is no larger.
+    if (
+        _exceeds(1, cfg.message_bits, part.message_count)
+        or part.message_count != cfg.message_count
+        or (not per_message and part.class_count != cfg.semantic_count)
+    ):
+        raise ValidationError(
+            f"partition of {part.message_count} messages into {part.class_count} classes "
+            f"does not match the config's 2^{cfg.message_bits} and 2^{cfg.semantic_bits}"
+        )
+
+
 def _simulate_materialized(
     cfg: CodeConfig, scheme: str, ch: Dmc, px: ProbVector, decoder: str,
     trials: int, seed: int, eps: float,
@@ -904,17 +922,6 @@ def _simulate_materialized(
     """
     fresh = codebook is None
     count = int(cfg.message_count if per_message else cfg.semantic_count)
-    # A built partition is small, so 2^message_bits is formed only once the
-    # bit counts show it is no larger.
-    if part is not None and (
-        _exceeds(1, cfg.message_bits, part.message_count)
-        or part.message_count != cfg.message_count
-        or (not per_message and part.class_count != count)
-    ):
-        raise ValidationError(
-            f"partition of {part.message_count} messages into {part.class_count} classes "
-            f"does not match the config's 2^{cfg.message_bits} and 2^{cfg.semantic_bits}"
-        )
     if not fresh and (codebook.count, codebook.n) != (count, cfg.n):
         raise ValidationError(
             f"codebook shape ({codebook.count}, {codebook.n}) does not match "
@@ -934,19 +941,9 @@ def _simulate_materialized(
     else:
         sent_of, owner_class, owner_msg = part.class_of, codewords, part.representatives
 
-    # A shared codebook's decisions can come from a table of every output
-    # word's decision, bit-identical to direct scoring because a score is a
-    # function of the cell counts alone. Both score count codewords per
-    # word, so the table pays when the |Y|^n words number no more than the
-    # trials.
-    decisions = None
-    if (
-        not fresh
-        and ch.num_outputs ** cfg.n <= trials
-        and ch.num_outputs ** cfg.n * count <= ENUM_BUDGET
-    ):
-        decisions = _decision_table(codebook.codewords, score)
-        radix = ch.num_outputs ** np.arange(cfg.n - 1, -1, -1, dtype=np.int64)
+    # A fixed codebook's decision is a function of the output word alone, so
+    # a batch decides each distinct word (a void row of its symbols) once.
+    word_dtype = np.min_scalar_type(ch.num_outputs - 1)
 
     def worker(b: int, nb: int) -> tuple[int, int]:
         gen = ChannelRng(seed, b).generator()
@@ -959,10 +956,13 @@ def _simulate_materialized(
             sent = sent_of[w]
         u = gen.random((nb, cfg.n))
         y = _draw_outputs(ch_cdf, cw[np.arange(nb), sent] if fresh else cw[sent], u)
-        if decisions is not None:
-            picks = decisions[y @ radix]
-        else:
+        if fresh:
             picks = _decisions(cw, y, score)
+        else:
+            words = np.ascontiguousarray(y.astype(word_dtype)).view(
+                np.dtype((np.void, cfg.n * word_dtype.itemsize))).ravel()
+            _, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+            picks = _decisions(cw, y[first], score)[inverse]
         # An erasure (-1) indexes the last owner below; `erased` overrules it.
         erased = picks < 0
         sem_err = erased | (owner_class[picks] != owner_class[sent])
@@ -1009,15 +1009,15 @@ def simulate(
     virtual engine, which realizes each trial's outcome with the exact
     conditional correctness probability of ML decoding over the un-drawn
     competitor codewords. Everything else runs in the materialized engine
-    that simulate_full_codebook shares; there a shared codebook is decoded
-    from a table of every output word's decision when the output words
-    number no more than the trials and fit ENUM_BUDGET, with unchanged
-    results. Reports are bit-identical across runs and worker counts for a
-    fixed seed.
+    that simulate_full_codebook shares; there a shared codebook decides
+    each distinct output word of a batch once. Reports are bit-identical
+    across runs and worker counts for a fixed seed.
     """
     _check_run("simulate", ch, px, decoder, trials)
     if codebook is not None and fresh_codebook:
         raise ValidationError("simulate: an explicit codebook implies fresh_codebook=False")
+    if partition is not None:
+        _check_partition(cfg, partition, per_message=False)
 
     if fresh_codebook and _exceeds(cfg.n, cfg.semantic_bits, MATERIALIZE_LIMIT):
         if decoder != "ml":
@@ -1144,8 +1144,7 @@ def simulate_full_codebook(
     The decoder estimates the message index; a semantic error is an
     estimate outside the transmitted message's class (erasures count), a
     message error any estimate different from the message itself. It runs
-    in the materialized engine simulate shares, including its table of
-    decisions over an enumerable output space.
+    in the materialized engine simulate shares.
     """
     _check_run("simulate_full_codebook", ch, px, decoder, trials)
     if _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
@@ -1153,24 +1152,13 @@ def simulate_full_codebook(
             f"simulate_full_codebook: 2^{cfg.message_bits} messages exceed the "
             f"{FULL_CODEBOOK_CAP} cap; use simulate() with per-class codewords"
         )
+    _check_partition(cfg, partition, per_message=True)
     if codebook is None:
         codebook = generate_full_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
     return _simulate_materialized(
         cfg, partition.scheme, ch, px, decoder, trials, seed, eps,
         partition, codebook, per_message=True,
     )
-
-
-def _enumerate_outputs(n_out: int, n: int) -> np.ndarray:
-    """All output words of length n, row i being the base-n_out digits of i."""
-    return (
-        np.indices((n_out,) * n).reshape(n, -1).T.astype(np.int64)
-    )
-
-
-def _decision_table(cw: np.ndarray, score: _CellScore) -> np.ndarray:
-    """The decoder's decision for every possible output word."""
-    return _decisions(cw, _enumerate_outputs(score.shape[1], cw.shape[1]), score)
 
 
 @dataclass(frozen=True)
@@ -1245,7 +1233,8 @@ def exact_evaluate(
     if decoder == "typicality" and px is None:
         raise ValidationError("exact_evaluate: typicality decoding needs px")
     score = _decoder_score(decoder, ch, px, eps, n)
-    yall = _enumerate_outputs(ch.num_outputs, n)
+    # Every output word, row i holding the base-|Y| digits of i.
+    yall = np.indices((ch.num_outputs,) * n).reshape(n, -1).T.astype(np.int64)
     cw = cb.codewords
     decisions = _decisions(cw, yall, score)
 

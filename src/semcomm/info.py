@@ -464,7 +464,9 @@ def _typical_score(joint: JointDist, eps: float, n: int) -> _CellScore:
         raise ValidationError("typicality: need a two-axis joint")
     if not eps > 0:
         raise ValidationError(f"typicality: eps must be > 0, got {eps}")
-    px, py = joint.marginal_table((0,)), joint.marginal_table((1,))
+    # Marginals sum in sorted order: rows or columns holding one multiset (a
+    # circulant channel, uniform input) get one float and share classes.
+    px, py = (np.sort(joint.table, axis=axis).sum(axis=axis) for axis in (1, 0))
     logs = np.broadcast_arrays(_log_matrix(px)[:, None], _log_matrix(py), _log_matrix(joint.table))
     cell_class, members, weights = _weight_classes(np.stack(logs, axis=-1).reshape(-1, 3))
     centres = (entropy_bits(px), entropy_bits(py), entropy_bits(joint.table))

@@ -607,6 +607,16 @@ def test_simulate_validation():
         simulate(cfg, "contiguous", bsc(0.1), px3, "ml", 10, 1)
 
 
+@pytest.mark.parametrize("n", [4, 64], ids=["materialized", "virtual"])
+def test_simulate_checks_an_explicit_partition_in_every_regime(n):
+    # 8 messages in 3 classes fit neither config (2^(n/2) messages in
+    # 2^(n/4) classes), whichever engine the blocklength selects.
+    cfg = CodeConfig(n=n, rate=0.5, alpha=0.5)
+    part = partition_from_counts(8, 3, "contiguous")
+    with pytest.raises(ValidationError, match="does not match the config"):
+        simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1, partition=part)
+
+
 def test_virtual_regime_rejects_typicality():
     cfg = CodeConfig(n=64, rate=0.5, alpha=1.0)
     with pytest.raises(ConfigError, match="virtual"):
@@ -864,11 +874,26 @@ def test_simulate_full_codebook_cap():
         simulate_full_codebook(cfg, part, bsc(0.1), UNIFORM2, 10, 1)
 
 
+def _decided_rows(monkeypatch) -> list:
+    """Spy on coding._decisions: the list receives each call's output rows."""
+    seen = []
+    decide = coding._decisions
+
+    def spy(cw, ys, score):
+        seen.append(ys)
+        return decide(cw, ys, score)
+
+    monkeypatch.setattr(coding, "_decisions", spy)
+    return seen
+
+
 def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
+    # BSC at n=4 has 16 output words, so every 4096-trial batch repeats
+    # them and a fixed codebook decides each of them once.
     cfg = CodeConfig(n=4, rate=1.0, alpha=0.5)
     part = make_partition(cfg, "contiguous")
     ch = bsc(0.1)
-    trials = 9 * 4096  # enough to engage the table fast path
+    trials = 9 * 4096
     # Shared codebooks run their batches in order whatever the CPU count.
     monkeypatch.setattr(coding, "_cpu_count", lambda: 4)
     runs = [
@@ -876,49 +901,15 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
         lambda: simulate(cfg, "contiguous", ch, UNIFORM2, "ml", trials, 99,
                          fresh_codebook=False),
     ]
-    tables = []
-    table = coding._decision_table
-
-    def counted_table(cw, *args):
-        tables.append(cw.shape)
-        return table(cw, *args)
-
-    monkeypatch.setattr(coding, "_decision_table", counted_table)
+    seen = _decided_rows(monkeypatch)
     a = [run() for run in runs]
-    assert tables == [(16, 4), (4, 4)]
-    # forcing the per-trial scoring path must not change a single count
-    monkeypatch.setattr(coding, "ENUM_BUDGET", 0)
+    assert len(seen) == 2 * 9 and max(ys.shape[0] for ys in seen) <= 2**4
+    # the loop reference's decisions must not change a single count
+    _use_reference_decisions(monkeypatch, ch.matrix)
     b = [run() for run in runs]
-    assert len(tables) == 2
     for x, y in zip(a, b):
         assert x.semantic_errors == y.semantic_errors
         assert x.message_errors == y.message_errors
-
-
-def test_decision_table_needs_no_more_words_than_trials(monkeypatch):
-    # BSC at n=6 has 64 output words: the table is built for 64 trials and
-    # not for 63, and ENUM_BUDGET still caps words * codewords.
-    cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
-    tables = []
-    table = coding._decision_table
-
-    def counted_table(cw, *args):
-        tables.append(cw.shape)
-        return table(cw, *args)
-
-    def run(trials):
-        report = simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", trials, 3,
-                          fresh_codebook=False)
-        return report.semantic_errors, report.message_errors
-
-    monkeypatch.setattr(coding, "_decision_table", counted_table)
-    run(63)
-    assert tables == []
-    with_table = run(64)
-    assert tables == [(8, 6)]
-    monkeypatch.setattr(coding, "ENUM_BUDGET", 64 * 8 - 1)
-    assert run(64) == with_table
-    assert len(tables) == 1
 
 
 def test_codebook_indexing_pinned():
@@ -1233,6 +1224,19 @@ def _recorded(score, calls):
     return score._replace(of=of)
 
 
+@pytest.mark.parametrize("snr", [3.0, 9.0])
+@pytest.mark.parametrize("order", [8, 16, 64])
+def test_circulant_typicality_classes_are_the_ml_classes(order, snr):
+    # Hard M-PSK is circulant: under a uniform input every p(a) and every
+    # p(b) sums one multiset, so the typicality triples split no ML class.
+    ch = mpsk_hard_dmc(PskConfig(order=order, snr=snr))
+    px = ProbVector.uniform(ch.input_labels)
+    typical = coding._decoder_score("typicality", ch, px, 0.3, 12)
+    ml = coding._decoder_score("ml", ch)
+    assert len(typical.weights) == len(ml.weights)
+    assert np.array_equal(typical.cell_class, ml.cell_class)
+
+
 @pytest.mark.parametrize("decoder", ["ml", "typicality"])
 @pytest.mark.parametrize("case", list(KEY_RULE_CASES))
 def test_per_trial_scores_bit_match_on_both_sides_of_the_key_rule(case, decoder):
@@ -1429,19 +1433,19 @@ def test_engines_match_the_loop_references(monkeypatch, case, decoder):
     assert 0 < got[0]["semantic_errors"] < trials
 
 
-@pytest.mark.parametrize("n", [16, 8], ids=["key-table", "decision-table"])
+@pytest.mark.parametrize("n", [16, 8], ids=["key-table", "repeated-words"])
 def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
-    # 2^ceil(0.375 n) codewords against BSC(0.05). At n=16 the 65536 output
-    # words outnumber the trials, so the batch is scored tile by tile; at
-    # n=8 the 256 words get a decision table. Under the uniform input the
-    # typicality triples form r = 2 classes, as the log weights do, so there
-    # are n + 1 count keys, and the typicality score runs once, on the key
-    # table's n + 1 class-count vectors.
+    # 2^ceil(0.375 n) codewords against BSC(0.05), one batch of 2000
+    # trials. At n=16 the batch's words are nearly all distinct; at n=8 they
+    # repeat, and the one _decisions call sees at most the 256 words. Under
+    # the uniform input the typicality triples form r = 2 classes, as the
+    # log weights do, so there are n + 1 count keys, and the typicality
+    # score runs once, on the key table's n + 1 class-count vectors.
     cfg = CodeConfig(n=n, rate=0.375, alpha=1.0)
     ch = bsc(0.05)
     trials = 2000
-    calls, tables = [], []
-    make, table = coding._typical_score, coding._decision_table
+    calls = []
+    make = coding._typical_score
 
     def spy(joint, eps, length):
         score = make(joint, eps, length)
@@ -1452,23 +1456,61 @@ def test_shared_typicality_runs_on_the_ml_tables(monkeypatch, n):
 
         return score._replace(of=recorded)
 
-    def counted_table(cw, *args):
-        tables.append(cw.shape)
-        return table(cw, *args)
-
     def run():
         return simulate(cfg, "contiguous", ch, UNIFORM2, "typicality", trials, 3, eps=0.3,
                         fresh_codebook=False).to_dict()
 
     monkeypatch.setattr(coding, "_typical_score", spy)
-    monkeypatch.setattr(coding, "_decision_table", counted_table)
+    seen = _decided_rows(monkeypatch)
     got = run()
     assert calls == [(n + 1,)]
-    assert tables == ([] if n == 16 else [(2 ** cfg.semantic_bits, n)])
+    assert len(seen) == 1 and seen[0].shape[0] <= min(trials, 2**n)
     assert 0 < got["semantic_errors"] < trials
     monkeypatch.undo()
     _use_reference_decisions(monkeypatch, ch.matrix)
     assert run() == got
+
+
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("decoder", ["ml", "typicality"])
+def test_fixed_codebooks_decide_each_distinct_word_once(monkeypatch, n, decoder):
+    # A fixed codebook's batch hands _decisions each distinct output word
+    # once, and the reports equal the loop references'. BSC at n=6 has 64
+    # words, so 600 trials repeat them heavily; at n=16 repeats are rare.
+    cfg = CodeConfig(n=n, rate=0.375, alpha=0.5)
+    part = make_partition(cfg, "contiguous")
+    ch = bsc(0.1)
+    trials = 600
+    batches = []
+    draw = coding._draw_outputs
+
+    def drawn(*args):
+        y = draw(*args)
+        batches.append(y)
+        return y
+
+    def reports():
+        return [
+            simulate(cfg, "contiguous", ch, UNIFORM2, decoder, trials, 4, eps=0.3,
+                     fresh_codebook=False).to_dict(),
+            simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 4, decoder=decoder,
+                                   eps=0.3).to_dict(),
+        ]
+
+    monkeypatch.setattr(coding, "_draw_outputs", drawn)
+    seen = _decided_rows(monkeypatch)
+    got = reports()
+    assert len(batches) == len(seen) == 2
+    for y, ys in zip(batches, seen):
+        distinct = np.unique(y, axis=0)
+        assert ys.shape == distinct.shape
+        assert np.array_equal(np.unique(ys, axis=0), distinct)
+    if n == 6:
+        assert all(ys.shape[0] <= 2**n < trials for ys in seen)
+    assert 0 < got[0]["semantic_errors"] < trials
+    monkeypatch.undo()
+    _use_reference_decisions(monkeypatch, ch.matrix)
+    assert reports() == got
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CHANNELS))

@@ -378,7 +378,7 @@ def _digit_codebook(count: int, n: int, base: int) -> Codebook:
     for j in range(n - 1, -1, -1):
         digits[:, j] = idx % base
         idx = idx // base
-    return Codebook(digits, base, provenance={"kind": "digits"})
+    return Codebook(digits, base)
 
 
 def cmd_fano(ns, spec: dict) -> int:

@@ -31,6 +31,10 @@ simulation regimes cover this:
   upper-tail table, built only from the grid points that can score at
   least the lowest own score of that type, and answers all of its trials.
 
+A run's choices are made in one place, _plan, before anything is drawn: it
+checks every input, then settles the regime, the codebook, the partition and
+the batch pool's size into a RunPlan that an engine carries out.
+
 Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
 stream b; shared codebooks use stream CODEBOOK_STREAM, seeded-random
@@ -92,6 +96,9 @@ MAX_SEMANTIC_BITS = 1022
 CODEBOOK_STREAM = 2**62
 PARTITION_STREAM = 2**62 + 1
 FANO_STREAM = 2**61
+
+# Slack check_fano allows both of its inequalities for floating rounding.
+FANO_TOL = 1e-9
 
 # Any score at or below this is an impossible event: it holds at least one
 # info.NEG stand-in for log2(0).
@@ -319,7 +326,6 @@ class Codebook:
 
     codewords: np.ndarray
     alphabet_size: int
-    provenance: dict | None = None
 
     def __post_init__(self):
         cw = np.asarray(self.codewords)
@@ -369,27 +375,15 @@ def _sample_symbols(gen: np.random.Generator, shape, probs: np.ndarray) -> np.nd
     return out
 
 
-def _codebook_from_px(
-    count: int, n: int, px: ProbVector, rng: ChannelRng, note: str
-) -> Codebook:
-    symbols = _sample_symbols(rng.generator(), (count, n), px.probs)
-    return Codebook(
-        symbols,
-        len(px),
-        provenance={
-            "seed": rng.seed,
-            "stream_id": rng.stream_id,
-            "px": list(px.probs),
-            "kind": note,
-        },
-    )
+def _codebook_from_px(count: int, n: int, px: ProbVector, rng: ChannelRng) -> Codebook:
+    return Codebook(_sample_symbols(rng.generator(), (count, n), px.probs), len(px))
 
 
 def generate_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
     """One codeword per semantic class, symbols i.i.d. from px."""
     bits = cfg.semantic_bits
     check_channel_elements(cfg.n, f"generate_codebook: 2^{bits} codewords of length {cfg.n}", bits)
-    return _codebook_from_px(cfg.semantic_count, cfg.n, px, rng, "per-class")
+    return _codebook_from_px(cfg.semantic_count, cfg.n, px, rng)
 
 
 def generate_full_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
@@ -401,7 +395,7 @@ def generate_full_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> 
             f"{FULL_CODEBOOK_CAP} cap; use the per-class codebook instead"
         )
     check_channel_elements(cfg.n, f"generate_full_codebook: 2^{bits} codewords", bits)
-    return _codebook_from_px(cfg.message_count, cfg.n, px, rng, "full")
+    return _codebook_from_px(cfg.message_count, cfg.n, px, rng)
 
 
 def encode(w: int, p: SemanticPartition, cb: Codebook) -> Sequence:
@@ -730,20 +724,16 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_batches(trials: int, fresh: bool, worker: Callable[[int, int], tuple]) -> list:
-    """worker(batch_index, batch_trials) over fixed-size batches, in batch order.
+def _run_batches(trials: int, workers: int, worker: Callable[[int, int], tuple]) -> list:
+    """worker(batch_index, batch_trials) over fixed-size batches, in batch
+    order, on a pool of `workers` threads (in order here for one).
 
     worker must be a pure function of its arguments, so the list is the
     same however many workers run it; callers reduce it with integer sums or
-    in-order concatenation, which keeps their results identical too. Fresh
-    codebooks' batches run on one worker per CPU, at most one per batch.
-    Shared codebooks' batches run in order: under default BLAS a pool
-    measured no faster (ML, n=16, 2048 codewords, 20k trials, 2 CPUs: 0.179
-    s pooled, 0.177 s in order), though with one BLAS thread it is faster.
+    in-order concatenation, which keeps their results identical too.
     """
     full, rem = divmod(trials, BATCH_TRIALS)
     sizes = [BATCH_TRIALS] * full + ([rem] if rem else [])
-    workers = min(len(sizes), _cpu_count()) if fresh else 1
     if workers <= 1:
         return [worker(b, nb) for b, nb in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -848,68 +838,144 @@ def _competitor_tail(p0: float, score: _CellScore, y_counts: np.ndarray,
     return np.append(tail, 0.0)[idx]
 
 
-def _simulation_config(
-    cfg: CodeConfig, ch: Dmc, px: ProbVector, decoder: str, scheme: str,
-    fresh: bool, regime: str, trials: int, seed: int, eps: float | None,
-    notes: tuple[str, ...] = (),
-) -> dict:
-    out = cfg.describe()
-    out.update(
-        {
-            "scheme": scheme,
-            "decoder": decoder,
-            "fresh_codebook": fresh,
-            "regime": regime,
-            "trials": trials,
-            "seed": seed,
-            "px": list(px.probs),
-            "channel": ch.to_dict(),
-            "rng": "philox4x64",
-            "batch_trials": BATCH_TRIALS,
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """A simulation run, its inputs checked and its choices made (_plan).
+
+    regime is the engine's name in the report. codebook None is a fresh
+    codebook in every trial; partition None has the engine draw classes
+    uniformly (virtual, or messages past FULL_CODEBOOK_CAP); workers sizes
+    the batch pool (_run_batches). report() adds the error counts.
+    """
+
+    cfg: CodeConfig
+    scheme: str
+    ch: Dmc
+    px: ProbVector
+    decoder: str
+    trials: int
+    seed: int
+    eps: float
+    regime: str
+    codebook: Codebook | None
+    partition: SemanticPartition | None
+    workers: int
+
+    def report(self, sem: int, msg: int) -> SimulationReport:
+        config = {
+            **self.cfg.describe(), "scheme": self.scheme, "decoder": self.decoder,
+            "fresh_codebook": self.codebook is None, "regime": self.regime,
+            "trials": self.trials, "seed": self.seed, "px": list(self.px.probs),
+            "channel": self.ch.to_dict(), "rng": "philox4x64", "batch_trials": BATCH_TRIALS,
         }
-    )
-    if eps is not None:
-        out["eps"] = eps
-    if notes:
-        out["notes"] = list(notes)
-    return out
+        if self.decoder == "typicality":
+            config["eps"] = self.eps
+        if self.partition is not None and not self.partition.is_equal_sized:
+            config["notes"] = ["unequal-partition"]
+        return SimulationReport.from_counts(self.trials, sem, msg, self.seed, config)
 
 
-def _check_run(name: str, ch: Dmc, px: ProbVector, decoder: str, trials: int) -> None:
-    """The argument checks simulate and simulate_full_codebook share."""
+def _plan(
+    cfg: CodeConfig, scheme: str, ch: Dmc, px: ProbVector, decoder: str,
+    trials: int, seed: int, eps: float, *, fresh: bool,
+    codebook: Codebook | None, partition: SemanticPartition | None,
+    per_message: bool = False,
+) -> RunPlan:
+    """Check a run's inputs, all before anything is drawn, then choose.
+
+    The regime is virtual for a fresh per-class codebook whose count * n
+    passes MATERIALIZE_LIMIT. The codebook is the given one, else drawn once
+    from CODEBOOK_STREAM unless fresh; the partition the given one, else
+    built while the messages fit FULL_CODEBOOK_CAP (none for virtual runs).
+    Fresh codebooks' batches run on one worker per CPU, at most one per
+    batch; fixed ones' in order: under default BLAS a pool measured no
+    faster (ML, n=16, 2048 codewords, 20k trials, 2 CPUs: 0.179 s pooled,
+    0.177 s in order), though with one BLAS thread it is faster.
+    """
+    name = "simulate_full_codebook" if per_message else "simulate"
     if px.labels != ch.input_labels:
         raise ValidationError(f"{name}: px alphabet does not match channel inputs")
     if decoder not in ("ml", "typicality"):
         raise ValidationError(f"{name}: unknown decoder {decoder!r}")
     if trials < 1:
         raise ValidationError(f"{name}: trials must be >= 1, got {trials}")
-
-
-def _check_partition(cfg: CodeConfig, part: SemanticPartition, per_message: bool) -> None:
-    """An explicit partition must have the config's 2^message_bits messages
-    and, under a per-class codebook, its 2^semantic_bits classes."""
-    # A built partition is small, so 2^message_bits is formed only once the
-    # bit counts show it is no larger.
-    if (
-        _exceeds(1, cfg.message_bits, part.message_count)
-        or part.message_count != cfg.message_count
-        or (not per_message and part.class_count != cfg.semantic_count)
+    if codebook is not None and fresh:
+        raise ValidationError("simulate: an explicit codebook implies fresh_codebook=False")
+    if per_message and _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
+        raise ConfigError(
+            f"simulate_full_codebook: 2^{cfg.message_bits} messages exceed the "
+            f"{FULL_CODEBOOK_CAP} cap; use simulate() with per-class codewords"
+        )
+    # A built partition is small: 2^message_bits is formed only once the bit
+    # counts show it is no larger.
+    if partition is not None and (
+        _exceeds(1, cfg.message_bits, partition.message_count)
+        or partition.message_count != cfg.message_count
+        or (not per_message and partition.class_count != cfg.semantic_count)
     ):
         raise ValidationError(
-            f"partition of {part.message_count} messages into {part.class_count} classes "
-            f"does not match the config's 2^{cfg.message_bits} and 2^{cfg.semantic_bits}"
+            f"partition of {partition.message_count} messages into {partition.class_count} "
+            f"classes does not match the config's 2^{cfg.message_bits} and 2^{cfg.semantic_bits}"
         )
+    virtual = fresh and _exceeds(cfg.n, cfg.semantic_bits, MATERIALIZE_LIMIT)
+    if virtual and decoder != "ml":
+        raise ConfigError(
+            "virtual-regime simulation supports the ml decoder only; "
+            "typicality decoding needs a materialized codebook"
+        )
+    if partition is None and scheme not in PARTITION_SCHEMES:
+        raise ConfigError(f"unknown partition scheme {scheme!r}")
+    if virtual and px.probs.size != 2:
+        raise ConfigError(
+            "virtual simulation requires a binary channel input alphabet; "
+            "materialize the codebook for larger alphabets"
+        )
+    if virtual and cfg.semantic_bits > MAX_SEMANTIC_BITS:
+        raise BudgetError(
+            f"virtual simulation needs semantic_bits <= {MAX_SEMANTIC_BITS}, got "
+            f"{cfg.semantic_bits}: the tail probabilities that decide a win, "
+            f"about 2^-{cfg.semantic_bits}, fall below the smallest normal "
+            "float64; reduce the blocklength, rate or alpha"
+        )
+    if codebook is not None:
+        count = cfg.message_count if per_message else cfg.semantic_count
+        if (codebook.count, codebook.n) != (count, cfg.n):
+            raise ValidationError(
+                f"codebook shape ({codebook.count}, {codebook.n}) does not match "
+                f"the config's ({count}, {cfg.n})"
+            )
+        if codebook.alphabet_size != ch.num_inputs:
+            raise ValidationError("codebook alphabet does not match channel inputs")
+    elif not fresh:
+        draw = generate_full_codebook if per_message else generate_codebook
+        codebook = draw(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
+    if virtual:
+        partition = None
+    elif partition is None and not _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
+        partition = make_partition(cfg, scheme, seed)
+    regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
+              else f"materialized-{'fresh' if fresh else 'shared'}")
+    workers = min(-(-trials // BATCH_TRIALS), _cpu_count()) if fresh else 1
+    return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps,
+                   regime, codebook, partition, workers)
 
 
-def _simulate_materialized(
-    cfg: CodeConfig, scheme: str, ch: Dmc, px: ProbVector, decoder: str,
-    trials: int, seed: int, eps: float,
-    part: SemanticPartition | None, codebook: Codebook | None, per_message: bool,
-) -> SimulationReport:
+def _distinct_rows(rows: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the distinct rows of integers in [0, top]:
+    rows[first] holds each once, in byte order, and rows[first][inverse] is
+    rows. Void rows of the narrowest dtype beat np.unique(axis=0) ~3.5x."""
+    kind = np.min_scalar_type(top)
+    words = np.ascontiguousarray(rows, dtype=kind).view(
+        np.dtype((np.void, rows.shape[1] * kind.itemsize))).ravel()
+    _, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _simulate_materialized(plan: RunPlan) -> SimulationReport:
     """The literal protocol with materialized codewords, for both indexings.
 
-    The codebook holds one codeword per class, or one per message when
-    per_message is set; codebook None draws a fresh per-class codebook in
+    The codebook holds one codeword per class, or one per message in the
+    full-codebook regime; codebook None draws a fresh per-class codebook in
     every trial. Message w transmits codeword sent_of[w]; decoded codeword k
     stands for class owner_class[k] and message owner_msg[k] (per class:
     sent_of = class_of and owner_msg the class representatives; per
@@ -920,33 +986,22 @@ def _simulate_materialized(
     Batch b draws from stream b: the fresh codebooks, then the messages,
     then the channel uniforms.
     """
+    cfg, ch, px, part, codebook = plan.cfg, plan.ch, plan.px, plan.partition, plan.codebook
     fresh = codebook is None
-    count = int(cfg.message_count if per_message else cfg.semantic_count)
-    if not fresh and (codebook.count, codebook.n) != (count, cfg.n):
-        raise ValidationError(
-            f"codebook shape ({codebook.count}, {codebook.n}) does not match "
-            f"the config's ({count}, {cfg.n})"
-        )
-    if not fresh and codebook.alphabet_size != ch.num_inputs:
-        raise ValidationError("codebook alphabet does not match channel inputs")
-
-    score = _decoder_score(decoder, ch, px, eps, cfg.n)
+    count = cfg.semantic_count if fresh else codebook.count
+    score = _decoder_score(plan.decoder, ch, px, plan.eps, cfg.n)
     ch_cdf = _row_cdfs(ch.matrix)
     codewords = np.arange(count)
     if part is None:
         owner_class = codewords
         rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
-    elif per_message:
+    elif plan.regime == "full-codebook":
         sent_of, owner_class, owner_msg = codewords, part.class_of, codewords
     else:
         sent_of, owner_class, owner_msg = part.class_of, codewords, part.representatives
 
-    # A fixed codebook's decision is a function of the output word alone, so
-    # a batch decides each distinct word (a void row of its symbols) once.
-    word_dtype = np.min_scalar_type(ch.num_outputs - 1)
-
     def worker(b: int, nb: int) -> tuple[int, int]:
-        gen = ChannelRng(seed, b).generator()
+        gen = ChannelRng(plan.seed, b).generator()
         cw = _sample_symbols(gen, (nb, count, cfg.n), px.probs) if fresh else codebook.codewords
         if part is None:
             sent = gen.integers(0, count, size=nb)
@@ -959,9 +1014,9 @@ def _simulate_materialized(
         if fresh:
             picks = _decisions(cw, y, score)
         else:
-            words = np.ascontiguousarray(y.astype(word_dtype)).view(
-                np.dtype((np.void, cfg.n * word_dtype.itemsize))).ravel()
-            _, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+            # A fixed codebook's decision is a function of the output word
+            # alone, so a batch decides each distinct word once.
+            first, inverse = _distinct_rows(y, ch.num_outputs - 1)
             picks = _decisions(cw, y[first], score)[inverse]
         # An erasure (-1) indexes the last owner below; `erased` overrules it.
         erased = picks < 0
@@ -972,14 +1027,8 @@ def _simulate_materialized(
             msg_err = erased | (owner_msg[picks] != w)
         return int(sem_err.sum()), int(msg_err.sum())
 
-    sem, msg = map(sum, zip(*_run_batches(trials, fresh, worker)))
-    regime = "full-codebook" if per_message else f"materialized-{'fresh' if fresh else 'shared'}"
-    config = _simulation_config(
-        cfg, ch, px, decoder, scheme, fresh, regime, trials, seed,
-        eps if decoder == "typicality" else None,
-        notes=() if (part is None or part.is_equal_sized) else ("unequal-partition",),
-    )
-    return SimulationReport.from_counts(trials, sem, msg, seed, config)
+    sem, msg = map(sum, zip(*_run_batches(plan.trials, plan.workers, worker)))
+    return plan.report(sem, msg)
 
 
 def simulate(
@@ -1004,51 +1053,19 @@ def simulate(
     transmitted class. Message errors additionally require the transmitted
     message to be its class representative (see SimulationReport).
 
-    The regime is chosen deterministically from the configuration: fresh
-    codebooks whose (count x n) size exceeds MATERIALIZE_LIMIT switch to the
-    virtual engine, which realizes each trial's outcome with the exact
-    conditional correctness probability of ML decoding over the un-drawn
-    competitor codewords. Everything else runs in the materialized engine
-    that simulate_full_codebook shares; there a shared codebook decides
-    each distinct output word of a batch once. Reports are bit-identical
-    across runs and worker counts for a fixed seed.
+    _plan checks the arguments and makes the run's choices before anything
+    is drawn. Fresh codebooks past MATERIALIZE_LIMIT run in the virtual
+    engine (exact conditional ML outcomes over the un-drawn competitors),
+    the rest in the materialized engine simulate_full_codebook shares.
+    Reports are bit-identical across runs and worker counts for a fixed seed.
     """
-    _check_run("simulate", ch, px, decoder, trials)
-    if codebook is not None and fresh_codebook:
-        raise ValidationError("simulate: an explicit codebook implies fresh_codebook=False")
-    if partition is not None:
-        _check_partition(cfg, partition, per_message=False)
-
-    if fresh_codebook and _exceeds(cfg.n, cfg.semantic_bits, MATERIALIZE_LIMIT):
-        if decoder != "ml":
-            raise ConfigError(
-                "virtual-regime simulation supports the ml decoder only; "
-                "typicality decoding needs a materialized codebook"
-            )
-        if scheme not in PARTITION_SCHEMES:
-            raise ConfigError(f"unknown partition scheme {scheme!r}")
-        return _simulate_virtual(cfg, scheme, ch, px, trials, seed)
-
-    if codebook is None and not fresh_codebook:
-        codebook = generate_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    if partition is None and not _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
-        partition = make_partition(cfg, scheme, seed)
-    elif partition is None and scheme not in PARTITION_SCHEMES:
-        raise ConfigError(f"unknown partition scheme {scheme!r}")
-    return _simulate_materialized(
-        cfg, scheme, ch, px, decoder, trials, seed, eps,
-        partition, codebook, per_message=False,
-    )
+    plan = _plan(cfg, scheme, ch, px, decoder, trials, seed, eps, fresh=fresh_codebook,
+                 codebook=codebook, partition=partition)
+    engine = _simulate_virtual if plan.regime == "virtual-fresh" else _simulate_materialized
+    return engine(plan)
 
 
-def _simulate_virtual(
-    cfg: CodeConfig,
-    scheme: str,
-    ch: Dmc,
-    px: ProbVector,
-    trials: int,
-    seed: int,
-) -> SimulationReport:
+def _simulate_virtual(plan: RunPlan) -> SimulationReport:
     """Fresh-codebook ML simulation without materializing the codebook.
 
     Conditioned on the transmitted codeword's score s against the received
@@ -1072,18 +1089,7 @@ def _simulate_virtual(
     trial of the type is answered from it. Batches are joined in batch
     order, so the report is the same for any worker count.
     """
-    if px.probs.size != 2:
-        raise ConfigError(
-            "virtual simulation requires a binary channel input alphabet; "
-            "materialize the codebook for larger alphabets"
-        )
-    if cfg.semantic_bits > MAX_SEMANTIC_BITS:
-        raise BudgetError(
-            f"virtual simulation needs semantic_bits <= {MAX_SEMANTIC_BITS}, got "
-            f"{cfg.semantic_bits}: the tail probabilities that decide a win, "
-            f"about 2^-{cfg.semantic_bits}, fall below the smallest normal "
-            "float64; reduce the blocklength, rate or alpha"
-        )
+    cfg, ch, px = plan.cfg, plan.ch, plan.px
     score = _decoder_score("ml", ch)
     # P(a, b) = px(a) W(b|a) in the canonical row-major (a, b) cell order.
     # Masses may exceed 1 by up to MASS_TOL, so the cell probabilities are
@@ -1094,7 +1100,7 @@ def _simulate_virtual(
     rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
 
     def draw(b: int, nb: int) -> tuple[np.ndarray, ...]:
-        gen = ChannelRng(seed, b).generator()
+        gen = ChannelRng(plan.seed, b).generator()
         cells = gen.multinomial(cfg.n, cell_probs, size=nb)
         rep_hit = gen.random(nb) < rep_prob
         u_win = gen.random(nb)
@@ -1103,14 +1109,15 @@ def _simulate_virtual(
         return own, counts, rep_hit, u_win
 
     own, counts, rep_hit, u_win = (
-        np.concatenate(parts) for parts in zip(*_run_batches(trials, True, draw))
+        np.concatenate(parts) for parts in zip(*_run_batches(plan.trials, plan.workers, draw))
     )
-    types, inverse = np.unique(counts, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    at_or_above = np.empty(trials)
-    for g, y_counts in enumerate(types):
+    # Each trial's tail depends on its own type alone, not on the order of
+    # the types.
+    first, inverse = _distinct_rows(counts, cfg.n)
+    at_or_above = np.empty(plan.trials)
+    for g, row in enumerate(first):
         sel = inverse == g
-        at_or_above[sel] = _competitor_tail(p0, score, y_counts, own[sel])
+        at_or_above[sel] = _competitor_tail(p0, score, counts[row], own[sel])
     # P(all competitors strictly below) = (1 - T)^(count - 1); with T down at
     # 2^-hundreds and the exponent up at 2^+hundreds only the log1p form keeps
     # the product meaningful. T = 1 (every competitor ties or beats the own
@@ -1120,11 +1127,7 @@ def _simulate_virtual(
         win_prob = np.exp(float(cfg.semantic_count - 1) * np.log1p(-at_or_above))
     sem_err = ~(u_win < win_prob)
     msg_err = sem_err | ~rep_hit
-    sem, msg = int(sem_err.sum()), int(msg_err.sum())
-    config = _simulation_config(
-        cfg, ch, px, "ml", scheme, True, "virtual-fresh", trials, seed, None
-    )
-    return SimulationReport.from_counts(trials, sem, msg, seed, config)
+    return plan.report(int(sem_err.sum()), int(msg_err.sum()))
 
 
 def simulate_full_codebook(
@@ -1146,19 +1149,10 @@ def simulate_full_codebook(
     message error any estimate different from the message itself. It runs
     in the materialized engine simulate shares.
     """
-    _check_run("simulate_full_codebook", ch, px, decoder, trials)
-    if _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
-        raise ConfigError(
-            f"simulate_full_codebook: 2^{cfg.message_bits} messages exceed the "
-            f"{FULL_CODEBOOK_CAP} cap; use simulate() with per-class codewords"
-        )
-    _check_partition(cfg, partition, per_message=True)
-    if codebook is None:
-        codebook = generate_full_codebook(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    return _simulate_materialized(
-        cfg, partition.scheme, ch, px, decoder, trials, seed, eps,
-        partition, codebook, per_message=True,
-    )
+    return _simulate_materialized(_plan(
+        cfg, partition.scheme, ch, px, decoder, trials, seed, eps, fresh=False,
+        codebook=codebook, partition=partition, per_message=True,
+    ))
 
 
 @dataclass(frozen=True)
@@ -1402,7 +1396,7 @@ class FanoCheck:
     intermediate_holds: bool | None
 
 
-def check_fano(inst: FanoInstance, tol: float = 1e-9) -> FanoCheck:
+def check_fano(inst: FanoInstance) -> FanoCheck:
     """Exact H(W|Y^n) versus fano_bound at the instance's exact P_e,s."""
     ev = inst.evaluation()
     lhs = ev.h_w_given_y
@@ -1410,9 +1404,9 @@ def check_fano(inst: FanoInstance, tol: float = 1e-9) -> FanoCheck:
     intermediate: bool | None = None
     if ev.h_w_given_y_err is not None:
         cap = math.log2((1.0 - inst.beta) * inst.message_count)
-        intermediate = ev.h_w_given_y_err <= cap + tol
+        intermediate = ev.h_w_given_y_err <= cap + FANO_TOL
     return FanoCheck(
-        holds=lhs <= rhs + tol,
+        holds=lhs <= rhs + FANO_TOL,
         lhs=lhs,
         rhs=rhs,
         slack=rhs - lhs,
@@ -1454,7 +1448,7 @@ class ConverseChain:
         )
 
 
-def converse_chain(inst: FanoInstance, ch: Dmc | None = None) -> ConverseChain:
+def converse_chain(inst: FanoInstance) -> ConverseChain:
     """Verify the converse inequalities numerically on the exact joint law.
 
     capacity_ok asks whether I(X^n;Y^n) <= n C + 1e-6. Blahut-Arimoto runs
@@ -1462,9 +1456,8 @@ def converse_chain(inst: FanoInstance, ch: Dmc | None = None) -> ConverseChain:
     1e-9 gap), and capacity reports the bracket's lower end.
     """
     ev = inst.evaluation()
-    channel = ch if ch is not None else inst.channel
     threshold = (ev.i_x_y - 1e-6) / inst.n
-    cap = blahut_arimoto(channel, tol=1e-9, threshold=threshold).capacity
+    cap = blahut_arimoto(inst.channel, tol=1e-9, threshold=threshold).capacity
     return ConverseChain(
         h_w=ev.h_w,
         h_w_given_y=ev.h_w_given_y,
@@ -1510,10 +1503,9 @@ def random_fano_instance(seed: int, index: int) -> FanoInstance:
     full = bool(gen.random() < 0.5)
     cw_count = mcount if full else kcount
     symbols = _sample_symbols(gen, (cw_count, n), px.probs)
-    cb = Codebook(symbols, a_count, provenance={"seed": seed, "index": index})
     return FanoInstance(
         partition=partition,
-        codebook=cb,
+        codebook=Codebook(symbols, a_count),
         channel=ch,
         px=px,
         label=f"campaign-{index}",

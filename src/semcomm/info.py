@@ -277,11 +277,6 @@ class JointDist:
             out = np.transpose(out, tuple(sorted_keep.index(a) for a in keep))
         return out
 
-    def marginal(self, axis: int) -> ProbVector:
-        if axis < 0 or axis >= self.ndim:
-            raise ValidationError(f"marginal: axis {axis} out of range")
-        return ProbVector(self.axes[axis], self.marginal_table((axis,)))
-
     @classmethod
     def from_input_and_kernel(
         cls,

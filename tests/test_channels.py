@@ -125,6 +125,13 @@ def test_mpsk_sectors_sum_to_one_at_high_snr():
     assert abs(sum(v for v, _ in sectors) - 1.0) <= 1e-12
 
 
+def test_mpsk_failed_integration_names_a_plain_float(monkeypatch):
+    monkeypatch.setattr(channels, "_integrate", lambda *args, **kwargs: (0.3, 1.0))
+    # Every sector reads 0.3 with a bound far above SECTOR_TOL.
+    with pytest.raises(ValidationError, match=r"sum to 1\.2, sector error bound 1\.0e\+00"):
+        mpsk_hard_dmc(PskConfig(order=4, snr=9.0))
+
+
 def test_mpsk_rows_sum_to_one_and_are_circulant():
     for m in (2, 4, 8):
         ch = mpsk_hard_dmc(PskConfig(order=m, snr=3.0))

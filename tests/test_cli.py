@@ -125,6 +125,16 @@ def test_capacity_snr_db_conversion(capsys):
     assert db["capacity_bits"] == pytest.approx(lin["capacity_bits"], abs=1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [63, 67, 80])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_capacity_mpsk_at_very_high_snr(capsys, m, snr_db):
+    # Past about 60 dB the quadrature misses the peak sector; its complement
+    # stands in, and the channel is noiseless to double precision.
+    doc, _ = run_json(capsys, "capacity", "--channel", "mpsk:%d" % m,
+                      "--snr-db", str(snr_db))
+    assert doc["capacity_bits"] == math.log2(m)
+
+
 def test_capacity_awgn_closed_form(capsys):
     doc, _ = run_json(capsys, "capacity", "--channel", "awgn:63")
     assert doc["capacity_bits"] == pytest.approx(6.0, abs=1e-12)

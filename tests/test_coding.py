@@ -593,20 +593,6 @@ def test_alpha_one_counts_coincide_bitwise(monkeypatch):
     assert full.semantic_errors == full.message_errors
 
 
-def test_simulate_validation():
-    cfg = CodeConfig(n=2, rate=1.0, alpha=1.0)
-    with pytest.raises(ValidationError):
-        simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 0, 1)
-    with pytest.raises(ValidationError):
-        simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "guess", 10, 1)
-    cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
-    with pytest.raises(ValidationError, match="fresh_codebook"):
-        simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1, codebook=cb)
-    px3 = ProbVector(("a", "b", "c"), [0.3, 0.3, 0.4])
-    with pytest.raises(ValidationError):
-        simulate(cfg, "contiguous", bsc(0.1), px3, "ml", 10, 1)
-
-
 @pytest.mark.parametrize("n", [4, 64], ids=["materialized", "virtual"])
 def test_simulate_checks_an_explicit_partition_in_every_regime(n):
     # 8 messages in 3 classes fit neither config (2^(n/2) messages in
@@ -617,10 +603,72 @@ def test_simulate_checks_an_explicit_partition_in_every_regime(n):
         simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1, partition=part)
 
 
-def test_virtual_regime_rejects_typicality():
-    cfg = CodeConfig(n=64, rate=0.5, alpha=1.0)
-    with pytest.raises(ConfigError, match="virtual"):
-        simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "typicality", 10, 1)
+def _input_errors():
+    """One pytest.param(run, error, match) for each input error of simulate
+    and simulate_full_codebook, one wrong argument at a time."""
+    small = CodeConfig(n=2, rate=1.0, alpha=1.0)  # 4 codewords of length 2
+    virtual = CodeConfig(n=64, rate=0.5, alpha=1.0)  # 2^32 fresh codewords
+    ch, px3 = bsc(0.1), ProbVector(("a", "b", "c"), [0.3, 0.3, 0.4])
+    ch3 = Dmc.identity(["a", "b", "c"])
+    part = make_partition(small, "contiguous")
+    cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
+
+    def sim(cfg=small, scheme="contiguous", ch=ch, px=UNIFORM2, decoder="ml", trials=10,
+            **kw):
+        return lambda: simulate(cfg, scheme, ch, px, decoder, trials, 1, **kw)
+
+    def full(cfg=small, part=part, px=UNIFORM2, trials=10, **kw):
+        return lambda: simulate_full_codebook(cfg, part, ch, px, trials, 1, **kw)
+
+    cases = {
+        "px": (sim(px=px3), ValidationError, "simulate: px alphabet"),
+        "full-px": (full(px=px3), ValidationError, "simulate_full_codebook: px alphabet"),
+        "decoder": (sim(decoder="guess"), ValidationError, "unknown decoder"),
+        "full-decoder": (full(decoder="guess"), ValidationError, "unknown decoder"),
+        "trials": (sim(trials=0), ValidationError, "trials must be >= 1"),
+        "full-trials": (full(trials=0), ValidationError, "trials must be >= 1"),
+        "scheme": (sim(scheme="spiral"), ConfigError, "unknown partition scheme"),
+        "shared-scheme": (sim(scheme="spiral", fresh_codebook=False), ConfigError,
+                          "unknown partition scheme"),
+        "virtual-scheme": (sim(cfg=virtual, scheme="spiral"), ConfigError,
+                           "unknown partition scheme"),
+        "partition": (sim(partition=partition_from_counts(8, 4, "contiguous")),
+                      ValidationError, "does not match the config"),
+        "full-partition": (full(part=partition_from_counts(8, 4, "contiguous")),
+                           ValidationError, "does not match the config"),
+        "fresh-codebook": (sim(codebook=cb), ValidationError, "fresh_codebook"),
+        "codebook-shape": (sim(codebook=Codebook(cb.codewords[:2], 2), fresh_codebook=False),
+                           ValidationError, "codebook shape"),
+        "full-codebook-shape": (full(codebook=Codebook(cb.codewords[:, :1], 2)),
+                                ValidationError, "codebook shape"),
+        "codebook-alphabet": (sim(codebook=Codebook(cb.codewords, 3), fresh_codebook=False),
+                              ValidationError, "codebook alphabet"),
+        "full-codebook-alphabet": (full(codebook=Codebook(cb.codewords, 3)),
+                                   ValidationError, "codebook alphabet"),
+        "virtual-typicality": (sim(cfg=virtual, decoder="typicality"), ConfigError,
+                               "virtual-regime simulation supports the ml decoder only"),
+        "virtual-qary": (sim(cfg=virtual, ch=ch3, px=ProbVector.uniform(ch3.input_labels)),
+                         ConfigError, "binary channel input"),
+        "semantic-bits": (sim(cfg=CodeConfig(n=1, rate=20000.0, alpha=1.0)), BudgetError,
+                          "semantic_bits <= 1022"),
+        "full-message-cap": (full(cfg=CodeConfig(n=1, rate=30.0, alpha=1.0)), ConfigError,
+                             "2\\^30 messages exceed the 1048576 cap"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("run, error, match", _input_errors())
+def test_input_errors_are_raised_before_anything_is_drawn(monkeypatch, run, error, match):
+    def refuse(name):
+        def called(*args, **kwargs):
+            pytest.fail(f"{name} ran before the input error was raised")
+        return called
+
+    for name in ("_run_batches", "generate_codebook", "generate_full_codebook",
+                 "make_partition"):
+        monkeypatch.setattr(coding, name, refuse(name))
+    with pytest.raises(error, match=match):
+        run()
 
 
 def test_samplers_match_searchsorted_and_broadcast_references():

@@ -27,9 +27,11 @@ simulation regimes cover this:
   phases: each batch draws every trial's joint type of (x, y), the
   (input, output) cell counts, as one multinomial over px(a) W(b|a), then
   its rep_hit and u_win uniforms, and keeps only its own score, y-type
-  counts and those two uniforms; then each distinct y type gets one
-  upper-tail table, built only from the grid points that can score at
-  least the lowest own score of that type, and answers all of its trials.
+  counts and those two uniforms; then each y type is folded onto its
+  competitor law (outputs with the same law pool their counts), and each
+  distinct law gets one upper-tail table, built only from the grid points
+  that can score at least the lowest own score of its trials, and answers
+  all of them.
 
 A run's choices are made in one place, _plan, before anything is drawn: it
 checks every input, then settles the regime, the codebook, the partition and
@@ -86,7 +88,8 @@ ENUM_BUDGET = 10**7
 # Per-trial fresh codebooks are materialized only while count * n stays at or
 # below this; beyond it the virtual regime takes over.
 MATERIALIZE_LIMIT = 2048
-# Cap on the support size of the virtual regime's competitor score grid.
+# Cap on the support size of the virtual regime's competitor score grid, the
+# grid of a folded y type (_output_fold).
 DIST_BUDGET = 2 * 10**6
 # Largest semantic_bits the virtual regime accepts: a win is decided by tail
 # probabilities near 2^-semantic_bits, and 2^-1022 is the smallest normal
@@ -838,14 +841,41 @@ def _competitor_tail(p0: float, score: _CellScore, y_counts: np.ndarray,
     return np.append(tail, 0.0)[idx]
 
 
+def _output_fold(score: _CellScore, p0: float) -> np.ndarray:
+    """The 0/1 (|Y|, |Y|) matrix that folds a y type onto its competitor law.
+
+    Where y = b a competitor's symbol lands in class(0, b) with probability
+    p0 and class(1, b) with 1 - p0, so its class counts depend on y only
+    through how many positions share each such law (the method of types).
+    Row b has its one 1 in the column of the first output with b's law: the
+    folded type (counts @ fold) moves every count there and gives the same
+    score law. An output's law is its own alone unless another shares it
+    (BSC or BEC with uniform input fold 0 and 1 together).
+    """
+    firsts: dict = {}
+    fold = np.zeros((score.shape[1],) * 2, dtype=np.int64)
+    for b, classes in enumerate(zip(*score.cell_class.reshape(score.shape).tolist())):
+        law: dict = {}
+        for k, p in zip(classes, (p0, 1.0 - p0)):
+            law[k] = law.get(k, 0.0) + p
+        fold[b, firsts.setdefault(frozenset(law.items()), b)] = 1
+    return fold
+
+
 @dataclass(frozen=True, eq=False)
 class RunPlan:
     """A simulation run, its inputs checked and its choices made (_plan).
 
     regime is the engine's name in the report. codebook None is a fresh
     codebook in every trial; partition None has the engine draw classes
-    uniformly (virtual, or messages past FULL_CODEBOOK_CAP); workers sizes
-    the batch pool (_run_batches). report() adds the error counts.
+    uniformly (messages past FULL_CODEBOOK_CAP). The virtual engine never
+    reads the partition and needs none: a fresh i.i.d. codebook per trial
+    makes the classes exchangeable, so the decode outcome does not depend
+    on which class is sent, and the sent message is its class's
+    representative with probability class_count / message_count whatever
+    the class sizes. A given one is kept all the same, so that the report
+    notes an unequal partition in every regime. workers sizes the batch
+    pool (_run_batches). report() adds the error counts.
     """
 
     cfg: CodeConfig
@@ -886,7 +916,7 @@ def _plan(
     The regime is virtual for a fresh per-class codebook whose count * n
     passes MATERIALIZE_LIMIT. The codebook is the given one, else drawn once
     from CODEBOOK_STREAM unless fresh; the partition the given one, else
-    built while the messages fit FULL_CODEBOOK_CAP (none for virtual runs).
+    built while the messages fit FULL_CODEBOOK_CAP (never for virtual runs).
     Fresh codebooks' batches run on one worker per CPU, at most one per
     batch; fixed ones' in order: under default BLAS a pool measured no
     faster (ML, n=16, 2048 codewords, 20k trials, 2 CPUs: 0.179 s pooled,
@@ -938,20 +968,20 @@ def _plan(
             "float64; reduce the blocklength, rate or alpha"
         )
     if codebook is not None:
-        count = cfg.message_count if per_message else cfg.semantic_count
-        if (codebook.count, codebook.n) != (count, cfg.n):
+        # 2^bits is formed only once the bit count shows it is no larger.
+        bits = cfg.message_bits if per_message else cfg.semantic_bits
+        if (_exceeds(1, bits, codebook.count) or codebook.count != 1 << bits
+                or codebook.n != cfg.n):
             raise ValidationError(
                 f"codebook shape ({codebook.count}, {codebook.n}) does not match "
-                f"the config's ({count}, {cfg.n})"
+                f"the config's (2^{bits}, {cfg.n})"
             )
         if codebook.alphabet_size != ch.num_inputs:
             raise ValidationError("codebook alphabet does not match channel inputs")
     elif not fresh:
         draw = generate_full_codebook if per_message else generate_codebook
         codebook = draw(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    if virtual:
-        partition = None
-    elif partition is None and not _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
+    if partition is None and not virtual and not _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
         partition = make_partition(cfg, scheme, seed)
     regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
               else f"materialized-{'fresh' if fresh else 'shared'}")
@@ -1083,11 +1113,17 @@ def _simulate_virtual(plan: RunPlan) -> SimulationReport:
     Multinomial(n, px(a) W(b|a)) (the method of types), so batch b draws it,
     then rep_hit, then u_win, from stream b in that order: O(|X| |Y|) work
     per trial whatever n is, and only the own score, the y-type counts,
-    rep_hit and u_win outlive a batch. Decide: T is built once per distinct
-    y type over all trials, from only the grid points that can score at
-    least the type's lowest own score (see _competitor_tail), and every
-    trial of the type is answered from it. Batches are joined in batch
-    order, so the report is the same for any worker count.
+    rep_hit and u_win outlive a batch. Decide: each y type is folded onto
+    its competitor law (_output_fold), and T is built once per distinct
+    law over all trials, not once per y type, from only the grid points
+    that can score at least the lowest own score among its trials (see
+    _competitor_tail), and every one of those trials is answered from it.
+    With uniform input BSC has one law per blocklength and BEC folds
+    (c0, ce, c1) to (c0 + c1, ce, 0); a channel without interchangeable
+    outputs folds to itself. The fold is exact in law (the tails differ
+    from unfolded ones by rounding only), and DIST_BUDGET bounds the folded
+    support. Batches are joined in batch order, so the report is the same
+    for any worker count.
     """
     cfg, ch, px = plan.cfg, plan.ch, plan.px
     score = _decoder_score("ml", ch)
@@ -1111,13 +1147,14 @@ def _simulate_virtual(plan: RunPlan) -> SimulationReport:
     own, counts, rep_hit, u_win = (
         np.concatenate(parts) for parts in zip(*_run_batches(plan.trials, plan.workers, draw))
     )
-    # Each trial's tail depends on its own type alone, not on the order of
-    # the types.
-    first, inverse = _distinct_rows(counts, cfg.n)
+    # Each trial's tail depends on its own folded type alone, not on the
+    # order of the types.
+    types = counts @ _output_fold(score, p0)
+    first, inverse = _distinct_rows(types, cfg.n)
     at_or_above = np.empty(plan.trials)
     for g, row in enumerate(first):
         sel = inverse == g
-        at_or_above[sel] = _competitor_tail(p0, score, counts[row], own[sel])
+        at_or_above[sel] = _competitor_tail(p0, score, types[row], own[sel])
     # P(all competitors strictly below) = (1 - T)^(count - 1); with T down at
     # 2^-hundreds and the exponent up at 2^+hundreds only the log1p form keeps
     # the product meaningful. T = 1 (every competitor ties or beats the own

@@ -451,11 +451,44 @@ def test_simulate_past_float_range_exits_2(capsys):
 
 
 def test_simulate_virtual_budget_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(coding, "DIST_BUDGET", 100)
+    # BSC with uniform input folds every y type at n = 64 onto one 65-point
+    # competitor grid (coding._output_fold).
+    monkeypatch.setattr(coding, "DIST_BUDGET", 64)
     code, _, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--n-grid", "64",
                        "--trials", "100", "--seed", "1")
     assert code == 2
     assert "virtual score distribution support" in err
+
+
+def test_readme_sweep_builds_one_competitor_tail_per_blocklength(capsys, monkeypatch):
+    calls = []
+    tail = coding._competitor_tail
+
+    def spy(p0, score, y_counts, s):
+        calls.append(y_counts.tolist())
+        return tail(p0, score, y_counts, s)
+
+    monkeypatch.setattr(coding, "_competitor_tail", spy)
+    code, _, _ = run(capsys, "simulate", "--channel", "bsc:0.05", "--alpha", "0.5",
+                     "--rate-fraction", "0.9", "--n-grid", "64,128,256,512",
+                     "--trials", "10000", "--seed", "2026")
+    assert code == 0
+    assert calls == [[64, 0], [128, 0], [256, 0], [512, 0]]
+
+
+def test_simulate_virtual_bec_reaches_n_512(capsys, tmp_path):
+    # Unfolded, the (c0, ce, c1) types of BEC(0.3) at n = 512 reach
+    # competitor grids of about 4.9 million points, past DIST_BUDGET; folded
+    # to (c0 + c1, ce, 0) none exceeds 257^2 = 66,049.
+    channel = tmp_path / "bec.json"
+    channel.write_text(json.dumps({
+        "inputs": ["0", "1"], "outputs": ["0", "e", "1"],
+        "matrix": [[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]],
+    }))
+    code, out, err = run(capsys, "simulate", "--channel", str(channel), "--n-grid", "512",
+                         "--alpha", "0.5", "--trials", "2000", "--seed", "1")
+    assert code == 0, err
+    assert [line[:4] for line in out.splitlines() if line[:1].isdigit()] == ["512,"]
 
 
 def test_simulate_virtual_rejects_qary_input(capsys):

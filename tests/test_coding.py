@@ -603,6 +603,24 @@ def test_simulate_checks_an_explicit_partition_in_every_regime(n):
         simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1, partition=part)
 
 
+@pytest.mark.parametrize("n", [8, 64], ids=["materialized", "virtual"])
+def test_unequal_partition_is_noted_in_every_regime(n):
+    # 193 of 256 messages in class 0 and one in each of the other 63. With a
+    # fresh i.i.d. codebook per trial the classes are exchangeable, so the
+    # virtual counts are those of an equal partition; the report still says
+    # the partition was unequal.
+    cfg = CodeConfig(n=n, rate=8 / n, alpha=0.75)
+    part = SemanticPartition(np.concatenate([np.zeros(193, dtype=int), np.arange(1, 64)]))
+    rep = simulate(cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 4000, 1, partition=part)
+    assert rep.config["notes"] == ["unequal-partition"]
+    if n == 64:
+        assert rep.config["regime"] == "virtual-fresh"
+        equal = simulate(cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 4000, 1)
+        assert "notes" not in equal.config
+        assert (rep.semantic_errors, rep.message_errors) == (
+            equal.semantic_errors, equal.message_errors)
+
+
 def _input_errors():
     """One pytest.param(run, error, match) for each input error of simulate
     and simulate_full_codebook, one wrong argument at a time."""
@@ -641,6 +659,11 @@ def _input_errors():
                            ValidationError, "codebook shape"),
         "full-codebook-shape": (full(codebook=Codebook(cb.codewords[:, :1], 2)),
                                 ValidationError, "codebook shape"),
+        # 2^20000 has more digits than int-to-str allows.
+        "huge-codebook-shape": (sim(cfg=CodeConfig(n=1, rate=20000.0, alpha=1.0),
+                                    codebook=Codebook(np.zeros((2, 1), dtype=int), 2),
+                                    fresh_codebook=False),
+                                ValidationError, r"codebook shape \(2, 1\) .* \(2\^20000, 1\)"),
         "codebook-alphabet": (sim(codebook=Codebook(cb.codewords, 3), fresh_codebook=False),
                               ValidationError, "codebook alphabet"),
         "full-codebook-alphabet": (full(codebook=Codebook(cb.codewords, 3)),
@@ -846,6 +869,84 @@ def test_competitor_tail_equals_full_grid_build(matrix, types, p0):
             if s.size:
                 got = coding._competitor_tail(p0, _ml(matrix), np.array(y_counts), s)
                 assert np.array_equal(got, _parent_competitor_tail(p0, logmat, y_counts, s))
+
+
+BEC3 = Dmc(("0", "1"), ("0", "e", "1"), np.array([[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]]))
+
+
+@pytest.mark.parametrize(
+    "ch, y_counts, folded",
+    [
+        (bsc(0.05), (300, 724), (1024, 0)),
+        (bsc(0.05), (512, 512), (1024, 0)),
+        (BEC3, (100, 60, 96), (196, 60, 0)),
+        (BEC3, (128, 0, 128), (256, 0, 0)),
+    ],
+    ids=["bsc-300-724", "bsc-512-512", "bec-100-60-96", "bec-128-0-128"],
+)
+def test_folded_competitor_tail_matches_unfolded(ch, y_counts, folded):
+    # With uniform input, outputs 0 and 1 give a competitor the same class
+    # law, so the folded type has the same score law. The two tails sum the
+    # same masses over different grids: they differ by rounding only, and
+    # both are zero exactly above the best score, one float on both grids.
+    score = coding._decoder_score("ml", ch)
+    assert tuple(np.array(y_counts) @ coding._output_fold(score, 0.5)) == folded
+    values, _ = _full_grid_tail(0.5, coding._log_matrix(ch.matrix), y_counts, np.zeros(0))
+    distinct = np.unique(values)
+    s = np.concatenate([distinct, (distinct[:-1] + distinct[1:]) / 2, distinct[-1:] + 1.0])
+    got = coding._competitor_tail(0.5, score, np.array(folded), s)
+    ref = coding._competitor_tail(0.5, score, np.array(y_counts), s)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    assert np.count_nonzero(ref == 0.0) == 1
+    nz = ref != 0.0
+    assert np.all(np.abs(got[nz] - ref[nz]) <= 1e-10 * ref[nz])
+
+
+@pytest.mark.parametrize(
+    "matrix, probs",
+    [
+        (np.array([[1.0, 0.0], [0.3, 0.7]]), [0.5, 0.5]),
+        (bsc(0.05).matrix, [0.8, 0.2]),
+        (np.random.default_rng(5).dirichlet(np.ones(3), size=2), [0.5, 0.5]),
+    ],
+    ids=["z", "bsc-skewed-px", "dmc3"],
+)
+def test_virtual_engine_without_interchangeable_outputs_keeps_every_y_type(
+    monkeypatch, matrix, probs
+):
+    # No two outputs share a competitor class law here, so the fold is the
+    # identity and the engine builds one tail per drawn y type, as unfolded.
+    ch = _dmc(matrix)
+    px = ProbVector(ch.input_labels, probs)
+    assert np.array_equal(coding._output_fold(_ml(matrix), probs[0]), np.eye(ch.num_outputs))
+    seen = []
+    tail = coding._competitor_tail
+
+    def spy(p0, score, y_counts, s):
+        seen.append(tuple(y_counts.tolist()))
+        return tail(p0, score, y_counts, s)
+
+    monkeypatch.setattr(coding, "_competitor_tail", spy)
+    cfg, trials, seed = CodeConfig(n=48, rate=0.25, alpha=1.0), 2000, 3
+    rep = simulate(cfg, "contiguous", ch, px, "ml", trials, seed)
+    assert rep.config["regime"] == "virtual-fresh"
+    # The y types of the run's one batch: its joint-type draw from stream 0.
+    cell_probs = (px.probs[:, None] * ch.matrix).ravel()
+    cells = ChannelRng(seed, 0).generator().multinomial(
+        cfg.n, cell_probs / cell_probs.sum(), size=trials)
+    types = set(map(tuple, cells.reshape(trials, 2, -1).sum(axis=1).tolist()))
+    assert sorted(seen) == sorted(types)
+
+
+def test_output_fold_pools_outputs_with_one_competitor_law():
+    # BSC: outputs 0 and 1 swap the two classes, one law only when p0 is 1/2.
+    # BEC: the erasure is its own class; 0 and 1 pool likewise.
+    bsc_score = coding._decoder_score("ml", bsc(0.05))
+    assert coding._output_fold(bsc_score, 0.5).tolist() == [[1, 0], [1, 0]]
+    assert coding._output_fold(bsc_score, 0.3).tolist() == [[1, 0], [0, 1]]
+    bec_score = coding._decoder_score("ml", BEC3)
+    assert coding._output_fold(bec_score, 0.5).tolist() == [[1, 0, 0], [0, 1, 0], [1, 0, 0]]
+    assert coding._output_fold(bec_score, 0.3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 BEC = Dmc(("0", "1"), ("0", "e", "1"), np.array([[0.1, 0.9, 0.0], [0.0, 0.9, 0.1]]))

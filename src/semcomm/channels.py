@@ -29,9 +29,10 @@ CHANNEL_ELEMENT_BUDGET = 2**25
 SECTOR_TOL = 1e-14
 
 
-def _exceeds(count: int, bits: int, cap: int) -> bool:
-    """count * 2^bits > cap for count >= 1, without forming a huge 2^bits."""
-    return bits >= cap.bit_length() or count << bits > cap
+def _exceeds(count: int, exp: int, cap: int, base: int = 2) -> bool:
+    """count * base^exp > cap for count >= 1, without forming a huge power:
+    with base >= 2, base^exp passes cap from exp = cap's bit length on."""
+    return (base > 1 and exp >= cap.bit_length()) or count * base**exp > cap
 
 
 def check_channel_elements(elements: int, what: str, bits: int = 0) -> None:

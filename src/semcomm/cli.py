@@ -32,8 +32,8 @@ from .capacity import (
 )
 from .channels import PskConfig, _exceeds, bsc, check_channel_elements, mpsk_hard_dmc
 from .coding import (
-    FULL_CODEBOOK_CAP, CodeConfig, Codebook, FanoInstance, check_fano,
-    converse_chain, partition_from_counts, run_fano_campaign, simulate,
+    DECODERS, PARTITION_SCHEMES, CodeConfig, Codebook, FanoInstance, check_fano,
+    check_message_bits, converse_chain, partition_from_counts, run_fano_campaign, simulate,
 )
 from .errors import ConfigError, NumericError, ValidationError
 from .info import ProbVector, entropy, load_json_doc
@@ -127,22 +127,24 @@ def parse_channel(spec) -> Dmc:
 
 
 def _integer(value, what: str) -> int:
-    """int(value), or ConfigError if it is not a whole number (8.7 is not 8)."""
+    """int(value), or ConfigError if it is not a whole number (8.7 is not 8, nor true 1)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
-    if isinstance(value, float) and n != value:
+        n = None
+    if n is None or isinstance(value, bool) or isinstance(value, float) and n != value:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return n
 
 
 def _real(value, what: str) -> float:
-    """float(value), or ConfigError if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    """float(value), or ConfigError if it is not a number (true is not 1.0)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _require_seed(seed, ephemeral: bool) -> int:
@@ -368,8 +370,8 @@ FANO_DEFAULTS = {
 def _digit_codebook(count: int, n: int, base: int) -> Codebook:
     """Codeword i = the n base-`base` digits of i; distinct when count <= base^n."""
     check_channel_elements(count * n, f"fano: {count} codewords of length {n}")
-    # With base >= 2, base^n > count once n reaches count's bit length.
-    if count > base ** min(n, count.bit_length()):
+    # base^n words hold count distinct ones unless base^n <= count - 1.
+    if not _exceeds(1, n, count - 1, base):
         raise ConfigError(
             f"cannot place {count} distinct codewords in {base}^{n} words"
         )
@@ -382,6 +384,8 @@ def _digit_codebook(count: int, n: int, base: int) -> Codebook:
 
 
 def cmd_fano(ns, spec: dict) -> int:
+    if spec["mode"] not in ("single", "campaign"):
+        raise ConfigError(f"fano: mode must be 'single' or 'campaign', got {spec['mode']!r}")
     if spec["mode"] == "single":
         for key in ("channel", "n", "message-bits", "semantic-bits"):
             if spec[key] is None:
@@ -392,8 +396,7 @@ def cmd_fano(ns, spec: dict) -> int:
         sb = _integer(spec["semantic-bits"], "fano: semantic-bits")
         if not (1 <= sb <= mb):
             raise ConfigError(f"fano: need 1 <= semantic-bits <= message-bits, got {sb}/{mb}")
-        if _exceeds(1, mb, FULL_CODEBOOK_CAP):
-            raise ConfigError(f"fano: 2^{mb} messages exceed the {FULL_CODEBOOK_CAP} cap")
+        check_message_bits(mb, "fano")
         scheme = spec["partition-scheme"]
         resolved = {
             "mode": "single",
@@ -482,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    schemes = ("contiguous", "interleaved", "seeded-random")
-
     p = command("entropy", cmd_entropy, ENTROPY_DEFAULTS,
                 "semantic and Shannon entropy of a source")
     p.add_argument("--knowledge", default=None, help="knowledge-base JSON file or literal")
@@ -506,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_grid, default=None, dest="n-grid",
                    help="comma-separated blocklengths")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--scheme", default=None, choices=schemes, dest="partition-scheme")
-    p.add_argument("--decoder", default=None, choices=("ml", "typicality"))
+    p.add_argument("--scheme", default=None, choices=PARTITION_SCHEMES, dest="partition-scheme")
+    p.add_argument("--decoder", default=None, choices=DECODERS)
     p.add_argument("--threads", type=int, help="accepted and ignored")
 
     p = command("fano", cmd_fano, FANO_DEFAULTS,
@@ -520,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--message-bits", type=int, default=None, dest="message-bits")
     p.add_argument("--semantic-bits", type=int, default=None, dest="semantic-bits")
-    p.add_argument("--scheme", default=None, choices=schemes, dest="partition-scheme")
+    p.add_argument("--scheme", default=None, choices=PARTITION_SCHEMES, dest="partition-scheme")
 
     return parser
 

@@ -72,8 +72,8 @@ from .capacity import Dmc, blahut_arimoto
 from .channels import ChannelRng, _draw_outputs, _exceeds, _row_cdfs, check_channel_elements
 from .errors import ValidationError, ConfigError, BudgetError
 from .info import (
-    JointDist, ProbVector, Sequence, _CellScore, _combine, _log_matrix, _typical_score,
-    _weight_classes, entropy_bits,
+    NEG_THRESHOLD, JointDist, ProbVector, Sequence, _CellScore, _combine, _log_matrix,
+    _typical_score, _weight_classes, entropy_bits,
 )
 
 BATCH_TRIALS = 4096
@@ -81,6 +81,7 @@ BATCH_TRIALS = 4096
 # largest array holds at most this many elements (at least one trial), so
 # the working set stays in cache whatever the codebook size or blocklength.
 BLOCK_ELEMENTS = 2**16
+# Cap on the messages of a partition or a per-message codebook (check_message_bits).
 FULL_CODEBOOK_CAP = 2**20
 # Cap on |Y|^n * codewords, the (output word, codeword) pairs that
 # exact_evaluate enumerates.
@@ -102,10 +103,6 @@ FANO_STREAM = 2**61
 
 # Slack check_fano allows both of its inequalities for floating rounding.
 FANO_TOL = 1e-9
-
-# Any score at or below this is an impossible event: it holds at least one
-# info.NEG stand-in for log2(0).
-NEG_THRESHOLD = -1.0e29
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -192,6 +189,13 @@ class CodeConfig:
 PARTITION_SCHEMES = ("contiguous", "interleaved", "seeded-random")
 
 
+def check_message_bits(bits: int, what: str) -> None:
+    """BudgetError if 2^bits messages pass FULL_CODEBOOK_CAP, decided on the
+    bit count, so a message count too large to build is never formed."""
+    if _exceeds(1, bits, FULL_CODEBOOK_CAP):
+        raise BudgetError(f"{what}: 2^{bits} messages exceed the {FULL_CODEBOOK_CAP} cap")
+
+
 @dataclass(frozen=True, eq=False)
 class SemanticPartition:
     """The many-to-one map from messages to semantic classes.
@@ -270,9 +274,7 @@ def partition_from_counts(
     (interleaved) sizes differ by one; downstream reports flag that.
     """
     if scheme not in PARTITION_SCHEMES:
-        raise ConfigError(
-            f"partition scheme must be one of {PARTITION_SCHEMES}, got {scheme!r}"
-        )
+        raise ConfigError(f"unknown partition scheme {scheme!r}; use one of {PARTITION_SCHEMES}")
     if class_count < 1:
         raise ConfigError("class_count must be >= 1")
     # Counts print only below the cap: past it they can outgrow int-to-str.
@@ -303,14 +305,9 @@ def make_partition(
     """Partition cfg's message set into its semantic classes.
 
     Counts derived from CodeConfig are powers of two, so the classes always
-    come out equal-sized here. The cap is checked on the bit count, so a
-    message set too large to build is refused without forming its size.
+    come out equal-sized here; check_message_bits checks the cap first.
     """
-    if _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
-        raise BudgetError(
-            f"cannot materialize a partition of 2^{cfg.message_bits} messages, over the "
-            f"{FULL_CODEBOOK_CAP} cap; large-message simulations use the virtual regime"
-        )
+    check_message_bits(cfg.message_bits, "make_partition")
     return partition_from_counts(cfg.message_count, cfg.semantic_count, scheme, seed)
 
 
@@ -392,11 +389,7 @@ def generate_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codeb
 def generate_full_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
     """One codeword per message, symbols i.i.d. from px (cap 2^20 messages)."""
     bits = cfg.message_bits
-    if _exceeds(1, bits, FULL_CODEBOOK_CAP):
-        raise BudgetError(
-            f"generate_full_codebook: 2^{bits} messages exceed the "
-            f"{FULL_CODEBOOK_CAP} cap; use the per-class codebook instead"
-        )
+    check_message_bits(bits, "generate_full_codebook")
     check_channel_elements(cfg.n, f"generate_full_codebook: 2^{bits} codewords", bits)
     return _codebook_from_px(cfg.message_count, cfg.n, px, rng)
 
@@ -533,9 +526,10 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     kinds = (float, float, float) if keyed is None else (float, np.intp, np.float32)
     buffers = [np.empty(height * width, dtype=kind) for kind in kinds]
     if keyed is not None:
-        weight = keyed[1][cw].astype(np.float32)
-        last = weight[..., -1:]
-        right = np.concatenate([(weight[..., :-1] - last).reshape(count, -1), last.sum(1)], axis=1)
+        # Gathered from float32 tables: no (count, n, |Y|) int64 array is built.
+        place = keyed[1].astype(np.float32)
+        right = np.concatenate([(place[:, :-1] - place[:, -1:])[cw].reshape(count, -1),
+                                place[:, -1][cw].sum(1, keepdims=True)], axis=1)
         for rows in slices:
             left = np.ones((rows.stop - rows.start, right.shape[1]), dtype=np.float32)
             left[:, :-1] = (ys[rows][:, :, None] == np.arange(b_count - 1)).reshape(len(left), -1)
@@ -563,16 +557,24 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
             yield rows, cols, score.of(counts(), scores)
 
 
+DECODERS = ("ml", "typicality")
+
+
 def _decoder_score(
     decoder: str, ch: Dmc, px: ProbVector | None = None, eps: float = 0.0, n: int = 0
 ) -> _CellScore:
-    """The decoder's score of a pair's weight-class counts at blocklength n:
-    ML's log-likelihood under log2 W (it needs only ch), or typicality's
-    0.0/NEG against px(a) W(b|a) (info._typical_score, which checks eps)."""
+    """The score of a pair's weight-class counts at blocklength n, for each
+    name in DECODERS: ML's log-likelihood under log2 W (it needs only ch),
+    or typicality's 0.0/NEG against px(a) W(b|a) (info._typical_score,
+    which checks eps). ValidationError for any other name or a missing px."""
     if decoder == "ml":
         cell_class, members, weights = _weight_classes(_log_matrix(ch.matrix).ravel())
         return _CellScore(ch.matrix.shape, cell_class, members, weights,
                           lambda counts, out: _combine(counts, weights, out))
+    if decoder != "typicality":
+        raise ValidationError(f"unknown decoder {decoder!r}; use one of {DECODERS}")
+    if px is None:
+        raise ValidationError("typicality decoding needs px")
     joint = JointDist.from_input_and_kernel(px, ch.matrix, ch.output_labels)
     return _typical_score(joint, eps, n)
 
@@ -866,6 +868,7 @@ def _output_fold(score: _CellScore, p0: float) -> np.ndarray:
 class RunPlan:
     """A simulation run, its inputs checked and its choices made (_plan).
 
+    score is the decoder's (_decoder_score), which both engines score with.
     regime is the engine's name in the report. codebook None is a fresh
     codebook in every trial; partition None has the engine draw classes
     uniformly (messages past FULL_CODEBOOK_CAP). The virtual engine never
@@ -886,6 +889,7 @@ class RunPlan:
     trials: int
     seed: int
     eps: float
+    score: _CellScore
     regime: str
     codebook: Codebook | None
     partition: SemanticPartition | None
@@ -911,7 +915,8 @@ def _plan(
     codebook: Codebook | None, partition: SemanticPartition | None,
     per_message: bool = False,
 ) -> RunPlan:
-    """Check a run's inputs, all before anything is drawn, then choose.
+    """Check a run's inputs and build its decoder score (_decoder_score
+    checks the name and eps), all before anything is drawn, then choose.
 
     The regime is virtual for a fresh per-class codebook whose count * n
     passes MATERIALIZE_LIMIT. The codebook is the given one, else drawn once
@@ -925,17 +930,13 @@ def _plan(
     name = "simulate_full_codebook" if per_message else "simulate"
     if px.labels != ch.input_labels:
         raise ValidationError(f"{name}: px alphabet does not match channel inputs")
-    if decoder not in ("ml", "typicality"):
-        raise ValidationError(f"{name}: unknown decoder {decoder!r}")
+    score = _decoder_score(decoder, ch, px, eps, cfg.n)
     if trials < 1:
         raise ValidationError(f"{name}: trials must be >= 1, got {trials}")
     if codebook is not None and fresh:
         raise ValidationError("simulate: an explicit codebook implies fresh_codebook=False")
-    if per_message and _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
-        raise ConfigError(
-            f"simulate_full_codebook: 2^{cfg.message_bits} messages exceed the "
-            f"{FULL_CODEBOOK_CAP} cap; use simulate() with per-class codewords"
-        )
+    if per_message:
+        check_message_bits(cfg.message_bits, name)
     # A built partition is small: 2^message_bits is formed only once the bit
     # counts show it is no larger.
     if partition is not None and (
@@ -986,7 +987,7 @@ def _plan(
     regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
               else f"materialized-{'fresh' if fresh else 'shared'}")
     workers = min(-(-trials // BATCH_TRIALS), _cpu_count()) if fresh else 1
-    return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps,
+    return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps, score,
                    regime, codebook, partition, workers)
 
 
@@ -1017,9 +1018,8 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
     then the channel uniforms.
     """
     cfg, ch, px, part, codebook = plan.cfg, plan.ch, plan.px, plan.partition, plan.codebook
-    fresh = codebook is None
+    score, fresh = plan.score, codebook is None
     count = cfg.semantic_count if fresh else codebook.count
-    score = _decoder_score(plan.decoder, ch, px, plan.eps, cfg.n)
     ch_cdf = _row_cdfs(ch.matrix)
     codewords = np.arange(count)
     if part is None:
@@ -1125,8 +1125,7 @@ def _simulate_virtual(plan: RunPlan) -> SimulationReport:
     support. Batches are joined in batch order, so the report is the same
     for any worker count.
     """
-    cfg, ch, px = plan.cfg, plan.ch, plan.px
-    score = _decoder_score("ml", ch)
+    cfg, ch, px, score = plan.cfg, plan.ch, plan.px, plan.score
     # P(a, b) = px(a) W(b|a) in the canonical row-major (a, b) cell order.
     # Masses may exceed 1 by up to MASS_TOL, so the cell probabilities are
     # renormalized and the competitors' input-0 probability is clamped.
@@ -1232,17 +1231,14 @@ def exact_evaluate(
     uniform and conditionally independent of Y given the class), so the
     enumeration only ever scales with the codeword count.
     """
-    if decoder not in ("ml", "typicality"):
-        raise ValidationError(f"exact_evaluate: unknown decoder {decoder!r}")
     if cb.alphabet_size != ch.num_inputs:
         raise ValidationError("exact_evaluate: codebook alphabet mismatch")
     mcount = partition.message_count
     kcount = partition.class_count
     n = cb.n
-    # With |Y| >= 2, |Y|^n passes the budget from n = its bit length on.
-    if ch.num_outputs ** min(n, ENUM_BUDGET.bit_length()) * mcount > ENUM_BUDGET:
+    if _exceeds(cb.count, n, ENUM_BUDGET, ch.num_outputs):
         raise BudgetError(
-            f"exact_evaluate: |Y|^n * messages = {ch.num_outputs}^{n} * {mcount} "
+            f"exact_evaluate: |Y|^n * codewords = {ch.num_outputs}^{n} * {cb.count} "
             f"exceeds budget {ENUM_BUDGET}"
         )
     if cb.count == kcount:
@@ -1261,8 +1257,6 @@ def exact_evaluate(
             f"class count {kcount} nor the message count {mcount}"
         )
 
-    if decoder == "typicality" and px is None:
-        raise ValidationError("exact_evaluate: typicality decoding needs px")
     score = _decoder_score(decoder, ch, px, eps, n)
     # Every output word, row i holding the base-|Y| digits of i.
     yall = np.indices((ch.num_outputs,) * n).reshape(n, -1).T.astype(np.int64)

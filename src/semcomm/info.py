@@ -26,6 +26,7 @@ from .errors import ConfigError, ValidationError
 
 MASS_TOL = 1e-12
 NEG = -1.0e30  # stand-in for log2(0); sums of these stay far below any real score
+NEG_THRESHOLD = -1.0e29  # a score at or below this holds a NEG: an impossible event
 
 
 def load_json_doc(source: Union[str, Path, Mapping], what: str, keys: tuple = ()) -> Mapping:
@@ -470,7 +471,7 @@ def _typical_score(joint: JointDist, eps: float, n: int) -> _CellScore:
     def score(counts, out: np.ndarray) -> np.ndarray:
         counts = (np.asarray(cnt)[..., None] for cnt in counts)
         sums = np.moveaxis(_combine(counts, weights, np.empty((*out.shape, 3))), -1, 0)
-        typical = sums[2] > NEG / 2
+        typical = sums[2] > NEG_THRESHOLD
         for total, centre in zip(sums, centres):
             rate = -total / n
             typical &= np.abs(rate - centre) <= eps + slack * (rate + centre)

@@ -179,6 +179,18 @@ def test_psk_config_checks_the_element_budget(monkeypatch):
     assert mpsk_hard_dmc(cfg).matrix.shape == (4, 4)
 
 
+def test_exceeds_matches_brute_force():
+    for base in (1, 2, 3):
+        for count in (1, 2, 5):
+            for exp in range(12):
+                for cap in (0, 1, 2, 7, 8, 9, 80, 81, 1000, 10**7):
+                    want = count * base**exp > cap
+                    assert channels._exceeds(count, exp, cap, base) == want, (count, exp, cap, base)
+    # A huge exponent is decided without forming a huge power.
+    assert channels._exceeds(1, 10**12, 10**7, 3)
+    assert not channels._exceeds(1, 10**12, 10**7, 1)
+
+
 def test_monte_carlo_agrees_with_analytic():
     samples = 200_000
     cfg = PskConfig(order=4, snr=4.0, estimation="monte-carlo", samples=samples, seed=5)

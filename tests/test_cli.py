@@ -580,6 +580,15 @@ def test_fano_single_budget_exit_code(capsys):
     assert code == 2
 
 
+def test_fano_single_budgets_codewords_not_messages(capsys):
+    # 2^20 messages in 4 classes: exact_evaluate enumerates 4 codewords
+    # against 2^4 output words.
+    doc, _ = run_json(capsys, "fano", "--single", "--channel", "bsc:0.1", "--n", "4",
+                      "--message-bits", "20", "--semantic-bits", "2")
+    assert doc["total_bits"] == 20.0
+    assert doc["holds"] and doc["converse"]["holds"]
+
+
 def test_fano_single_bad_bits(capsys):
     code, _, err = run(
         capsys, "fano", "--single", "--channel", "bsc:0.1", "--n", "2",
@@ -607,9 +616,11 @@ FANO_SINGLE = {"mode": "single", "channel": "bsc:0.1", "n": 3, "message-bits": 4
     ({**FANO_SINGLE, "message-bits": 10**10, "semantic-bits": 1},
      "2^10000000000 messages exceed the 1048576 cap"),
     ({**FANO_SINGLE, "n": 10**10}, "4 codewords of length 10000000000 needs"),
+    ({"mode": "singel", "instances": 3, "seed": 1},
+     "mode must be 'single' or 'campaign', got 'singel'"),
 ], ids=["n-word", "n-fraction", "message-bits-word", "semantic-bits-fraction",
         "instances-word", "instances-fraction", "converse-text", "converse-number",
-        "message-bits-huge", "message-bits-giant", "n-giant"])
+        "message-bits-huge", "message-bits-giant", "n-giant", "mode-typo"])
 def test_fano_bad_config_values_exit_2_with_message(capsys, config, message):
     code, out, err = run(capsys, "fano", "--config", json.dumps(config))
     assert code == 2
@@ -669,6 +680,15 @@ MALFORMED = {
     "fano-bsc-no-p": lambda kb: (
         "fano", "--single", "--n", "2", "--message-bits", "2", "--semantic-bits", "1",
         *_config(channel={"kind": "bsc"})),
+    # A JSON boolean is not a number: true is neither 1 nor 1.0.
+    "bsc-p-true": lambda kb: _capacity_of({"kind": "bsc", "p": True}),
+    "trials-true": lambda kb: (
+        "simulate", "--channel", "bsc:0.05", "--seed", "1",
+        *_config(**{"n-grid": [8], "trials": True})),
+    "n-grid-true": lambda kb: (
+        "simulate", "--channel", "bsc:0.05", "--seed", "1", *_config(**{"n-grid": [True, 8]})),
+    "fano-n-true": lambda kb: (
+        "fano", *_config(**{**FANO_SINGLE, "n": True, "message-bits": 2, "semantic-bits": 1})),
     # Past CPython's 4300-digit int-to-str limit, json.loads raises a plain ValueError.
     "int-5001-digits": lambda kb: (
         "capacity", "--config", '{"channel": "bsc:0.1", "alpha": 1' + "0" * 5000 + "}"),

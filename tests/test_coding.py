@@ -677,6 +677,11 @@ def _input_errors():
         "full-message-cap": (full(cfg=CodeConfig(n=1, rate=30.0, alpha=1.0)), ConfigError,
                              "2\\^30 messages exceed the 1048576 cap"),
     }
+    for eps in (0.0, -1.0, math.nan):
+        cases[f"eps-{eps}"] = (sim(decoder="typicality", eps=eps), ValidationError,
+                               "eps must be > 0")
+        cases[f"full-eps-{eps}"] = (full(decoder="typicality", eps=eps), ValidationError,
+                                    "eps must be > 0")
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
 
@@ -1795,6 +1800,26 @@ def test_shared_simulation_memory_stays_bounded():
     assert peak < 32 * 2**20
 
 
+def test_keyed_shared_scores_memory_stays_bounded():
+    # 2^18 codewords of length 16 take 32 MiB as int64; gathering their
+    # (count, n, |Y|) key weights as int64 before the float32 cast peaked
+    # near 97 MiB.
+    cw = np.random.default_rng(1).integers(0, 2, size=(2**18, 16))
+    ys = np.random.default_rng(2).integers(0, 2, size=(4, 16))
+    matrix = bsc(0.1).matrix
+    score = _ml(matrix)
+    assert coding._key_table(score, 16, ys.shape[0] * cw.shape[0]) is not None
+    tracemalloc.start()
+    try:
+        picks = coding._decisions(cw, ys, score)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    ref = _ref_scores_shared(cw, ys, coding._log_matrix(matrix))
+    assert np.array_equal(picks, _ref_decide(ref))
+
+
 # --- exact evaluation against a brute-force oracle --------------------------------
 
 
@@ -1913,6 +1938,12 @@ def test_exact_evaluate_budget():
     cb = Codebook(np.zeros((2, 24), dtype=np.int64), 2)
     with pytest.raises(BudgetError):
         exact_evaluate(cb, part, bsc(0.1))
+
+
+def test_exact_evaluate_rejects_an_unknown_decoder():
+    _, part, cb, ch = _hand_system()
+    with pytest.raises(ValidationError, match="unknown decoder 'guess'"):
+        exact_evaluate(cb, part, ch, decoder="guess", px=UNIFORM2)
 
 
 def test_exact_evaluate_typicality_needs_px():

@@ -42,7 +42,7 @@ Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
 stream b; shared codebooks use stream CODEBOOK_STREAM, seeded-random
 partitions PARTITION_STREAM, and Fano campaign instance i stream
 FANO_STREAM + i. Results are therefore bit-identical across runs and worker
-counts (see _run_batches).
+counts, on the one batch pool every regime shares (see _run_batches).
 
 Scores are canonical: a decoder scores a (codeword, output) pair's joint
 type by its weight-class counts. A class is the cells (a, b) of one weight
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -729,20 +730,37 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _reset_pool() -> None:
+    """Forget _run_batches's pool and its lock, as a forked child must: the
+    parent's pool threads do not run there, so their pool would hang."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+_reset_pool()
+os.register_at_fork(after_in_child=_reset_pool)
+
+
 def _run_batches(trials: int, workers: int, worker: Callable[[int, int], tuple]) -> list:
     """worker(batch_index, batch_trials) over fixed-size batches, in batch
-    order, on a pool of `workers` threads (in order here for one).
+    order: here for one worker, else on one pool of _cpu_count() threads,
+    built on first use and kept for the process (no thread start-up per
+    run). Never call it from a worker: it would wait on its own pool.
 
     worker must be a pure function of its arguments, so the list is the
     same however many workers run it; callers reduce it with integer sums or
     in-order concatenation, which keeps their results identical too.
     """
+    global _pool
     full, rem = divmod(trials, BATCH_TRIALS)
     sizes = [BATCH_TRIALS] * full + ([rem] if rem else [])
     if workers <= 1:
         return [worker(b, nb) for b, nb in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(len(sizes)), sizes))
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpu_count())
+        pool = _pool
+    return list(pool.map(worker, range(len(sizes)), sizes))
 
 
 def _log_choose(count: int) -> np.ndarray:
@@ -877,8 +895,8 @@ class RunPlan:
     on which class is sent, and the sent message is its class's
     representative with probability class_count / message_count whatever
     the class sizes. A given one is kept all the same, so that the report
-    notes an unequal partition in every regime. workers sizes the batch
-    pool (_run_batches). report() adds the error counts.
+    notes an unequal partition in every regime. workers > 1 runs batches
+    on the process's batch pool (_run_batches). report() adds the counts.
     """
 
     cfg: CodeConfig
@@ -922,10 +940,7 @@ def _plan(
     passes MATERIALIZE_LIMIT. The codebook is the given one, else drawn once
     from CODEBOOK_STREAM unless fresh; the partition the given one, else
     built while the messages fit FULL_CODEBOOK_CAP (never for virtual runs).
-    Fresh codebooks' batches run on one worker per CPU, at most one per
-    batch; fixed ones' in order: under default BLAS a pool measured no
-    faster (ML, n=16, 2048 codewords, 20k trials, 2 CPUs: 0.179 s pooled,
-    0.177 s in order), though with one BLAS thread it is faster.
+    Every regime's batches run on one worker per CPU, at most one a batch.
     """
     name = "simulate_full_codebook" if per_message else "simulate"
     if px.labels != ch.input_labels:
@@ -986,7 +1001,7 @@ def _plan(
         partition = make_partition(cfg, scheme, seed)
     regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
               else f"materialized-{'fresh' if fresh else 'shared'}")
-    workers = min(-(-trials // BATCH_TRIALS), _cpu_count()) if fresh else 1
+    workers = min(-(-trials // BATCH_TRIALS), _cpu_count())
     return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps, score,
                    regime, codebook, partition, workers)
 

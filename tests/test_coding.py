@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import threading
 import tracemalloc
 import warnings
 
@@ -51,11 +53,30 @@ from semcomm.info import NEG, entropy_bits
 UNIFORM2 = ProbVector(("0", "1"), [0.5, 0.5])
 
 
-def _per_worker_count(monkeypatch, run) -> list:
+def _drop_pool():
+    if coding._pool is not None:
+        coding._pool.shutdown()
+    coding._reset_pool()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes the batch pool see k CPUs. The process keeps its pool,
+    so each call drops it (the next multi-batch run builds one of k
+    threads), and the test's last one is dropped after it."""
+    def see(count):
+        _drop_pool()
+        monkeypatch.setattr(coding, "_cpu_count", lambda: count)
+
+    yield see
+    _drop_pool()
+
+
+def _per_worker_count(cpus, run) -> list:
     """run() once for each CPU count the batch pool may see."""
     out = []
     for workers in (1, 2, 3, 8):
-        monkeypatch.setattr(coding, "_cpu_count", lambda workers=workers: workers)
+        cpus(workers)
         out.append(run())
     return out
 
@@ -487,41 +508,110 @@ def test_exact_evaluate_matches_hand_values():
     assert ev.h_w == 2.0
 
 
-def test_simulate_fresh_is_deterministic_across_threads_and_reruns(monkeypatch):
+def test_simulate_fresh_is_deterministic_across_threads_and_reruns(cpus):
     cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
     args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 3 * 4096 + 100, 31337)
-    a, *rest = _per_worker_count(monkeypatch, lambda: simulate(*args).to_dict())
+    a, *rest = _per_worker_count(cpus, lambda: simulate(*args).to_dict())
     assert all(r == a for r in rest)
     assert a["config"]["regime"] == "materialized-fresh"
 
 
-def test_virtual_regime_is_deterministic_across_threads(monkeypatch):
+def test_virtual_regime_is_deterministic_across_threads(cpus):
     cfg = CodeConfig(n=64, rate=0.5, alpha=1.0)  # 2^32 codewords: never materialized
     args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 2 * 4096, 2718)
-    a, *rest = _per_worker_count(monkeypatch, lambda: simulate(*args).to_dict())
+    a, *rest = _per_worker_count(cpus, lambda: simulate(*args).to_dict())
     assert all(r == a for r in rest)
     assert a["config"]["regime"] == "virtual-fresh"
 
 
-def test_only_multi_batch_fresh_runs_build_a_pool(monkeypatch):
-    pools = []
-    real_pool = coding.ThreadPoolExecutor
+@pytest.mark.parametrize("decoder, shared, full", [
+    ("ml", (723, 9391), (3286, 3513)),
+    ("typicality", (7623, 11074), (8733, 8877)),
+])
+def test_fixed_codebooks_are_deterministic_across_threads(cpus, decoder, shared, full):
+    # Fixed codebooks' batches run on the pool as fresh ones' do; the
+    # counts are those of the in-order runs before they did.
+    cfg = CodeConfig(n=8, rate=0.5, alpha=0.5)
+    part = make_partition(cfg, "contiguous")
+    trials = 3 * 4096 + 1
+    runs = {
+        "materialized-shared": (shared, lambda: simulate(
+            cfg, "contiguous", bsc(0.1), UNIFORM2, decoder, trials, 27, eps=0.3,
+            fresh_codebook=False).to_dict()),
+        "full-codebook": (full, lambda: simulate_full_codebook(
+            cfg, part, bsc(0.1), UNIFORM2, trials, 27, decoder=decoder, eps=0.3).to_dict()),
+    }
+    for regime, (counts, run) in runs.items():
+        a, *rest = _per_worker_count(cpus, run)
+        assert all(r == a for r in rest)
+        assert a["config"]["regime"] == regime
+        assert (a["semantic_errors"], a["message_errors"]) == counts
+
+
+def test_one_batch_pool_serves_every_regime(monkeypatch, cpus):
+    # One executor per process: built by the first run of more than one
+    # batch, whatever its regime, and kept; a one-batch run stays inline.
+    cpus(8)
+    pools, off_thread = [], []
+    real_pool, decide = coding.ThreadPoolExecutor, coding._decisions
+    caller = threading.get_ident()
 
     def counted_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
+    def spy(*args):
+        off_thread.append(threading.get_ident() != caller)
+        return decide(*args)
+
     monkeypatch.setattr(coding, "ThreadPoolExecutor", counted_pool)
-    monkeypatch.setattr(coding, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(coding, "_decisions", spy)
     cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
-    args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml", 3 * 4096 + 1, 5)
-    simulate(*args, fresh_codebook=False)
-    simulate_full_codebook(cfg, make_partition(cfg, "contiguous"), bsc(0.05), UNIFORM2,
-                           3 * 4096 + 1, 5)
-    simulate(*args[:-2], 4096, 5)  # fresh, but one batch
-    assert pools == []
-    simulate(*args)  # fresh: one worker per batch, below the CPU count
-    assert pools == [4]
+    args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml")
+    trials = 3 * 4096 + 1
+    runs = [
+        lambda: simulate(*args, trials, 5),
+        lambda: simulate(*args, trials, 5, fresh_codebook=False),
+        lambda: simulate_full_codebook(cfg, make_partition(cfg, "contiguous"), bsc(0.05),
+                                       UNIFORM2, trials, 5),
+    ]
+    simulate(*args, 4096, 5)  # one batch
+    simulate(*args, 4096, 5, fresh_codebook=False)
+    assert pools == [] and coding._pool is None and not any(off_thread)
+    for run in runs:
+        off_thread.clear()
+        run()
+        assert off_thread and all(off_thread)
+    assert pools == [8]
+    pool = coding._pool
+    off_thread.clear()
+    simulate(*args, 4096, 5)
+    assert not any(off_thread) and coding._pool is pool and pools == [8]
+
+
+def _report_in_child(conn, args):
+    conn.send(simulate(*args).to_dict())
+
+
+def test_forked_child_runs_batches_on_its_own_pool(cpus):
+    # The parent's pool threads do not exist in a forked child; on that
+    # pool a multi-batch run would wait forever.
+    cpus(2)
+    args = (CodeConfig(n=6, rate=0.5, alpha=1.0), "contiguous", bsc(0.05), UNIFORM2, "ml",
+            3 * 4096 + 1, 5)
+    expected = simulate(*args).to_dict()
+    assert coding._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_report_in_child, args=(send, args))
+    child.start()
+    try:
+        assert receive.poll(10), "the forked child did not report within 10 s"
+        assert receive.recv() == expected
+    finally:
+        child.kill()
+        child.join(10)
+    assert not child.is_alive()
 
 
 def test_cpu_count_falls_back_without_affinity(monkeypatch):
@@ -985,7 +1075,7 @@ _VIRTUAL_PINS = [
 @pytest.mark.parametrize(
     "ch, probs, n, rate, counts", _VIRTUAL_PINS, ids=["bsc", "z", "dmc3", "skewed-px"]
 )
-def test_blocked_virtual_draw_pinned(monkeypatch, block_elements, ch, probs, n, rate, counts):
+def test_blocked_virtual_draw_pinned(monkeypatch, cpus, block_elements, ch, probs, n, rate, counts):
     if block_elements is not None:
         # The joint-type draw holds no per-row arrays, so an odd block size
         # must leave its counts as they are.
@@ -993,7 +1083,7 @@ def test_blocked_virtual_draw_pinned(monkeypatch, block_elements, ch, probs, n, 
     cfg = CodeConfig(n=n, rate=rate, alpha=0.95)
     px = ProbVector(ch.input_labels, probs)
     reps = _per_worker_count(
-        monkeypatch, lambda: simulate(cfg, "contiguous", ch, px, "ml", 2 * 4096 + 777, 2026)
+        cpus, lambda: simulate(cfg, "contiguous", ch, px, "ml", 2 * 4096 + 777, 2026)
     )
     for rep in reps:
         assert rep.config["regime"] == "virtual-fresh"
@@ -1041,15 +1131,15 @@ def _decided_rows(monkeypatch) -> list:
     return seen
 
 
-def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch):
+def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch, cpus):
     # BSC at n=4 has 16 output words, so every 4096-trial batch repeats
     # them and a fixed codebook decides each of them once.
     cfg = CodeConfig(n=4, rate=1.0, alpha=0.5)
     part = make_partition(cfg, "contiguous")
     ch = bsc(0.1)
     trials = 9 * 4096
-    # Shared codebooks run their batches in order whatever the CPU count.
-    monkeypatch.setattr(coding, "_cpu_count", lambda: 4)
+    # Both fixed codebooks run their 9 batches on a pool of 4 threads.
+    cpus(4)
     runs = [
         lambda: simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 99),
         lambda: simulate(cfg, "contiguous", ch, UNIFORM2, "ml", trials, 99,

@@ -139,7 +139,7 @@ def blahut_arimoto(
     Raises ConvergenceError carrying the best-so-far CapacityResult when
     max_iter is exhausted.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError(f"blahut_arimoto: tol must be > 0, got {tol}")
     if threshold is not None and math.isnan(threshold):
         raise ValidationError("blahut_arimoto: threshold must not be NaN")

@@ -34,8 +34,9 @@ simulation regimes cover this:
   all of them.
 
 A run's choices are made in one place, _plan, before anything is drawn: it
-checks every input, then settles the regime, the codebook, the partition and
-the batch pool's size into a RunPlan that an engine carries out.
+checks every input, then settles the regime, the codebook and the partition
+into a RunPlan that an engine carries out; _run_batches alone splits its
+trials into batches and runs them.
 
 Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -731,36 +731,32 @@ def _cpu_count() -> int:
 
 
 def _reset_pool() -> None:
-    """Forget _run_batches's pool and its lock, as a forked child must: the
-    parent's pool threads do not run there, so their pool would hang."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    """Make _run_batches's pool, one thread per CPU: at import, and again in
+    a forked child, where the parent's pool threads do not run (their pool
+    would hang). An executor starts no thread before work arrives."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=_cpu_count())
 
 
 _reset_pool()
 os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _run_batches(trials: int, workers: int, worker: Callable[[int, int], tuple]) -> list:
+def _run_batches(trials: int, worker: Callable[[int, int], tuple]) -> list:
     """worker(batch_index, batch_trials) over fixed-size batches, in batch
-    order: here for one worker, else on one pool of _cpu_count() threads,
-    built on first use and kept for the process (no thread start-up per
-    run). Never call it from a worker: it would wait on its own pool.
+    order: here for one batch or one CPU, else on the process's pool (no
+    thread start-up per run). The one place trials are split into batches.
+    Never call it from a worker: it would wait on its own pool.
 
     worker must be a pure function of its arguments, so the list is the
-    same however many workers run it; callers reduce it with integer sums or
+    same however many threads run it; callers reduce it with integer sums or
     in-order concatenation, which keeps their results identical too.
     """
-    global _pool
     full, rem = divmod(trials, BATCH_TRIALS)
     sizes = [BATCH_TRIALS] * full + ([rem] if rem else [])
-    if workers <= 1:
+    if len(sizes) == 1 or _cpu_count() == 1:
         return [worker(b, nb) for b, nb in enumerate(sizes)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpu_count())
-        pool = _pool
-    return list(pool.map(worker, range(len(sizes)), sizes))
+    return list(_pool.map(worker, range(len(sizes)), sizes))
 
 
 def _log_choose(count: int) -> np.ndarray:
@@ -895,8 +891,7 @@ class RunPlan:
     on which class is sent, and the sent message is its class's
     representative with probability class_count / message_count whatever
     the class sizes. A given one is kept all the same, so that the report
-    notes an unequal partition in every regime. workers > 1 runs batches
-    on the process's batch pool (_run_batches). report() adds the counts.
+    notes an unequal partition in every regime. report() adds the counts.
     """
 
     cfg: CodeConfig
@@ -911,7 +906,6 @@ class RunPlan:
     regime: str
     codebook: Codebook | None
     partition: SemanticPartition | None
-    workers: int
 
     def report(self, sem: int, msg: int) -> SimulationReport:
         config = {
@@ -940,7 +934,6 @@ def _plan(
     passes MATERIALIZE_LIMIT. The codebook is the given one, else drawn once
     from CODEBOOK_STREAM unless fresh; the partition the given one, else
     built while the messages fit FULL_CODEBOOK_CAP (never for virtual runs).
-    Every regime's batches run on one worker per CPU, at most one a batch.
     """
     name = "simulate_full_codebook" if per_message else "simulate"
     if px.labels != ch.input_labels:
@@ -1001,9 +994,8 @@ def _plan(
         partition = make_partition(cfg, scheme, seed)
     regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
               else f"materialized-{'fresh' if fresh else 'shared'}")
-    workers = min(-(-trials // BATCH_TRIALS), _cpu_count())
     return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps, score,
-                   regime, codebook, partition, workers)
+                   regime, codebook, partition)
 
 
 def _distinct_rows(rows: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1072,7 +1064,7 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
             msg_err = erased | (owner_msg[picks] != w)
         return int(sem_err.sum()), int(msg_err.sum())
 
-    sem, msg = map(sum, zip(*_run_batches(plan.trials, plan.workers, worker)))
+    sem, msg = map(sum, zip(*_run_batches(plan.trials, worker)))
     return plan.report(sem, msg)
 
 
@@ -1159,7 +1151,7 @@ def _simulate_virtual(plan: RunPlan) -> SimulationReport:
         return own, counts, rep_hit, u_win
 
     own, counts, rep_hit, u_win = (
-        np.concatenate(parts) for parts in zip(*_run_batches(plan.trials, plan.workers, draw))
+        np.concatenate(parts) for parts in zip(*_run_batches(plan.trials, draw))
     )
     # Each trial's tail depends on its own folded type alone, not on the
     # order of the types.
@@ -1273,8 +1265,10 @@ def exact_evaluate(
         )
 
     score = _decoder_score(decoder, ch, px, eps, n)
-    # Every output word, row i holding the base-|Y| digits of i.
-    yall = np.indices((ch.num_outputs,) * n).reshape(n, -1).T.astype(np.int64)
+    # Every output word, row i holding the base-|Y| digits of i, in the
+    # narrowest dtype: 2 codewords at n = 22 fit the budget, 704 MiB as int64.
+    digit = np.min_scalar_type(ch.num_outputs - 1)
+    yall = np.indices((ch.num_outputs,) * n, digit).reshape(n, -1).T
     cw = cb.codewords
     decisions = _decisions(cw, yall, score)
 

@@ -213,7 +213,7 @@ def differential_semantic_entropy(
             "differential_semantic_entropy: source alphabets differ, "
             f"{px.labels} vs {kernel.source_labels}"
         )
-    if quad_tol <= 0:
+    if not quad_tol > 0:
         raise ValidationError(f"quad_tol must be > 0, got {quad_tol}")
     lo, hi = kernel.domain
     active = [(w, d) for w, d in zip(px.probs, kernel.densities) if w > 0.0]

@@ -153,6 +153,13 @@ def test_threshold_rejects_nan():
         blahut_arimoto(zchan(0.3), threshold=math.nan)
 
 
+def test_tol_rejects_nan_before_iterating():
+    # NaN compares false both ways: past a "tol <= 0" guard no gap could
+    # ever meet it, and the solve would run all max_iter iterations.
+    with pytest.raises(ValidationError, match="tol must be > 0, got nan"):
+        blahut_arimoto(zchan(0.3), tol=math.nan)
+
+
 def test_semantic_capacity_scales_by_alpha():
     ch = bsc(0.1)
     c = blahut_arimoto(ch).capacity

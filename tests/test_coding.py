@@ -53,23 +53,23 @@ from semcomm.info import NEG, entropy_bits
 UNIFORM2 = ProbVector(("0", "1"), [0.5, 0.5])
 
 
-def _drop_pool():
-    if coding._pool is not None:
-        coding._pool.shutdown()
+def _remake_pool():
+    coding._pool.shutdown()
     coding._reset_pool()
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """cpus(k) makes the batch pool see k CPUs. The process keeps its pool,
-    so each call drops it (the next multi-batch run builds one of k
-    threads), and the test's last one is dropped after it."""
-    def see(count):
-        _drop_pool()
-        monkeypatch.setattr(coding, "_cpu_count", lambda: count)
+def cpus():
+    """cpus(k) makes the batch pool see k CPUs: it patches _cpu_count, then
+    remakes the pool (k threads). At teardown the patch is undone first and
+    the pool remade after it, so no test's pool outlives the test."""
+    with pytest.MonkeyPatch.context() as patch:
+        def see(count):
+            patch.setattr(coding, "_cpu_count", lambda: count)
+            _remake_pool()
 
-    yield see
-    _drop_pool()
+        yield see
+    _remake_pool()
 
 
 def _per_worker_count(cpus, run) -> list:
@@ -549,22 +549,24 @@ def test_fixed_codebooks_are_deterministic_across_threads(cpus, decoder, shared,
 
 
 def test_one_batch_pool_serves_every_regime(monkeypatch, cpus):
-    # One executor per process: built by the first run of more than one
-    # batch, whatever its regime, and kept; a one-batch run stays inline.
-    cpus(8)
-    pools, off_thread = [], []
-    real_pool, decide = coding.ThreadPoolExecutor, coding._decisions
-    caller = threading.get_ident()
-
-    def counted_pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    # The pool is made with the module (here by cpus) and no run makes one.
+    # A run of more than one batch decides on it, whatever its regime; a
+    # one-batch run, or any run on one CPU, stays inline.
+    off_thread = []
+    decide, caller = coding._decisions, threading.get_ident()
 
     def spy(*args):
         off_thread.append(threading.get_ident() != caller)
         return decide(*args)
 
-    monkeypatch.setattr(coding, "ThreadPoolExecutor", counted_pool)
+    def refuse(max_workers):
+        pytest.fail("a run made an executor")
+
+    def threads(run):
+        off_thread.clear()
+        run()
+        return set(off_thread)
+
     monkeypatch.setattr(coding, "_decisions", spy)
     cfg = CodeConfig(n=6, rate=0.5, alpha=1.0)
     args = (cfg, "contiguous", bsc(0.05), UNIFORM2, "ml")
@@ -575,18 +577,16 @@ def test_one_batch_pool_serves_every_regime(monkeypatch, cpus):
         lambda: simulate_full_codebook(cfg, make_partition(cfg, "contiguous"), bsc(0.05),
                                        UNIFORM2, trials, 5),
     ]
-    simulate(*args, 4096, 5)  # one batch
-    simulate(*args, 4096, 5, fresh_codebook=False)
-    assert pools == [] and coding._pool is None and not any(off_thread)
-    for run in runs:
-        off_thread.clear()
-        run()
-        assert off_thread and all(off_thread)
-    assert pools == [8]
-    pool = coding._pool
-    off_thread.clear()
-    simulate(*args, 4096, 5)
-    assert not any(off_thread) and coding._pool is pool and pools == [8]
+    for count in (8, 1):
+        cpus(count)
+        pool = coding._pool
+        with monkeypatch.context() as patch:
+            patch.setattr(coding, "ThreadPoolExecutor", refuse)
+            assert threads(lambda: simulate(*args, 4096, 5)) == {False}
+            assert threads(lambda: simulate(*args, 4096, 5, fresh_codebook=False)) == {False}
+            for run in runs:
+                assert threads(run) == {count > 1}
+        assert coding._pool is pool
 
 
 def _report_in_child(conn, args):
@@ -2028,6 +2028,21 @@ def test_exact_evaluate_budget():
     cb = Codebook(np.zeros((2, 24), dtype=np.int64), 2)
     with pytest.raises(BudgetError):
         exact_evaluate(cb, part, bsc(0.1))
+
+
+def test_exact_evaluate_word_table_is_narrow():
+    # Two codewords at n = 18 enumerate 2^18 words; an int64 word table and
+    # its copy alone would take 72 MiB.
+    part = partition_from_counts(2, 2, "contiguous")
+    cb = Codebook(np.array([[0] * 18, [1] * 18]), 2)
+    tracemalloc.start()
+    try:
+        ev = exact_evaluate(cb, part, bsc(0.2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < ev.p_sem < 0.01
+    assert peak < 48 * 2**20
 
 
 def test_exact_evaluate_rejects_an_unknown_decoder():

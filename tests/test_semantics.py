@@ -226,6 +226,20 @@ def test_differential_entropy_within_its_bound_of_quad():
         )
 
 
+def test_quad_tol_rejects_nan_before_integrating(monkeypatch):
+    # NaN compares false both ways: past a "quad_tol <= 0" guard it would
+    # fail every check against it, and an uncertified estimate would return.
+    def refuse(*args, **kwargs):
+        pytest.fail("integrated with a NaN quad_tol")
+
+    monkeypatch.setattr("semcomm.semantics._integrate", refuse)
+    px = ProbVector(("a", "b"), [0.5, 0.5])
+    k = ContinuousKernel(("a", "b"), (GaussianDensity(0.0, 1.0), GaussianDensity(3.0, 0.5)),
+                         domain=(-40.0, 40.0))
+    with pytest.raises(ValidationError, match="quad_tol must be > 0, got nan"):
+        differential_semantic_entropy(px, k, quad_tol=math.nan)
+
+
 def test_gaussian_tail_mass_does_not_cancel():
     # 1 + erf(-8.4 / sqrt 2) cancels to 0.0; the true mass above 8.4 is 2.2e-17.
     got = GaussianDensity(0.0, 1.0).mass_outside(-60.0, 8.4)

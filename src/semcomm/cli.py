@@ -32,14 +32,14 @@ from .capacity import (
 )
 from .channels import PskConfig, _exceeds, bsc, check_channel_elements, mpsk_hard_dmc
 from .coding import (
-    DECODERS, PARTITION_SCHEMES, CodeConfig, Codebook, FanoInstance, check_fano,
+    DECODERS, CodeConfig, Codebook, FanoInstance, check_fano,
     check_message_bits, converse_chain, partition_from_counts, run_fano_campaign, simulate,
 )
 from .errors import ConfigError, NumericError, ValidationError
 from .info import ProbVector, entropy, load_json_doc
 from .semantics import KnowledgeBase, compression_gain, semantic_distribution, semantic_entropy
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 CSV_SCHEMA = "semcomm-simulate-v1"
 CSV_COLUMNS = ("n", "R", "alpha", "p_sem", "p_sem_lo", "p_sem_hi", "p_msg", "seed")
 # Per-grid-point seed derivation: distinct odd stride keeps rows independent
@@ -293,7 +293,6 @@ SIMULATE_DEFAULTS = {
     "n-grid": [64, 128, 256, 512],
     "rate-fraction": 0.9,
     "alpha": 1.0,
-    "partition-scheme": "contiguous",
     "decoder": "ml",
     "trials": 10_000,
     "seed": None,
@@ -323,10 +322,7 @@ def cmd_simulate(ns, spec: dict) -> int:
     for i, n in enumerate(spec["n-grid"]):
         seed_i = (spec["seed"] + SEED_STRIDE * i) % SEED_MOD
         cfg = CodeConfig(n=int(n), rate=rate, alpha=alpha)
-        rep = simulate(
-            cfg, spec["partition-scheme"], ch, px, spec["decoder"],
-            spec["trials"], seed_i,
-        )
+        rep = simulate(cfg, "contiguous", ch, px, spec["decoder"], spec["trials"], seed_i)
         rows.append(
             (int(n), rate, alpha, rep.p_sem, rep.p_sem_lo, rep.p_sem_hi,
              rep.p_msg, seed_i)
@@ -363,7 +359,6 @@ FANO_DEFAULTS = {
     "n": None,
     "message-bits": None,
     "semantic-bits": None,
-    "partition-scheme": "contiguous",
 }
 
 
@@ -397,18 +392,14 @@ def cmd_fano(ns, spec: dict) -> int:
         if not (1 <= sb <= mb):
             raise ConfigError(f"fano: need 1 <= semantic-bits <= message-bits, got {sb}/{mb}")
         check_message_bits(mb, "fano")
-        scheme = spec["partition-scheme"]
         resolved = {
             "mode": "single",
             "channel": spec["channel"],
             "n": n,
             "message-bits": mb,
             "semantic-bits": sb,
-            "partition-scheme": scheme,
         }
-        if scheme == "seeded-random":
-            resolved["seed"] = _require_seed(spec["seed"], ns.ephemeral)
-        partition = partition_from_counts(1 << mb, 1 << sb, scheme, resolved.get("seed"))
+        partition = partition_from_counts(1 << mb, 1 << sb, "contiguous")
         cb = _digit_codebook(1 << sb, n, ch.num_inputs)
         inst = FanoInstance(partition=partition, codebook=cb, channel=ch)
         chk = check_fano(inst)
@@ -507,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_grid, default=None, dest="n-grid",
                    help="comma-separated blocklengths")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--scheme", default=None, choices=PARTITION_SCHEMES, dest="partition-scheme")
     p.add_argument("--decoder", default=None, choices=DECODERS)
     p.add_argument("--threads", type=int, help="accepted and ignored")
 
@@ -521,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--message-bits", type=int, default=None, dest="message-bits")
     p.add_argument("--semantic-bits", type=int, default=None, dest="semantic-bits")
-    p.add_argument("--scheme", default=None, choices=PARTITION_SCHEMES, dest="partition-scheme")
 
     return parser
 

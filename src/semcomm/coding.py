@@ -5,6 +5,9 @@ Fano machinery.
 A semantic partition is the many-to-one map itself, stored as one array of
 class indices (SemanticPartition.class_of) that every scheme builds with one
 array expression; sizes, representatives and member lists derive from it.
+A code with one codeword per class reads only the class sizes: its errors
+depend on the class sent and the class decoded, not on which messages
+share a class, so simulation builds no partition of its own.
 
 Message counts are powers of two derived from (n, R, alpha) by ceilings, so
 they can exceed what fits in memory by hundreds of orders of magnitude. Two
@@ -34,8 +37,8 @@ simulation regimes cover this:
   all of them.
 
 A run's choices are made in one place, _plan, before anything is drawn: it
-checks every input, then settles the regime, the codebook and the partition
-into a RunPlan that an engine carries out; _run_batches alone splits its
+checks every input, then settles the regime and the codebook into a
+RunPlan that an engine carries out; _run_batches alone splits its
 trials into batches and runs them.
 
 Determinism: all randomness flows through Philox keys (seed, stream_id).
@@ -667,12 +670,11 @@ class SimulationReport:
     """Monte Carlo error-rate estimates with Wilson 95% intervals.
 
     Message errors for per-class codebooks use the representative
-    convention: a message decode is counted correct only when the class is
-    correct and the transmitted message is its class's canonical
-    representative (the class's smallest index, a uniform-probability event
-    of mass class_count/message_count). With singleton classes (alpha = 1)
-    every message is its own representative, so the two counts coincide
-    bit-for-bit.
+    convention: a decoded class stands for one message of it, so a correct
+    class is a correct message with probability 1/size of the class (the
+    class's messages are equally likely and independent of the output), an
+    event drawn after the channel. With singleton classes (alpha = 1) that
+    probability is 1, so the two counts coincide bit-for-bit.
     """
 
     trials: int
@@ -883,15 +885,16 @@ class RunPlan:
     """A simulation run, its inputs checked and its choices made (_plan).
 
     score is the decoder's (_decoder_score), which both engines score with.
-    regime is the engine's name in the report. codebook None is a fresh
-    codebook in every trial; partition None has the engine draw classes
-    uniformly (messages past FULL_CODEBOOK_CAP). The virtual engine never
-    reads the partition and needs none: a fresh i.i.d. codebook per trial
-    makes the classes exchangeable, so the decode outcome does not depend
-    on which class is sent, and the sent message is its class's
-    representative with probability class_count / message_count whatever
-    the class sizes. A given one is kept all the same, so that the report
-    notes an unequal partition in every regime. report() adds the counts.
+    regime is the engine's name in the report, scheme only a label there.
+    codebook None is a fresh codebook in every trial. partition is the
+    caller's, else None (the config's equal classes); a per-class run reads
+    only its class sizes, as the error depends on the class sent and the
+    class decoded, not on which messages share a class. The virtual engine
+    reads not even those: a fresh i.i.d. codebook per trial makes the
+    classes exchangeable, so a correct class is a correct message with
+    probability class_count / message_count whatever the sizes. A given
+    partition is kept all the same, so that the report notes an unequal
+    one in every regime. report() adds the counts.
     """
 
     cfg: CodeConfig
@@ -932,8 +935,9 @@ def _plan(
 
     The regime is virtual for a fresh per-class codebook whose count * n
     passes MATERIALIZE_LIMIT. The codebook is the given one, else drawn once
-    from CODEBOOK_STREAM unless fresh; the partition the given one, else
-    built while the messages fit FULL_CODEBOOK_CAP (never for virtual runs).
+    from CODEBOOK_STREAM unless fresh. The partition is only ever the given
+    one: a per-class run reads its class sizes alone, and without one the
+    classes are the config's equal ones.
     """
     name = "simulate_full_codebook" if per_message else "simulate"
     if px.labels != ch.input_labels:
@@ -990,8 +994,6 @@ def _plan(
     elif not fresh:
         draw = generate_full_codebook if per_message else generate_codebook
         codebook = draw(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
-    if partition is None and not virtual and not _exceeds(1, cfg.message_bits, FULL_CODEBOOK_CAP):
-        partition = make_partition(cfg, scheme, seed)
     regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
               else f"materialized-{'fresh' if fresh else 'shared'}")
     return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps, score,
@@ -1014,38 +1016,35 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
 
     The codebook holds one codeword per class, or one per message in the
     full-codebook regime; codebook None draws a fresh per-class codebook in
-    every trial. Message w transmits codeword sent_of[w]; decoded codeword k
-    stands for class owner_class[k] and message owner_msg[k] (per class:
-    sent_of = class_of and owner_msg the class representatives; per
-    message: sent_of and owner_msg are the identity, owner_class = class_of).
-    Without a partition (a message set too large to build, per class only)
-    the classes are equal-sized by construction, so the class is drawn
-    uniformly and representative-ness is a Bernoulli(count/message_count).
-    Batch b draws from stream b: the fresh codebooks, then the messages,
-    then the channel uniforms.
+    every trial. Codeword k stands for class owner_class[k] (per class the
+    identity, per message class_of) and is sent with its messages' mass:
+    uniformly, unless a given partition's classes are unequal (per class),
+    where a uniform message index is looked up in the cumulative sizes; no
+    other part of a partition is read. The sent message is any of its
+    codeword's size messages alike, independently of the output, so a
+    correct codeword is a correct message with probability 1/size (1 per
+    message). Batch b draws from stream b: the fresh codebooks, the
+    codewords sent, the channel uniforms, then one uniform per trial for
+    that 1/size event.
     """
     cfg, ch, px, part, codebook = plan.cfg, plan.ch, plan.px, plan.partition, plan.codebook
     score, fresh = plan.score, codebook is None
     count = cfg.semantic_count if fresh else codebook.count
     ch_cdf = _row_cdfs(ch.matrix)
-    codewords = np.arange(count)
-    if part is None:
-        owner_class = codewords
-        rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
-    elif plan.regime == "full-codebook":
-        sent_of, owner_class, owner_msg = codewords, part.class_of, codewords
-    else:
-        sent_of, owner_class, owner_msg = part.class_of, codewords, part.representatives
+    owner_class, bounds = np.arange(count), None
+    rep_prob = 2.0 ** (cfg.semantic_bits - cfg.message_bits)
+    if plan.regime == "full-codebook":
+        owner_class, rep_prob = part.class_of, 1.0
+    elif part is not None and not part.is_equal_sized:
+        bounds, rep_prob = np.cumsum(part.sizes), 1.0 / part.sizes
 
     def worker(b: int, nb: int) -> tuple[int, int]:
         gen = ChannelRng(plan.seed, b).generator()
         cw = _sample_symbols(gen, (nb, count, cfg.n), px.probs) if fresh else codebook.codewords
-        if part is None:
+        if bounds is None:
             sent = gen.integers(0, count, size=nb)
-            rep_hit = gen.random(nb) < rep_prob
         else:
-            w = gen.integers(0, part.message_count, size=nb)
-            sent = sent_of[w]
+            sent = np.searchsorted(bounds, gen.integers(0, bounds[-1], size=nb), side="right")
         u = gen.random((nb, cfg.n))
         y = _draw_outputs(ch_cdf, cw[np.arange(nb), sent] if fresh else cw[sent], u)
         if fresh:
@@ -1055,13 +1054,10 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
             # alone, so a batch decides each distinct word once.
             first, inverse = _distinct_rows(y, ch.num_outputs - 1)
             picks = _decisions(cw, y[first], score)[inverse]
-        # An erasure (-1) indexes the last owner below; `erased` overrules it.
-        erased = picks < 0
-        sem_err = erased | (owner_class[picks] != owner_class[sent])
-        if part is None:
-            msg_err = sem_err | ~rep_hit
-        else:
-            msg_err = erased | (owner_msg[picks] != w)
+        rep_hit = gen.random(nb) < (rep_prob if bounds is None else rep_prob[sent])
+        # An erasure (-1) indexes the last owner below; `picks < 0` overrules it.
+        sem_err = (picks < 0) | (owner_class[picks] != owner_class[sent])
+        msg_err = (picks != sent) | ~rep_hit
         return int(sem_err.sum()), int(msg_err.sum())
 
     sem, msg = map(sum, zip(*_run_batches(plan.trials, worker)))
@@ -1341,17 +1337,14 @@ class FanoInstance:
     """A fixed (codebook, partition, channel) system with uniform messages.
 
     Carries the exact joint law of (W, Y^n) implicitly; evaluation() runs
-    the exact evaluator once and caches it. beta is the largest class mass
-    fraction; unequal-sized partitions still give a valid (weaker) bound
-    via the largest class.
+    the exact evaluator (ML decoding) once and caches it. beta is the
+    largest class mass fraction; unequal-sized partitions still give a
+    valid (weaker) bound via the largest class.
     """
 
     partition: SemanticPartition
     codebook: Codebook
     channel: Dmc
-    decoder: str = "ml"
-    px: ProbVector | None = None
-    eps: float = 0.1
     label: str = ""
     _cached: ExactEvaluation | None = field(default=None, repr=False)
 
@@ -1391,10 +1384,7 @@ class FanoInstance:
 
     def evaluation(self) -> ExactEvaluation:
         if self._cached is None:
-            self._cached = exact_evaluate(
-                self.codebook, self.partition, self.channel,
-                decoder=self.decoder, px=self.px, eps=self.eps,
-            )
+            self._cached = exact_evaluate(self.codebook, self.partition, self.channel)
         return self._cached
 
 
@@ -1547,7 +1537,6 @@ def random_fano_instance(seed: int, index: int) -> FanoInstance:
         partition=partition,
         codebook=Codebook(symbols, a_count),
         channel=ch,
-        px=px,
         label=f"campaign-{index}",
     )
 

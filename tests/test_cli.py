@@ -372,8 +372,8 @@ def test_readme_sweep_golden_bytes(capsys):
     assert out.endswith("\n")
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.5.0',
-        '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":10000}',
+        '# version: 0.6.0',
+        '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"rate-fraction":0.9,"seed":2026,"trials":10000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '64,1.2844854771912786,0.5,0.2286,0.22047464139365877,0.23693379292194447,1.0,2026',
         '128,1.2844854771912786,0.5,0.146,0.13921517453378499,0.15305669631265403,1.0,1002029',
@@ -400,8 +400,8 @@ def test_short_block_qary_ml_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.5.0',
-        '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"partition-scheme":"contiguous","rate-fraction":0.9,"seed":2026,"trials":5000}',
+        '# version: 0.6.0',
+        '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"rate-fraction":0.9,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '2,1.7733336033809244,1.0,0.6128,0.5992165566055586,0.6262102498356364,0.6128,2026',
         '3,1.7733336033809244,1.0,0.623,0.6094772503508077,0.6363338949707082,0.623,1002029',
@@ -414,8 +414,8 @@ def test_short_block_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.5.0',
-        '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":2026,"trials":5000}',
+        '# version: 0.6.0',
+        '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"rate-fraction":0.5,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '8,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,2026',
         '12,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,1002029',
@@ -433,8 +433,8 @@ def test_boundary_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.5.0',
-        '# spec: {"alpha":1.0,"channel":"bsc:0.2","decoder":"typicality","n-grid":[20],"partition-scheme":"contiguous","rate-fraction":0.5,"seed":1,"trials":5000}',
+        '# version: 0.6.0',
+        '# spec: {"alpha":1.0,"channel":"bsc:0.2","decoder":"typicality","n-grid":[20],"rate-fraction":0.5,"seed":1,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '20,0.13903595255631887,1.0,0.4906,0.4767559455469566,0.5044584872496105,0.4906,1',
     ]
@@ -587,6 +587,35 @@ def test_fano_single_budgets_codewords_not_messages(capsys):
                       "--message-bits", "20", "--semantic-bits", "2")
     assert doc["total_bits"] == 20.0
     assert doc["holds"] and doc["converse"]["holds"]
+
+
+FANO_SINGLE = ("fano", "--single", "--channel", "bsc:0.1", "--n", "4",
+               "--message-bits", "6", "--semantic-bits", "2")
+SIMULATE_SMALL = ("simulate", "--channel", "bsc:0.05", "--alpha", "0.5", "--n-grid", "8",
+                  "--trials", "3000", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv", [SIMULATE_SMALL, FANO_SINGLE], ids=["simulate", "fano"])
+def test_scheme_flag_is_gone(capsys, argv):
+    # A per-class code reads only class sizes, so no layout flag could
+    # change a result.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--scheme", "interleaved"])
+    assert exc.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [SIMULATE_SMALL, FANO_SINGLE], ids=["simulate", "fano"])
+def test_old_partition_scheme_key_is_ignored(capsys, argv):
+    # A record from before 0.6.0 still reruns, its "partition-scheme" read
+    # by nothing: fano --single no longer asks a seed for seeded-random.
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    old = json.dumps({"partition-scheme": "seeded-random"})
+    code, out, err = run(capsys, *argv, "--config", old)
+    assert code == 0, err
+    assert out == plain
+    assert "partition-scheme" not in out
 
 
 def test_fano_single_bad_bits(capsys):

@@ -525,12 +525,13 @@ def test_virtual_regime_is_deterministic_across_threads(cpus):
 
 
 @pytest.mark.parametrize("decoder, shared, full", [
-    ("ml", (723, 9391), (3286, 3513)),
-    ("typicality", (7623, 11074), (8733, 8877)),
+    ("ml", (723, 9404), (3286, 3513)),
+    ("typicality", (7623, 11102), (8733, 8877)),
 ])
 def test_fixed_codebooks_are_deterministic_across_threads(cpus, decoder, shared, full):
     # Fixed codebooks' batches run on the pool as fresh ones' do; the
-    # counts are those of the in-order runs before they did.
+    # counts are those of the in-order runs before they did. The shared
+    # message counts are 0.6.0's, whose 1/size draw follows the channel's.
     cfg = CodeConfig(n=8, rate=0.5, alpha=0.5)
     part = make_partition(cfg, "contiguous")
     trials = 3 * 4096 + 1
@@ -709,6 +710,39 @@ def test_unequal_partition_is_noted_in_every_regime(n):
         assert "notes" not in equal.config
         assert (rep.semantic_errors, rep.message_errors) == (
             equal.semantic_errors, equal.message_errors)
+
+
+@pytest.mark.parametrize("decoder", coding.DECODERS)
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "shared"])
+def test_per_class_counts_do_not_depend_on_the_layout(decoder, fresh):
+    # A per-class code's errors depend on the class sent and the class
+    # decoded, not on which messages share a class: equal partitions of
+    # every layout, and none at all, give one pair of counts.
+    cfg = CodeConfig(n=8, rate=0.5, alpha=0.5)
+    runs = [dict(partition=make_partition(cfg, scheme, 7)) for scheme in coding.PARTITION_SCHEMES]
+    counts = {
+        (r.semantic_errors, r.message_errors)
+        for r in (simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, decoder, 5000, 3, eps=0.3,
+                           fresh_codebook=fresh, **kw) for kw in runs + [{}])
+    }
+    assert len(counts) == 1
+
+
+def test_unequal_partition_shared_run_matches_exact_evaluate():
+    # Classes of 10, 3, 2 and 1 of 16 messages, members scattered: a class
+    # is sent with its mass, and a correct class is a correct message with
+    # probability 1/size, the law exact_evaluate computes in closed form.
+    cfg = CodeConfig(n=6, rate=4 / 6, alpha=0.5)
+    class_of = np.repeat([0, 1, 2, 3], [10, 3, 2, 1])
+    part = SemanticPartition(np.random.default_rng(5).permutation(class_of))
+    ch, trials = bsc(0.1), 200_000
+    cb = generate_codebook(cfg, UNIFORM2, ChannelRng(5, coding.CODEBOOK_STREAM))
+    rep = simulate(cfg, "contiguous", ch, UNIFORM2, "ml", trials, 11,
+                   fresh_codebook=False, codebook=cb, partition=part)
+    ev = exact_evaluate(cb, part, ch)
+    assert rep.config["notes"] == ["unequal-partition"]
+    for sim, exact in ((rep.p_sem, ev.p_sem), (rep.p_msg, ev.p_msg)):
+        assert abs(sim - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def _input_errors():
@@ -1158,9 +1192,12 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch, cpus):
 
 def test_codebook_indexing_pinned():
     # Literal counts of both codebook indexings. A seeded-random partition
-    # scrambles which message owns which codeword, so transmitting by class
-    # where the codebook is indexed by message (or the reverse) moves them.
-    # Recorded under tie-exact scores (0.5.0): codewords at one distance tie.
+    # scrambles which message owns which codeword, so indexing the codebook
+    # by message where it is indexed by class (or the reverse) moves them.
+    # A per-class run reads only class sizes: at alpha = 1 it draws the
+    # full run's codebook and codewords sent, and gives its counts.
+    # Recorded under tie-exact scores (0.5.0): codewords at one distance tie;
+    # the shared counts under 0.6.0's per-class message model.
     ch = bsc(0.05)
     got = {}
     for alpha in (0.5, 1.0):
@@ -1170,7 +1207,7 @@ def test_codebook_indexing_pinned():
         shared = simulate(cfg, "seeded-random", ch, UNIFORM2, "ml", 4096, 7,
                           fresh_codebook=False)
         got[alpha] = [(r.semantic_errors, r.message_errors) for r in (full, shared)]
-    assert got == {0.5: [(576, 618), (338, 3158)], 1.0: [(618, 618), (585, 585)]}
+    assert got == {0.5: [(576, 618), (337, 3168)], 1.0: [(618, 618), (618, 618)]}
 
 
 # --- materialized kernels against the loop references -----------------------------

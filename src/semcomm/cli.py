@@ -39,7 +39,7 @@ from .errors import ConfigError, NumericError, ValidationError
 from .info import ProbVector, entropy, load_json_doc
 from .semantics import KnowledgeBase, compression_gain, semantic_distribution, semantic_entropy
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 CSV_SCHEMA = "semcomm-simulate-v1"
 CSV_COLUMNS = ("n", "R", "alpha", "p_sem", "p_sem_lo", "p_sem_hi", "p_msg", "seed")
 # Per-grid-point seed derivation: distinct odd stride keeps rows independent

@@ -379,19 +379,47 @@ def _sample_symbols(gen: np.random.Generator, shape, probs: np.ndarray) -> np.nd
     return out
 
 
+def _codeword_symbols(gen: np.random.Generator, shape, probs: np.ndarray) -> np.ndarray:
+    """Codeword symbols i.i.d. from probs, in _sample_symbols' dtype.
+
+    A uniform law over 2^k symbols (1 <= k <= 8, every entry exactly 1/2^k)
+    takes k random bits per symbol from raw Philox bytes, exact in law: byte
+    j of raw word i, in little-endian order whatever the host's, gives flat
+    symbol 8i + j as its top k bits, so a word serves eight symbols. The
+    raw words are the output buffer, shifted in place. Every other law is
+    _sample_symbols' inverse CDF, one uniform double per symbol.
+    """
+    size = len(probs)
+    k = size.bit_length() - 1
+    if not (size == 1 << k and 1 <= k <= 8 and np.all(np.asarray(probs) == 1.0 / size)):
+        return _sample_symbols(gen, shape, probs)
+    count = math.prod(shape)
+    raw = gen.bit_generator.random_raw(-(-count // 8))
+    out = raw.astype("<u8", copy=False).view(np.uint8)[:count]
+    np.right_shift(out, 8 - k, out=out)
+    return out.reshape(shape)
+
+
 def _codebook_from_px(count: int, n: int, px: ProbVector, rng: ChannelRng) -> Codebook:
-    return Codebook(_sample_symbols(rng.generator(), (count, n), px.probs), len(px))
+    return Codebook(_codeword_symbols(rng.generator(), (count, n), px.probs), len(px))
 
 
 def generate_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
-    """One codeword per semantic class, symbols i.i.d. from px."""
+    """One codeword per semantic class, symbols i.i.d. from px.
+
+    A uniform px over 2^k inputs (k <= 8) draws its symbols from raw Philox
+    bytes, k bits each; any other px by inverse CDF (_codeword_symbols).
+    """
     bits = cfg.semantic_bits
     check_channel_elements(cfg.n, f"generate_codebook: 2^{bits} codewords of length {cfg.n}", bits)
     return _codebook_from_px(cfg.semantic_count, cfg.n, px, rng)
 
 
 def generate_full_codebook(cfg: CodeConfig, px: ProbVector, rng: ChannelRng) -> Codebook:
-    """One codeword per message, symbols i.i.d. from px (cap 2^20 messages)."""
+    """One codeword per message, symbols i.i.d. from px (cap 2^20 messages).
+
+    Symbols are drawn as generate_codebook draws them (_codeword_symbols).
+    """
     bits = cfg.message_bits
     check_message_bits(bits, "generate_full_codebook")
     check_channel_elements(cfg.n, f"generate_full_codebook: 2^{bits} codewords", bits)
@@ -1025,7 +1053,10 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
     correct codeword is a correct message with probability 1/size (1 per
     message). Batch b draws from stream b: the fresh codebooks, the
     codewords sent, the channel uniforms, then one uniform per trial for
-    that 1/size event.
+    that 1/size event. Fresh codebooks come from _codeword_symbols: under a
+    uniform px over 2^k inputs (k <= 8) each symbol is the top k bits of one
+    raw Philox byte, eight symbols to a raw word; under any other px one
+    uniform double per symbol, by inverse CDF.
     """
     cfg, ch, px, part, codebook = plan.cfg, plan.ch, plan.px, plan.partition, plan.codebook
     score, fresh = plan.score, codebook is None
@@ -1040,7 +1071,7 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
 
     def worker(b: int, nb: int) -> tuple[int, int]:
         gen = ChannelRng(plan.seed, b).generator()
-        cw = _sample_symbols(gen, (nb, count, cfg.n), px.probs) if fresh else codebook.codewords
+        cw = _codeword_symbols(gen, (nb, count, cfg.n), px.probs) if fresh else codebook.codewords
         if bounds is None:
             sent = gen.integers(0, count, size=nb)
         else:

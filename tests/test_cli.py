@@ -372,7 +372,7 @@ def test_readme_sweep_golden_bytes(capsys):
     assert out.endswith("\n")
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.6.0',
+        '# version: 0.7.0',
         '# spec: {"alpha":0.5,"channel":"bsc:0.05","decoder":"ml","n-grid":[64,128,256,512],"rate-fraction":0.9,"seed":2026,"trials":10000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '64,1.2844854771912786,0.5,0.2286,0.22047464139365877,0.23693379292194447,1.0,2026',
@@ -383,8 +383,9 @@ def test_readme_sweep_golden_bytes(capsys):
 
 
 # The materialized engine's two CLI runs from the short-block benchmark at
-# 5000 trials (a full 4096-trial batch and a short one), recorded before
-# the block kernels replaced the per-trial loops.
+# 5000 trials (a full 4096-trial batch and a short one). Re-recorded under
+# 0.7.0, whose uniform 2^k codeword symbols come from raw Philox bytes;
+# 0.6.0's inverse CDF gave p_sem 0.6128, 0.623, 0.633 and, at n=16, 0.634.
 MPSK_SHORT_BLOCK = (
     "simulate", "--channel", "mpsk:4:9", "--n-grid", "2,3,4",
     "--trials", "5000", "--seed", "2026",
@@ -400,12 +401,12 @@ def test_short_block_qary_ml_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.6.0',
+        '# version: 0.7.0',
         '# spec: {"alpha":1.0,"channel":"mpsk:4:9","decoder":"ml","n-grid":[2,3,4],"rate-fraction":0.9,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
-        '2,1.7733336033809244,1.0,0.6128,0.5992165566055586,0.6262102498356364,0.6128,2026',
-        '3,1.7733336033809244,1.0,0.623,0.6094772503508077,0.6363338949707082,0.623,1002029',
-        '4,1.7733336033809244,1.0,0.633,0.619542895384541,0.6462528958980738,0.633,2002032',
+        '2,1.7733336033809244,1.0,0.6214,0.6078673139489154,0.6347462880188247,0.6214,2026',
+        '3,1.7733336033809244,1.0,0.6308,0.6173279267484129,0.6440712424227604,0.6308,1002029',
+        '4,1.7733336033809244,1.0,0.632,0.6185360544403621,0.6452612722461429,0.632,2002032',
     ]
 
 
@@ -414,12 +415,12 @@ def test_short_block_typicality_golden_bytes(capsys):
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.6.0',
+        '# version: 0.7.0',
         '# spec: {"alpha":1.0,"channel":"bsc:0.05","decoder":"typicality","n-grid":[8,12,16],"rate-fraction":0.5,"seed":2026,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
         '8,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,2026',
         '12,0.3568015214420218,1.0,1.0,0.9992322980549431,1.0,1.0,1002029',
-        '16,0.3568015214420218,1.0,0.634,0.620549798138998,0.6472444577397267,0.634,2002032',
+        '16,0.3568015214420218,1.0,0.6418,0.6284057731196965,0.6549765066086853,0.6418,2002032',
     ]
 
 
@@ -427,16 +428,17 @@ def test_boundary_typicality_golden_bytes(capsys):
     # At n=20 on BSC(0.2) a pair with 3 or 5 flips sits exactly eps = 0.1
     # from H(X, Y) and is typical (the exact rule). Version 0.3.0 summed the
     # rates position by position and rounded the 3-flip pairs out: p_sem 0.6646.
+    # 0.6.0 drew the codewords by inverse CDF and read 0.4906.
     code, out, _ = run(capsys, "simulate", "--channel", "bsc:0.2", "--rate-fraction", "0.5",
                        "--decoder", "typicality", "--n-grid", "20", "--trials", "5000",
                        "--seed", "1")
     assert code == 0
     assert out.splitlines() == [
         '# semcomm-simulate-v1',
-        '# version: 0.6.0',
+        '# version: 0.7.0',
         '# spec: {"alpha":1.0,"channel":"bsc:0.2","decoder":"typicality","n-grid":[20],"rate-fraction":0.5,"seed":1,"trials":5000}',
         'n,R,alpha,p_sem,p_sem_lo,p_sem_hi,p_msg,seed',
-        '20,0.13903595255631887,1.0,0.4906,0.4767559455469566,0.5044584872496105,0.4906,1',
+        '20,0.13903595255631887,1.0,0.4926,0.47875347975489846,0.5064578822338884,0.4926,1',
     ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -525,13 +526,14 @@ def test_virtual_regime_is_deterministic_across_threads(cpus):
 
 
 @pytest.mark.parametrize("decoder, shared, full", [
-    ("ml", (723, 9404), (3286, 3513)),
-    ("typicality", (7623, 11102), (8733, 8877)),
+    ("ml", (2377, 9794), (4609, 4884)),
+    ("typicality", (8793, 11416), (8681, 9522)),
 ])
 def test_fixed_codebooks_are_deterministic_across_threads(cpus, decoder, shared, full):
     # Fixed codebooks' batches run on the pool as fresh ones' do; the
-    # counts are those of the in-order runs before they did. The shared
-    # message counts are 0.6.0's, whose 1/size draw follows the channel's.
+    # counts are those of the in-order runs before they did, re-pinned at
+    # 0.7.0, whose codebooks come from raw Philox bytes. The shared message
+    # counts follow 0.6.0's model, whose 1/size draw follows the channel's.
     cfg = CodeConfig(n=8, rate=0.5, alpha=0.5)
     part = make_partition(cfg, "contiguous")
     trials = 3 * 4096 + 1
@@ -817,7 +819,7 @@ def test_input_errors_are_raised_before_anything_is_drawn(monkeypatch, run, erro
         return called
 
     for name in ("_run_batches", "generate_codebook", "generate_full_codebook",
-                 "make_partition"):
+                 "make_partition", "_codeword_symbols"):
         monkeypatch.setattr(coding, name, refuse(name))
     with pytest.raises(error, match=match):
         run()
@@ -1197,7 +1199,8 @@ def test_codebook_indexing_pinned():
     # A per-class run reads only class sizes: at alpha = 1 it draws the
     # full run's codebook and codewords sent, and gives its counts.
     # Recorded under tie-exact scores (0.5.0): codewords at one distance tie;
-    # the shared counts under 0.6.0's per-class message model.
+    # the shared counts under 0.6.0's per-class message model; re-pinned at
+    # 0.7.0, whose codebooks come from raw Philox bytes.
     ch = bsc(0.05)
     got = {}
     for alpha in (0.5, 1.0):
@@ -1207,7 +1210,7 @@ def test_codebook_indexing_pinned():
         shared = simulate(cfg, "seeded-random", ch, UNIFORM2, "ml", 4096, 7,
                           fresh_codebook=False)
         got[alpha] = [(r.semantic_errors, r.message_errors) for r in (full, shared)]
-    assert got == {0.5: [(576, 618), (337, 3168)], 1.0: [(618, 618), (618, 618)]}
+    assert got == {0.5: [(541, 596), (78, 3109)], 1.0: [(596, 596), (596, 596)]}
 
 
 # --- materialized kernels against the loop references -----------------------------
@@ -1909,6 +1912,118 @@ def test_symbol_sampling_memory_stays_bounded():
         tracemalloc.stop()
     assert got.shape == (4096, 256, 4)
     assert peak < 8 * 2**20
+
+
+def _ref_raw_symbols(gen, size: int, k: int) -> list:
+    """Uniform 2^k symbols from raw words, written with Python ints: flat
+    symbol i is the top k bits of byte i % 8 (little-endian) of word i // 8."""
+    words = [int(w) for w in gen.bit_generator.random_raw(-(-size // 8))]
+    return [(words[i // 8] >> (8 * (i % 8) + 8 - k)) & ((1 << k) - 1) for i in range(size)]
+
+
+def test_codeword_symbols_are_raw_bytes_top_bits():
+    for k in (1, 2, 3, 8):
+        probs = np.full(1 << k, 1.0 / (1 << k))
+        for shape in ((13, 3, 5), (4, 9), (7,), (8,), (0, 5)):
+            gen, ref_gen = ChannelRng(6, k).generator(), ChannelRng(6, k).generator()
+            got = coding._codeword_symbols(gen, shape, probs)
+            assert got.dtype == np.uint8 and got.shape == shape
+            assert got.ravel().tolist() == _ref_raw_symbols(ref_gen, math.prod(shape), k)
+            assert gen.random() == ref_gen.random()
+
+
+def _chi_square_bound(df: int, z: float = 5.0) -> float:
+    """Wilson-Hilferty's upper z-sigma quantile of chi-square with df degrees."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+def test_codeword_symbols_are_exact_in_law():
+    # Symbol frequencies, and the joint frequencies of the two symbols at
+    # flat positions 2i and 2i + 1 (which come from one raw word), each
+    # within the 5-sigma chi-square quantile of its uniform law.
+    size = 2**21
+    for q in (2, 4, 8, 256):
+        sym = coding._codeword_symbols(ChannelRng(11, q).generator(), (size,), np.full(q, 1.0 / q))
+        pairs = sym[0::2].astype(np.int64) * q + sym[1::2]
+        for counts, cells in ((np.bincount(sym, minlength=q), q),
+                              (np.bincount(pairs, minlength=q * q), q * q)):
+            expected = counts.sum() / cells
+            stat = float(((counts - expected) ** 2).sum() / expected)
+            assert stat < _chi_square_bound(cells - 1), (q, cells, stat)
+
+
+def test_codeword_symbols_take_inverse_cdf_off_uniform_powers_of_two():
+    for probs in ([0.3, 0.7], np.full(3, 1.0 / 3), [0.5, 0.25, 0.25], [1.0], np.full(512, 1.0 / 512)):
+        gen, ref_gen = ChannelRng(8, 5).generator(), ChannelRng(8, 5).generator()
+        got = coding._codeword_symbols(gen, (9, 7), probs)
+        ref = coding._sample_symbols(ref_gen, (9, 7), probs)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+        assert np.array_equal(gen.bit_generator.random_raw(3), ref_gen.bit_generator.random_raw(3))
+
+
+def test_codeword_symbol_memory_is_the_output():
+    # The (4096, 256, 4) uint8 symbols take 4 MiB; their raw words are the buffer.
+    gen = ChannelRng(2, 1).generator()
+    tracemalloc.start()
+    try:
+        got = coding._codeword_symbols(gen, (4096, 256, 4), np.full(4, 0.25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (4096, 256, 4)
+    assert peak < 1.25 * 4 * 2**20
+
+
+_FAST_PATH_RUNS = {
+    "mpsk-fresh": lambda px: simulate(
+        CodeConfig(n=3, rate=1.5, alpha=1.0), "contiguous",
+        mpsk_hard_dmc(PskConfig(order=4, snr=9.0)), px, "ml", 500, 1),
+    "bsc-typicality-fresh": lambda px: simulate(
+        CodeConfig(n=12, rate=0.35, alpha=1.0), "contiguous", bsc(0.05), px,
+        "typicality", 500, 1),
+    "bsc-shared": lambda px: simulate(
+        CodeConfig(n=8, rate=0.5, alpha=0.5), "contiguous", bsc(0.1), px, "ml", 500, 1,
+        fresh_codebook=False),
+    "bsc-full": lambda px: simulate_full_codebook(
+        CodeConfig(n=8, rate=0.5, alpha=0.5),
+        make_partition(CodeConfig(n=8, rate=0.5, alpha=0.5), "contiguous"),
+        bsc(0.1), px, 500, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAST_PATH_RUNS))
+def test_uniform_binary_and_quaternary_codewords_skip_the_inverse_cdf(monkeypatch, name):
+    run = _FAST_PATH_RUNS[name]
+    labels = ("0", "1", "2", "3") if name.startswith("mpsk") else ("0", "1")
+    px = ProbVector.uniform(labels)
+    calls = []
+    real = coding._sample_symbols
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(coding, "_sample_symbols", spy)
+    assert run(px).to_dict()["config"]["regime"] in (
+        "materialized-fresh", "materialized-shared", "full-codebook")
+    assert calls == []
+    if len(labels) == 2:
+        run(ProbVector(labels, [0.8, 0.2]))
+        assert calls
+
+
+def test_campaign_instances_keep_their_inverse_cdf_codewords():
+    # SHA-256 of the codewords (shape, then int64 little-endian bytes) of
+    # the first 200 seed-2026 campaign instances, recorded under 0.6.0:
+    # their symbols stay inverse-CDF draws, so the campaign does not move.
+    digest = hashlib.sha256()
+    for i in range(200):
+        cw = random_fano_instance(2026, i).codebook.codewords
+        digest.update(repr(cw.shape).encode())
+        digest.update(cw.astype("<i8").tobytes())
+    assert digest.hexdigest() == "686db40a9471dcd0cc4a75e07c374e035a2aeb599e63d7f2931fb8e0cda62e45"
 
 
 def test_shared_simulation_memory_stays_bounded():

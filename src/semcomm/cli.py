@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -225,6 +226,7 @@ def cmd_entropy(ns, spec: dict) -> int:
     hx = entropy(px)
     ps = semantic_distribution(px, kb)
     hs = semantic_entropy(px, kb)
+    gain = compression_gain(hx, hs)
     resolved = {
         "knowledge": {
             "source": list(kb.source_labels),
@@ -237,7 +239,8 @@ def cmd_entropy(ns, spec: dict) -> int:
         "shannon_entropy_bits": hx,
         "semantic_entropy_bits": hs,
         "semantic_distribution": {l: float(p) for l, p in zip(ps.labels, ps.probs)},
-        "compression_gain": compression_gain(hx, hs),
+        # A constant meaning compresses without bound; JSON has no infinity.
+        "compression_gain": None if math.isinf(gain) else gain,
     })
     return 0
 
@@ -315,14 +318,18 @@ def cmd_simulate(ns, spec: dict) -> int:
     ch = parse_channel(spec["channel"])
     alpha = _real(spec["alpha"], "simulate: alpha")
     cs = semantic_capacity(ch, alpha, tol=1e-9)
-    rate = _real(spec["rate-fraction"], "simulate: rate-fraction") * cs
+    fraction = _real(spec["rate-fraction"], "simulate: rate-fraction")
+    rate = fraction * cs
+    if not rate > 0:
+        raise ConfigError(f"simulate: the code rate, rate-fraction {fraction!r} x semantic "
+                          f"capacity {cs!r} = {rate!r} bits, must be > 0")
     px = ProbVector.uniform(ch.input_labels)
 
     rows = []
     for i, n in enumerate(spec["n-grid"]):
         seed_i = (spec["seed"] + SEED_STRIDE * i) % SEED_MOD
         cfg = CodeConfig(n=int(n), rate=rate, alpha=alpha)
-        rep = simulate(cfg, "contiguous", ch, px, spec["decoder"], spec["trials"], seed_i)
+        rep = simulate(cfg, None, ch, px, spec["decoder"], spec["trials"], seed_i)
         rows.append(
             (int(n), rate, alpha, rep.p_sem, rep.p_sem_lo, rep.p_sem_hi,
              rep.p_msg, seed_i)
@@ -399,7 +406,7 @@ def cmd_fano(ns, spec: dict) -> int:
             "message-bits": mb,
             "semantic-bits": sb,
         }
-        partition = partition_from_counts(1 << mb, 1 << sb, "contiguous")
+        partition = partition_from_counts(1 << mb, 1 << sb)
         cb = _digit_codebook(1 << sb, n, ch.num_inputs)
         inst = FanoInstance(partition=partition, codebook=cb, channel=ch)
         chk = check_fano(inst)

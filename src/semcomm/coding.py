@@ -3,8 +3,9 @@ Monte Carlo simulation, exact small-instance evaluation, and the semantic
 Fano machinery.
 
 A semantic partition is the many-to-one map itself, stored as one array of
-class indices (SemanticPartition.class_of) that every scheme builds with one
-array expression; sizes, representatives and member lists derive from it.
+class indices (SemanticPartition.class_of); sizes, representatives and
+member lists derive from it, and partition_from_counts builds the
+contiguous one that a message and a class count determine.
 A code with one codeword per class reads only the class sizes: its errors
 depend on the class sent and the class decoded, not on which messages
 share a class, so simulation builds no partition of its own.
@@ -43,9 +44,9 @@ trials into batches and runs them.
 
 Determinism: all randomness flows through Philox keys (seed, stream_id).
 Trials are processed in fixed batches of BATCH_TRIALS, batch b drawing from
-stream b; shared codebooks use stream CODEBOOK_STREAM, seeded-random
-partitions PARTITION_STREAM, and Fano campaign instance i stream
-FANO_STREAM + i. Results are therefore bit-identical across runs and worker
+stream b; shared codebooks use stream CODEBOOK_STREAM, Fano campaign
+instance i stream FANO_STREAM + i, and the shuffle of its partition
+PARTITION_STREAM. Results are therefore bit-identical across runs and worker
 counts, on the one batch pool every regime shares (see _run_batches).
 
 Scores are canonical: a decoder scores a (codeword, output) pair's joint
@@ -190,9 +191,6 @@ class CodeConfig:
         }
 
 
-PARTITION_SCHEMES = ("contiguous", "interleaved", "seeded-random")
-
-
 def check_message_bits(bits: int, what: str) -> None:
     """BudgetError if 2^bits messages pass FULL_CODEBOOK_CAP, decided on the
     bit count, so a message count too large to build is never formed."""
@@ -211,7 +209,6 @@ class SemanticPartition:
     """
 
     class_of: np.ndarray
-    scheme: str = "explicit"
 
     def __post_init__(self):
         class_of = np.asarray(self.class_of)
@@ -219,11 +216,14 @@ class SemanticPartition:
             raise ValidationError(
                 "SemanticPartition: class_of must be a non-empty 1-D integer array"
             )
-        class_of = class_of.astype(np.int64)
+        # The range is checked before the cast, which wraps uint64 ids past 2^63.
         if class_of.min() < 0:
             raise ValidationError("SemanticPartition: negative class id")
         # An id >= the message count leaves a class empty; bincount never sees it.
-        if class_of.max() >= class_of.size or not np.bincount(class_of).all():
+        if class_of.max() >= class_of.size:
+            raise ValidationError("SemanticPartition: empty class")
+        class_of = class_of.astype(np.int64)
+        if not np.bincount(class_of).all():
             raise ValidationError("SemanticPartition: empty class")
         class_of.setflags(write=False)
         object.__setattr__(self, "class_of", class_of)
@@ -262,23 +262,16 @@ class SemanticPartition:
         return tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
 
 
-def partition_from_counts(
-    message_count: int,
-    class_count: int,
-    scheme: str,
-    seed: int | None = None,
-) -> SemanticPartition:
-    """Partition [0, message_count) into class_count classes.
+def partition_from_counts(message_count: int, class_count: int) -> SemanticPartition:
+    """Partition [0, message_count) into class_count contiguous classes.
 
-    Message w goes to class min(w // base, class_count - 1) (contiguous,
-    base = message_count // class_count) or w % class_count (interleaved);
-    seeded-random gives message order[i] the contiguous class of i, for a
-    Philox permutation order (stream PARTITION_STREAM). So when class_count
-    does not divide message_count, the last class absorbs the remainder or
-    (interleaved) sizes differ by one; downstream reports flag that.
+    Message w goes to class min(w // base, class_count - 1), base =
+    message_count // class_count, so when class_count does not divide
+    message_count the last class absorbs the remainder; downstream reports
+    flag that.
     """
-    if scheme not in PARTITION_SCHEMES:
-        raise ConfigError(f"unknown partition scheme {scheme!r}; use one of {PARTITION_SCHEMES}")
+    if message_count < 1:
+        raise ConfigError(f"message_count must be >= 1, got {message_count}")
     if class_count < 1:
         raise ConfigError("class_count must be >= 1")
     # Counts print only below the cap: past it they can outgrow int-to-str.
@@ -292,27 +285,17 @@ def partition_from_counts(
             f"cannot split {message_count} messages into more than {message_count} classes"
         )
     w = np.arange(message_count)
-    if scheme == "interleaved":
-        return SemanticPartition(w % class_count, scheme=scheme)
-    class_of = np.minimum(w // (message_count // class_count), class_count - 1)
-    if scheme == "seeded-random":
-        if seed is None:
-            raise ConfigError("seeded-random partitions need a seed")
-        order = ChannelRng(seed, PARTITION_STREAM).generator().permutation(message_count)
-        class_of[order] = class_of.copy()
-    return SemanticPartition(class_of, scheme=scheme)
+    return SemanticPartition(np.minimum(w // (message_count // class_count), class_count - 1))
 
 
-def make_partition(
-    cfg: CodeConfig, scheme: str, seed: int | None = None
-) -> SemanticPartition:
-    """Partition cfg's message set into its semantic classes.
+def make_partition(cfg: CodeConfig) -> SemanticPartition:
+    """Partition cfg's message set into its contiguous semantic classes.
 
     Counts derived from CodeConfig are powers of two, so the classes always
     come out equal-sized here; check_message_bits checks the cap first.
     """
     check_message_bits(cfg.message_bits, "make_partition")
-    return partition_from_counts(cfg.message_count, cfg.semantic_count, scheme, seed)
+    return partition_from_counts(cfg.message_count, cfg.semantic_count)
 
 
 def semantic_map(w: int, p: SemanticPartition) -> int:
@@ -913,7 +896,7 @@ class RunPlan:
     """A simulation run, its inputs checked and its choices made (_plan).
 
     score is the decoder's (_decoder_score), which both engines score with.
-    regime is the engine's name in the report, scheme only a label there.
+    regime is the engine's name in the report.
     codebook None is a fresh codebook in every trial. partition is the
     caller's, else None (the config's equal classes); a per-class run reads
     only its class sizes, as the error depends on the class sent and the
@@ -926,7 +909,6 @@ class RunPlan:
     """
 
     cfg: CodeConfig
-    scheme: str
     ch: Dmc
     px: ProbVector
     decoder: str
@@ -940,7 +922,7 @@ class RunPlan:
 
     def report(self, sem: int, msg: int) -> SimulationReport:
         config = {
-            **self.cfg.describe(), "scheme": self.scheme, "decoder": self.decoder,
+            **self.cfg.describe(), "decoder": self.decoder,
             "fresh_codebook": self.codebook is None, "regime": self.regime,
             "trials": self.trials, "seed": self.seed, "px": list(self.px.probs),
             "channel": self.ch.to_dict(), "rng": "philox4x64", "batch_trials": BATCH_TRIALS,
@@ -953,7 +935,7 @@ class RunPlan:
 
 
 def _plan(
-    cfg: CodeConfig, scheme: str, ch: Dmc, px: ProbVector, decoder: str,
+    cfg: CodeConfig, ch: Dmc, px: ProbVector, decoder: str,
     trials: int, seed: int, eps: float, *, fresh: bool,
     codebook: Codebook | None, partition: SemanticPartition | None,
     per_message: bool = False,
@@ -994,8 +976,6 @@ def _plan(
             "virtual-regime simulation supports the ml decoder only; "
             "typicality decoding needs a materialized codebook"
         )
-    if partition is None and scheme not in PARTITION_SCHEMES:
-        raise ConfigError(f"unknown partition scheme {scheme!r}")
     if virtual and px.probs.size != 2:
         raise ConfigError(
             "virtual simulation requires a binary channel input alphabet; "
@@ -1024,7 +1004,7 @@ def _plan(
         codebook = draw(cfg, px, ChannelRng(seed, CODEBOOK_STREAM))
     regime = ("virtual-fresh" if virtual else "full-codebook" if per_message
               else f"materialized-{'fresh' if fresh else 'shared'}")
-    return RunPlan(cfg, scheme, ch, px, decoder, trials, seed, eps, score,
+    return RunPlan(cfg, ch, px, decoder, trials, seed, eps, score,
                    regime, codebook, partition)
 
 
@@ -1097,7 +1077,7 @@ def _simulate_materialized(plan: RunPlan) -> SimulationReport:
 
 def simulate(
     cfg: CodeConfig,
-    scheme: str,
+    scheme: object,
     ch: Dmc,
     px: ProbVector,
     decoder: str,
@@ -1117,13 +1097,16 @@ def simulate(
     transmitted class. Message errors additionally require the transmitted
     message to be its class representative (see SimulationReport).
 
+    scheme is accepted and ignored: a per-class code reads only its class
+    sizes, so no layout of the messages changes a result.
+
     _plan checks the arguments and makes the run's choices before anything
     is drawn. Fresh codebooks past MATERIALIZE_LIMIT run in the virtual
     engine (exact conditional ML outcomes over the un-drawn competitors),
     the rest in the materialized engine simulate_full_codebook shares.
     Reports are bit-identical across runs and worker counts for a fixed seed.
     """
-    plan = _plan(cfg, scheme, ch, px, decoder, trials, seed, eps, fresh=fresh_codebook,
+    plan = _plan(cfg, ch, px, decoder, trials, seed, eps, fresh=fresh_codebook,
                  codebook=codebook, partition=partition)
     engine = _simulate_virtual if plan.regime == "virtual-fresh" else _simulate_materialized
     return engine(plan)
@@ -1220,7 +1203,7 @@ def simulate_full_codebook(
     in the materialized engine simulate shares.
     """
     return _simulate_materialized(_plan(
-        cfg, partition.scheme, ch, px, decoder, trials, seed, eps, fresh=False,
+        cfg, ch, px, decoder, trials, seed, eps, fresh=False,
         codebook=codebook, partition=partition, per_message=True,
     ))
 
@@ -1538,7 +1521,9 @@ def random_fano_instance(seed: int, index: int) -> FanoInstance:
     Blocklengths 2..4, binary/ternary alphabets, 4..16 messages, classes a
     power-of-two divisor of the message count (so beta <= 1/2 and the bound
     is defined), random row-stochastic channels, ML decoding, and a mix of
-    per-class and full codebooks.
+    per-class and full codebooks. The classes are contiguous, interleaved
+    (message w in class w % classes) or contiguous with the messages
+    shuffled by a Philox permutation (stream PARTITION_STREAM), a third each.
     """
     gen = ChannelRng(seed, FANO_STREAM + index).generator()
     n = int(gen.integers(2, 5))
@@ -1554,9 +1539,13 @@ def random_fano_instance(seed: int, index: int) -> FanoInstance:
     semantic_bits = int(gen.integers(1, message_bits + 1))
     mcount = 1 << message_bits
     kcount = 1 << semantic_bits
-    scheme = PARTITION_SCHEMES[int(gen.integers(0, len(PARTITION_SCHEMES)))]
-    part_seed = int(gen.integers(0, 2**63))
-    partition = partition_from_counts(mcount, kcount, scheme, part_seed)
+    layout = int(gen.integers(0, 3))
+    part_seed = int(gen.integers(0, 2**63))  # drawn for every layout: later draws keep their place
+    w = np.arange(mcount)
+    class_of = w % kcount if layout == 1 else w // (mcount // kcount)
+    if layout == 2:
+        order = ChannelRng(part_seed, PARTITION_STREAM).generator().permutation(mcount)
+        class_of[order] = class_of.copy()
     if gen.random() < 0.5:
         px = ProbVector.uniform(ch.input_labels)
     else:
@@ -1565,7 +1554,7 @@ def random_fano_instance(seed: int, index: int) -> FanoInstance:
     cw_count = mcount if full else kcount
     symbols = _sample_symbols(gen, (cw_count, n), px.probs)
     return FanoInstance(
-        partition=partition,
+        partition=SemanticPartition(class_of),
         codebook=Codebook(symbols, a_count),
         channel=ch,
         label=f"campaign-{index}",

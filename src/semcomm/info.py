@@ -134,7 +134,8 @@ def entropy_bits(mass: np.ndarray) -> float:
     """Shannon entropy in bits of any non-negative mass array (flattened)."""
     p = np.asarray(mass, dtype=float).ravel()
     nz = p[p > 0.0]
-    return float(-np.dot(nz, np.log2(nz)))
+    # 0.0 - x, not -x: a point mass gives 0.0, not -0.0.
+    return float(0.0 - np.dot(nz, np.log2(nz)))
 
 
 @cache

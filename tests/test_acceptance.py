@@ -20,6 +20,7 @@ from semcomm import (
     Dmc,
     ProbVector,
     PskConfig,
+    SemanticPartition,
     SimulationReport,
     awgn_capacity,
     blahut_arimoto,
@@ -30,7 +31,6 @@ from semcomm import (
     exact_evaluate,
     make_partition,
     mpsk_hard_dmc,
-    partition_from_counts,
     random_fano_instance,
     run_fano_campaign,
     semantic_capacity,
@@ -141,7 +141,7 @@ def test_criterion_08_count_invariant():
         simulate(small, "contiguous", ch, px, "ml", trials, 11, fresh_codebook=False),
         simulate(CodeConfig(n=64, rate=0.5, alpha=1.0), "contiguous", ch, px,
                  "ml", trials, 11),
-        simulate_full_codebook(small, make_partition(small, "contiguous"), ch,
+        simulate_full_codebook(small, make_partition(small), ch,
                                px, trials, 11),
     ]
     regimes = {r.config["regime"] for r in reports[:3]}
@@ -167,7 +167,7 @@ def _oracle_instance(index: int):
     )
     mb = int(gen.integers(2, 5))
     sb = int(gen.integers(1, mb + 1))
-    part = partition_from_counts(1 << mb, 1 << sb, "interleaved")
+    part = SemanticPartition(np.arange(1 << mb) % (1 << sb))  # interleaved classes
     cb = Codebook(gen.integers(0, 2, size=(1 << sb, n)), 2)
     cfg = CodeConfig(n=n, rate=mb / n, alpha=sb / mb)
     assert cfg.message_bits == mb and cfg.semantic_bits == sb

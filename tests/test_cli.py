@@ -85,6 +85,23 @@ def test_entropy_out_file_matches_stdout(capsys, tmp_path):
     assert out.read_text() == stdout
 
 
+def test_constant_meaning_entropy_report_is_strict_json(capsys):
+    # The extreme many-to-one source: every symbol means "x". Its semantic
+    # entropy is 0.0 (not -0.0) and its unbounded gain is null, since JSON
+    # has no Infinity.
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    const = json.dumps({"source": ["a", "b"], "semantic": ["x"], "kernel": [[1], [1]]})
+    code, out, err = run(capsys, "entropy", "--knowledge", const)
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["semantic_entropy_bits"] == 0.0
+    assert math.copysign(1.0, doc["semantic_entropy_bits"]) == 1.0
+    assert doc["compression_gain"] is None
+    assert doc["shannon_entropy_bits"] == 1.0
+
+
 def test_entropy_requires_knowledge(capsys):
     code, _, err = run(capsys, "entropy")
     assert code == 2
@@ -321,8 +338,15 @@ def test_simulate_bad_grid(capsys):
     # About 2^(4.5e10) classes: refused by bit count, never formed.
     (("--rate-fraction", "1e9", "--n-grid", "64", "--trials", "10"),
      "virtual simulation needs semantic_bits <= 1022"),
+    # A code rate that is not > 0: a channel of capacity 0, or a fraction
+    # that is not positive.
+    *((("--channel", channel), "rate-fraction 0.9 x semantic capacity 0.0 = 0.0 bits, must be > 0")
+      for channel in ("bsc:0.5", "identity:1", "mpsk:2:0")),
+    *((("--rate-fraction", fraction), f"the code rate, rate-fraction {fraction} x semantic "
+       "capacity 0.71") for fraction in ("0.0", "-1.0", "nan")),
 ], ids=["flag-word", "config-scalar", "config-word", "config-fraction", "config-trials",
-        "config-alpha", "rate-huge"])
+        "config-alpha", "rate-huge", "capacity-bsc", "capacity-identity", "capacity-mpsk",
+        "fraction-zero", "fraction-negative", "fraction-nan"])
 def test_simulate_bad_spec_exits_2_with_message(capsys, extra, message):
     code, out, err = run(capsys, "simulate", "--channel", "bsc:0.05", "--seed", "1", *extra)
     assert code == 2

@@ -146,11 +146,11 @@ def test_partition_cap_is_checked_before_forming_the_message_count(monkeypatch):
 
     monkeypatch.setattr(CodeConfig, "message_count", property(unreadable))
     with pytest.raises(BudgetError, match="2\\^30000000000 messages"):
-        make_partition(CodeConfig(n=1, rate=3e10, alpha=1.0), "contiguous")
+        make_partition(CodeConfig(n=1, rate=3e10, alpha=1.0))
     # A small partition handed to a config with a huge message set is a
     # mismatch, found from the bit counts alone.
     huge = CodeConfig(n=1, rate=3e10, alpha=1e-10)
-    part = partition_from_counts(8, 8, "contiguous")
+    part = partition_from_counts(8, 8)
     ch = bsc(0.1)
     with pytest.raises(ValidationError, match="does not match"):
         coding.simulate(huge, "contiguous", ch, ProbVector.uniform(ch.input_labels), "ml",

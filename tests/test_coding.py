@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import multiprocessing
 import threading
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import semcomm.cli as cli
 import semcomm.coding as coding
 from semcomm import (
     BudgetError,
@@ -127,33 +129,15 @@ def test_code_config_validation():
 
 
 def test_contiguous_partition():
-    p = partition_from_counts(8, 4, "contiguous")
+    p = partition_from_counts(8, 4)
     assert [list(c) for c in p.classes] == [[0, 1], [2, 3], [4, 5], [6, 7]]
     assert p.is_equal_sized
     assert p.beta == 0.25
     np.testing.assert_array_equal(p.representatives, [0, 2, 4, 6])
 
 
-def test_interleaved_partition():
-    p = partition_from_counts(8, 4, "interleaved")
-    assert [list(c) for c in p.classes] == [[0, 4], [1, 5], [2, 6], [3, 7]]
-
-
-def test_seeded_random_partition_is_deterministic():
-    a = partition_from_counts(64, 8, "seeded-random", seed=5)
-    b = partition_from_counts(64, 8, "seeded-random", seed=5)
-    for ca, cb in zip(a.classes, b.classes):
-        np.testing.assert_array_equal(ca, cb)
-    c = partition_from_counts(64, 8, "seeded-random", seed=6)
-    assert any(
-        not np.array_equal(x, y) for x, y in zip(a.classes, c.classes)
-    )
-    assert a.is_equal_sized
-    np.testing.assert_array_equal(np.sort(np.concatenate(a.classes)), np.arange(64))
-
-
 def test_partition_remainder_goes_to_last_class():
-    p = partition_from_counts(10, 3, "contiguous")
+    p = partition_from_counts(10, 3)
     assert [c.size for c in p.classes] == [3, 3, 4]
     assert not p.is_equal_sized
     assert p.beta == 0.4
@@ -161,13 +145,23 @@ def test_partition_remainder_goes_to_last_class():
 
 def test_partition_errors():
     with pytest.raises(ConfigError):
-        partition_from_counts(4, 8, "contiguous")
-    with pytest.raises(ConfigError):
-        partition_from_counts(8, 4, "zigzag")
-    with pytest.raises(ConfigError):
-        partition_from_counts(8, 4, "seeded-random")  # seed required
+        partition_from_counts(4, 8)
     with pytest.raises(BudgetError):
-        partition_from_counts(2**21, 2, "contiguous")
+        partition_from_counts(2**21, 2)
+    for classes in (1, 0):
+        with pytest.raises(ConfigError, match="message_count must be >= 1, got 0"):
+            partition_from_counts(0, classes)
+
+
+def test_uint64_class_ids_are_range_checked_before_the_cast():
+    # An int64 cast wraps 2^63 to -2^63: the id is past the message count,
+    # so a class is empty, whatever the cast would make of it.
+    for ids in ([0, 2**63], [0, 2**64 - 1], [1, 2**63 + 1]):
+        with pytest.raises(ValidationError, match="empty class"):
+            SemanticPartition(np.array(ids, dtype=np.uint64))
+    p = SemanticPartition(np.array([1, 0, 1], dtype=np.uint64))
+    assert p.class_of.dtype == np.int64
+    np.testing.assert_array_equal(p.sizes, [1, 2])
 
 
 def test_semantic_partition_axioms_enforced():
@@ -191,13 +185,20 @@ def test_semantic_partition_axioms_enforced():
     np.testing.assert_array_equal(p.representatives, [1, 0])
 
 
-def _slice_partition(mcount: int, kcount: int, scheme: str, seed: int):
-    """Reference: the slice-by-slice construction, classes first, then class_of."""
-    if scheme == "interleaved":
+# Message layouts of the slice reference: partition_from_counts builds the
+# contiguous one; the other two are built as SemanticPartition(class_of).
+LAYOUTS = ("contiguous", "interleaved", "seeded-random")
+
+
+def _slice_partition(mcount: int, kcount: int, layout: str, seed: int):
+    """Reference: the slice-by-slice construction, classes first, then
+    class_of. seeded-random gives message order[i] the contiguous class of
+    i, for a Philox permutation order (the campaign's shuffle)."""
+    if layout == "interleaved":
         classes = [np.arange(m, mcount, kcount) for m in range(kcount)]
     else:
         order = np.arange(mcount)
-        if scheme == "seeded-random":
+        if layout == "seeded-random":
             order = ChannelRng(seed, coding.PARTITION_STREAM).generator().permutation(mcount)
         bounds = [m * (mcount // kcount) for m in range(kcount)] + [mcount]
         classes = [np.sort(order[bounds[m]:bounds[m + 1]]) for m in range(kcount)]
@@ -207,9 +208,10 @@ def _slice_partition(mcount: int, kcount: int, scheme: str, seed: int):
     return class_of, classes
 
 
-def _assert_matches_slices(mcount: int, kcount: int, scheme: str, seed: int):
-    p = partition_from_counts(mcount, kcount, scheme, seed)
-    class_of, classes = _slice_partition(mcount, kcount, scheme, seed)
+def _assert_matches_slices(mcount: int, kcount: int, layout: str, seed: int):
+    class_of, classes = _slice_partition(mcount, kcount, layout, seed)
+    p = (partition_from_counts(mcount, kcount) if layout == "contiguous"
+         else SemanticPartition(class_of))
     np.testing.assert_array_equal(p.class_of, class_of)
     np.testing.assert_array_equal(p.sizes, [c.size for c in classes])
     np.testing.assert_array_equal(p.representatives, [c[0] for c in classes])
@@ -220,33 +222,33 @@ def _assert_matches_slices(mcount: int, kcount: int, scheme: str, seed: int):
 
 def test_partition_matches_slice_construction():
     rng = np.random.default_rng(18)
-    for scheme in coding.PARTITION_SCHEMES:
+    for layout in LAYOUTS:
         for mcount in (1, 2, 7, 16, 100, 1000):
             for kcount in sorted({1, 2, 3, mcount // 3 + 1, mcount - 1, mcount}):
                 if 1 <= kcount <= mcount:
-                    _assert_matches_slices(mcount, kcount, scheme, int(rng.integers(2**32)))
+                    _assert_matches_slices(mcount, kcount, layout, int(rng.integers(2**32)))
     for _ in range(60):
         mcount = int(rng.integers(1, 5000))
-        scheme = coding.PARTITION_SCHEMES[int(rng.integers(3))]
-        _assert_matches_slices(mcount, int(rng.integers(1, mcount + 1)), scheme,
+        layout = LAYOUTS[int(rng.integers(3))]
+        _assert_matches_slices(mcount, int(rng.integers(1, mcount + 1)), layout,
                                int(rng.integers(2**32)))
 
 
-@pytest.mark.parametrize("scheme", coding.PARTITION_SCHEMES)
-def test_largest_partition_matches_slice_construction(scheme):
-    _assert_matches_slices(2**20, 2**19, scheme, 7)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_largest_partition_matches_slice_construction(layout):
+    _assert_matches_slices(2**20, 2**19, layout, 7)
 
 
 def test_make_partition_matches_config():
     cfg = CodeConfig(n=4, rate=1.0, alpha=0.5)
-    p = make_partition(cfg, "contiguous")
+    p = make_partition(cfg)
     assert p.message_count == 16
     assert p.class_count == 4
     assert p.is_equal_sized
 
 
 def test_semantic_map():
-    p = partition_from_counts(8, 4, "interleaved")
+    p = SemanticPartition(np.arange(8) % 4)
     assert semantic_map(5, p) == 1
     assert semantic_map(0, p) == 0
     with pytest.raises(ValidationError):
@@ -313,18 +315,18 @@ def test_huge_bit_counts_raise_with_counts_named_as_powers():
         with pytest.raises(BudgetError, match=rf"2\^{bits} messages"):
             generate_full_codebook(cfg, UNIFORM2, ChannelRng(1))
         with pytest.raises(ConfigError, match=rf"2\^{bits} messages"):
-            simulate_full_codebook(cfg, partition_from_counts(4, 2, "contiguous"),
+            simulate_full_codebook(cfg, partition_from_counts(4, 2),
                                    bsc(0.1), UNIFORM2, 10, 1)
         with pytest.raises(BudgetError, match="semantic_bits <= 1022"):
             simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1)
     for messages, classes in ((2**20000, 2), (2**20000 + 1, 2**20001)):
         with pytest.raises(BudgetError, match="partition of over 1048576 messages"):
-            partition_from_counts(messages, classes, "contiguous")
+            partition_from_counts(messages, classes)
     with pytest.raises(ConfigError, match="split 4 messages into more than 4 classes"):
-        partition_from_counts(4, 2**20000, "contiguous")
+        partition_from_counts(4, 2**20000)
     cb = Codebook(np.zeros((2, 20000), dtype=np.int64), 2)
     with pytest.raises(BudgetError, match=r"2\^20000 \* 2 exceeds"):
-        exact_evaluate(cb, partition_from_counts(2, 2, "contiguous"), bsc(0.1))
+        exact_evaluate(cb, partition_from_counts(2, 2), bsc(0.1))
 
 
 def test_codebook_validation():
@@ -337,7 +339,7 @@ def test_codebook_validation():
 
 
 def test_encode_sends_class_codeword():
-    p = partition_from_counts(8, 4, "contiguous")
+    p = partition_from_counts(8, 4)
     cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
     for w in range(8):
         np.testing.assert_array_equal(encode(w, p, cb).symbols, cb.codewords[w // 2])
@@ -480,7 +482,7 @@ def _hand_system():
     so p_msg = 1 - 0.9/2 = 0.55.
     """
     cfg = CodeConfig(n=1, rate=2.0, alpha=0.5)
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
     cb = Codebook(np.array([[0], [1]]), 2)
     return cfg, part, cb, bsc(0.1)
 
@@ -535,7 +537,7 @@ def test_fixed_codebooks_are_deterministic_across_threads(cpus, decoder, shared,
     # 0.7.0, whose codebooks come from raw Philox bytes. The shared message
     # counts follow 0.6.0's model, whose 1/size draw follows the channel's.
     cfg = CodeConfig(n=8, rate=0.5, alpha=0.5)
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
     trials = 3 * 4096 + 1
     runs = {
         "materialized-shared": (shared, lambda: simulate(
@@ -577,7 +579,7 @@ def test_one_batch_pool_serves_every_regime(monkeypatch, cpus):
     runs = [
         lambda: simulate(*args, trials, 5),
         lambda: simulate(*args, trials, 5, fresh_codebook=False),
-        lambda: simulate_full_codebook(cfg, make_partition(cfg, "contiguous"), bsc(0.05),
+        lambda: simulate_full_codebook(cfg, make_partition(cfg), bsc(0.05),
                                        UNIFORM2, trials, 5),
     ]
     for count in (8, 1):
@@ -681,7 +683,7 @@ def test_alpha_one_counts_coincide_bitwise(monkeypatch):
     assert virt.config["regime"] == "virtual-fresh"
     assert virt.semantic_errors == virt.message_errors
 
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
     full = simulate_full_codebook(cfg, part, ch, UNIFORM2, trials, 42)
     assert full.semantic_errors == full.message_errors
 
@@ -691,7 +693,7 @@ def test_simulate_checks_an_explicit_partition_in_every_regime(n):
     # 8 messages in 3 classes fit neither config (2^(n/2) messages in
     # 2^(n/4) classes), whichever engine the blocklength selects.
     cfg = CodeConfig(n=n, rate=0.5, alpha=0.5)
-    part = partition_from_counts(8, 3, "contiguous")
+    part = partition_from_counts(8, 3)
     with pytest.raises(ValidationError, match="does not match the config"):
         simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, "ml", 10, 1, partition=part)
 
@@ -721,13 +723,31 @@ def test_per_class_counts_do_not_depend_on_the_layout(decoder, fresh):
     # decoded, not on which messages share a class: equal partitions of
     # every layout, and none at all, give one pair of counts.
     cfg = CodeConfig(n=8, rate=0.5, alpha=0.5)
-    runs = [dict(partition=make_partition(cfg, scheme, 7)) for scheme in coding.PARTITION_SCHEMES]
+    m, k = cfg.message_count, cfg.semantic_count
+    runs = [dict(partition=SemanticPartition(_slice_partition(m, k, layout, 7)[0]))
+            for layout in LAYOUTS]
     counts = {
         (r.semantic_errors, r.message_errors)
         for r in (simulate(cfg, "contiguous", bsc(0.1), UNIFORM2, decoder, 5000, 3, eps=0.3,
                            fresh_codebook=fresh, **kw) for kw in runs + [{}])
     }
     assert len(counts) == 1
+
+
+@pytest.mark.parametrize("n, fresh, regime", [
+    (64, True, "virtual-fresh"), (8, True, "materialized-fresh"),
+    (8, False, "materialized-shared"),
+])
+def test_simulate_ignores_its_second_argument(n, fresh, regime):
+    # No layout of the messages changes a per-class result, so simulate
+    # ignores the layout name it is still passed, in every regime.
+    cfg = CodeConfig(n=n, rate=0.5, alpha=0.5)
+    reports = [simulate(cfg, name, bsc(0.1), UNIFORM2, "ml", 3000, 5,
+                        fresh_codebook=fresh).to_dict()
+               for name in ("contiguous", "spiral", None)]
+    assert reports[0]["config"]["regime"] == regime
+    assert "scheme" not in reports[0]["config"]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_unequal_partition_shared_run_matches_exact_evaluate():
@@ -754,12 +774,11 @@ def _input_errors():
     virtual = CodeConfig(n=64, rate=0.5, alpha=1.0)  # 2^32 fresh codewords
     ch, px3 = bsc(0.1), ProbVector(("a", "b", "c"), [0.3, 0.3, 0.4])
     ch3 = Dmc.identity(["a", "b", "c"])
-    part = make_partition(small, "contiguous")
+    part = make_partition(small)
     cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
 
-    def sim(cfg=small, scheme="contiguous", ch=ch, px=UNIFORM2, decoder="ml", trials=10,
-            **kw):
-        return lambda: simulate(cfg, scheme, ch, px, decoder, trials, 1, **kw)
+    def sim(cfg=small, ch=ch, px=UNIFORM2, decoder="ml", trials=10, **kw):
+        return lambda: simulate(cfg, "contiguous", ch, px, decoder, trials, 1, **kw)
 
     def full(cfg=small, part=part, px=UNIFORM2, trials=10, **kw):
         return lambda: simulate_full_codebook(cfg, part, ch, px, trials, 1, **kw)
@@ -771,14 +790,9 @@ def _input_errors():
         "full-decoder": (full(decoder="guess"), ValidationError, "unknown decoder"),
         "trials": (sim(trials=0), ValidationError, "trials must be >= 1"),
         "full-trials": (full(trials=0), ValidationError, "trials must be >= 1"),
-        "scheme": (sim(scheme="spiral"), ConfigError, "unknown partition scheme"),
-        "shared-scheme": (sim(scheme="spiral", fresh_codebook=False), ConfigError,
-                          "unknown partition scheme"),
-        "virtual-scheme": (sim(cfg=virtual, scheme="spiral"), ConfigError,
-                           "unknown partition scheme"),
-        "partition": (sim(partition=partition_from_counts(8, 4, "contiguous")),
+        "partition": (sim(partition=partition_from_counts(8, 4)),
                       ValidationError, "does not match the config"),
-        "full-partition": (full(part=partition_from_counts(8, 4, "contiguous")),
+        "full-partition": (full(part=partition_from_counts(8, 4)),
                            ValidationError, "does not match the config"),
         "fresh-codebook": (sim(codebook=cb), ValidationError, "fresh_codebook"),
         "codebook-shape": (sim(codebook=Codebook(cb.codewords[:2], 2), fresh_codebook=False),
@@ -1149,7 +1163,7 @@ def test_typicality_simulation_runs():
 
 def test_simulate_full_codebook_cap():
     cfg = CodeConfig(n=4, rate=6.0, alpha=1.0)  # 2^24 messages
-    part = partition_from_counts(16, 4, "contiguous")
+    part = partition_from_counts(16, 4)
     with pytest.raises(ConfigError):
         simulate_full_codebook(cfg, part, bsc(0.1), UNIFORM2, 10, 1)
 
@@ -1171,7 +1185,7 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch, cpus):
     # BSC at n=4 has 16 output words, so every 4096-trial batch repeats
     # them and a fixed codebook decides each of them once.
     cfg = CodeConfig(n=4, rate=1.0, alpha=0.5)
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
     ch = bsc(0.1)
     trials = 9 * 4096
     # Both fixed codebooks run their 9 batches on a pool of 4 threads.
@@ -1193,9 +1207,10 @@ def test_simulate_full_codebook_deterministic_and_fast_path(monkeypatch, cpus):
 
 
 def test_codebook_indexing_pinned():
-    # Literal counts of both codebook indexings. A seeded-random partition
-    # scrambles which message owns which codeword, so indexing the codebook
-    # by message where it is indexed by class (or the reverse) moves them.
+    # Literal counts of both codebook indexings. A shuffled (seeded-random)
+    # partition scrambles which message owns which codeword, so indexing the
+    # codebook by message where it is indexed by class (or the reverse)
+    # moves them.
     # A per-class run reads only class sizes: at alpha = 1 it draws the
     # full run's codebook and codewords sent, and gives its counts.
     # Recorded under tie-exact scores (0.5.0): codewords at one distance tie;
@@ -1205,8 +1220,9 @@ def test_codebook_indexing_pinned():
     got = {}
     for alpha in (0.5, 1.0):
         cfg = CodeConfig(n=8, rate=0.5, alpha=alpha)
-        part = make_partition(cfg, "seeded-random", 7)
-        full = simulate_full_codebook(cfg, part, ch, UNIFORM2, 4096, 7)
+        class_of, _ = _slice_partition(cfg.message_count, cfg.semantic_count,
+                                       "seeded-random", 7)
+        full = simulate_full_codebook(cfg, SemanticPartition(class_of), ch, UNIFORM2, 4096, 7)
         shared = simulate(cfg, "seeded-random", ch, UNIFORM2, "ml", 4096, 7,
                           fresh_codebook=False)
         got[alpha] = [(r.semantic_errors, r.message_errors) for r in (full, shared)]
@@ -1696,7 +1712,7 @@ def test_engines_match_the_loop_references(monkeypatch, case, decoder):
     px, _ = _joint_for(ch.matrix, seed=case)
     # ML: a full batch and a short one; typicality: fewer, for the loop's sake.
     trials = 4096 + 904 if decoder == "ml" else 1500
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
 
     def reports():
         return [
@@ -1762,7 +1778,7 @@ def test_fixed_codebooks_decide_each_distinct_word_once(monkeypatch, n, decoder)
     # once, and the reports equal the loop references'. BSC at n=6 has 64
     # words, so 600 trials repeat them heavily; at n=16 repeats are rare.
     cfg = CodeConfig(n=n, rate=0.375, alpha=0.5)
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
     ch = bsc(0.1)
     trials = 600
     batches = []
@@ -1830,7 +1846,7 @@ def test_typicality_is_invariant_under_a_joint_permutation_of_positions(name, fr
 def test_every_typicality_path_rejects_a_bad_eps(eps):
     cfg = CodeConfig(n=4, rate=0.5, alpha=1.0)
     ch = bsc(0.05)
-    part = make_partition(cfg, "contiguous")
+    part = make_partition(cfg)
     cb = generate_full_codebook(cfg, UNIFORM2, ChannelRng(1, 1))
     joint = JointDist.from_input_and_kernel(UNIFORM2, ch.matrix, ch.output_labels)
     y = Sequence(np.zeros(4, dtype=np.int64), 2)
@@ -1853,7 +1869,7 @@ def test_array_holding_classes_compare_and_hash_by_identity():
     # Their fields hold numpy arrays, so a field-wise == (or hash) would be
     # ambiguous; they compare and hash as objects instead.
     ch = bsc(0.1)
-    part = partition_from_counts(4, 2, "contiguous")
+    part = partition_from_counts(4, 2)
     objects = [
         part,
         Codebook(np.zeros((2, 3), dtype=np.int64), 2),
@@ -1867,7 +1883,7 @@ def test_array_holding_classes_compare_and_hash_by_identity():
     for obj in objects:
         assert obj == obj and hash(obj) == hash(obj)
         assert obj in {obj} and obj in [part, obj]
-    assert part != partition_from_counts(4, 2, "contiguous")
+    assert part != partition_from_counts(4, 2)
 
 
 def test_sampled_symbols_use_the_narrowest_dtype():
@@ -1988,7 +2004,7 @@ _FAST_PATH_RUNS = {
         fresh_codebook=False),
     "bsc-full": lambda px: simulate_full_codebook(
         CodeConfig(n=8, rate=0.5, alpha=0.5),
-        make_partition(CodeConfig(n=8, rate=0.5, alpha=0.5), "contiguous"),
+        make_partition(CodeConfig(n=8, rate=0.5, alpha=0.5)),
         bsc(0.1), px, 500, 1),
 }
 
@@ -2014,16 +2030,34 @@ def test_uniform_binary_and_quaternary_codewords_skip_the_inverse_cdf(monkeypatc
         assert calls
 
 
-def test_campaign_instances_keep_their_inverse_cdf_codewords():
-    # SHA-256 of the codewords (shape, then int64 little-endian bytes) of
-    # the first 200 seed-2026 campaign instances, recorded under 0.6.0:
-    # their symbols stay inverse-CDF draws, so the campaign does not move.
+def _array_digest(arrays) -> str:
+    """SHA-256 over each array's shape, then its int64 little-endian bytes."""
     digest = hashlib.sha256()
-    for i in range(200):
-        cw = random_fano_instance(2026, i).codebook.codewords
-        digest.update(repr(cw.shape).encode())
-        digest.update(cw.astype("<i8").tobytes())
-    assert digest.hexdigest() == "686db40a9471dcd0cc4a75e07c374e035a2aeb599e63d7f2931fb8e0cda62e45"
+    for a in arrays:
+        digest.update(repr(a.shape).encode())
+        digest.update(a.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_campaign_instances_keep_their_inverse_cdf_codewords(capsys):
+    # The codewords of the first 200 seed-2026 campaign instances, recorded
+    # under 0.6.0: their symbols stay inverse-CDF draws, so the campaign does
+    # not move.
+    assert _array_digest(random_fano_instance(2026, i).codebook.codewords
+                         for i in range(200)) == (
+        "686db40a9471dcd0cc4a75e07c374e035a2aeb599e63d7f2931fb8e0cda62e45")
+    # The partitions of the first 1000, and the whole campaign report less
+    # its version, recorded under 0.7.0 while the generator still drew its
+    # layouts through partition_from_counts.
+    assert _array_digest(random_fano_instance(2026, i).partition.class_of
+                         for i in range(1000)) == (
+        "a8f8c830bf41f343a242cf65ef83ff3b0d2401cb5275140e426eabeb8820028d")
+    assert cli.main(["fano", "--instances", "1000", "--seed", "2026"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["artifact_version"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dd0e736207f7e5ca5b184446f7fefd388b11fb5fc726421834987e8146a84b57")
 
 
 def test_shared_simulation_memory_stays_bounded():
@@ -2134,7 +2168,7 @@ def test_exact_evaluate_against_brute_force(full):
         mcount = int(2 ** gen.integers(2, 4))
         kcount = int(2 ** gen.integers(1, 3))
         kcount = min(kcount, mcount // 2)  # keep regimes distinguishable
-        part = partition_from_counts(mcount, kcount, "interleaved")
+        part = SemanticPartition(np.arange(mcount) % kcount)
         cw_count = mcount if full else kcount
         cb = Codebook(gen.integers(0, 2, size=(cw_count, n)), 2)
         ev = exact_evaluate(cb, part, ch)
@@ -2153,7 +2187,7 @@ def test_exact_evaluate_groups_copied_codewords_with_unequal_priors():
     # I(X^n; Y^n) depends on which priors join which codeword group.
     matrix = np.random.default_rng(2718).dirichlet(np.ones(3), size=2)
     ch = Dmc(("0", "1"), ("0", "1", "2"), matrix)
-    part = partition_from_counts(16, 5, "contiguous")
+    part = partition_from_counts(16, 5)
     assert list(part.sizes) == [3, 3, 3, 3, 4]
     cb = Codebook(np.array([[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1], [0, 0, 1]]), 2)
     ev = exact_evaluate(cb, part, ch)
@@ -2165,7 +2199,7 @@ def test_exact_evaluate_split_entropies_recombine():
     gen = np.random.default_rng(8)
     matrix = gen.dirichlet(np.ones(2), size=2)
     ch = Dmc(("0", "1"), ("0", "1"), matrix)
-    part = partition_from_counts(8, 4, "contiguous")
+    part = partition_from_counts(8, 4)
     cb = Codebook(gen.integers(0, 2, size=(4, 3)), 2)
     ev = exact_evaluate(cb, part, ch)
     if ev.h_w_given_y_err is not None and ev.h_w_given_y_ok is not None:
@@ -2176,7 +2210,7 @@ def test_exact_evaluate_split_entropies_recombine():
 
 
 def test_exact_evaluate_budget():
-    part = partition_from_counts(2**10, 2, "contiguous")
+    part = partition_from_counts(2**10, 2)
     cb = Codebook(np.zeros((2, 24), dtype=np.int64), 2)
     with pytest.raises(BudgetError):
         exact_evaluate(cb, part, bsc(0.1))
@@ -2185,7 +2219,7 @@ def test_exact_evaluate_budget():
 def test_exact_evaluate_word_table_is_narrow():
     # Two codewords at n = 18 enumerate 2^18 words; an int64 word table and
     # its copy alone would take 72 MiB.
-    part = partition_from_counts(2, 2, "contiguous")
+    part = partition_from_counts(2, 2)
     cb = Codebook(np.array([[0] * 18, [1] * 18]), 2)
     tracemalloc.start()
     try:
@@ -2215,7 +2249,7 @@ def test_exact_evaluate_typicality_needs_px():
 
 
 def _fixed_instance(n=4, mbits=4, kcount=4, p=0.1):
-    part = partition_from_counts(1 << mbits, kcount, "contiguous")
+    part = partition_from_counts(1 << mbits, kcount)
     gen = np.random.default_rng(1234)
     cb = Codebook(gen.integers(0, 2, size=(kcount, n)), 2)
     return FanoInstance(partition=part, codebook=cb, channel=bsc(p))
@@ -2239,7 +2273,7 @@ def test_fano_bound_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         fano_bound(inst, p_sem=-0.2)
     degenerate = FanoInstance(
-        partition=partition_from_counts(4, 1, "contiguous"),
+        partition=partition_from_counts(4, 1),
         codebook=Codebook(np.array([[0, 0]]), 2),
         channel=bsc(0.1),
     )
@@ -2250,7 +2284,7 @@ def test_fano_bound_rejects_bad_inputs():
 def test_check_fano_noiseless_slack_is_exact():
     # distinct codewords over a noiseless channel: P_e,s = 0, H(W|Y) is the
     # within-class bits, and the bound's slack is exactly 1 + (1-alpha)nR - 1
-    part = partition_from_counts(8, 4, "contiguous")
+    part = partition_from_counts(8, 4)
     cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
     inst = FanoInstance(partition=part, codebook=cb, channel=Dmc.identity(["0", "1"]))
     chk = check_fano(inst)
@@ -2263,7 +2297,7 @@ def test_check_fano_noiseless_slack_is_exact():
 
 def test_fully_noisy_channel_saturates_the_identity():
     # bsc(1/2): Y tells nothing, every trial erases, p_sem = 1, H(W|Y) = nR
-    part = partition_from_counts(8, 4, "contiguous")
+    part = partition_from_counts(8, 4)
     cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
     inst = FanoInstance(partition=part, codebook=cb, channel=bsc(0.5))
     ev = inst.evaluation()
@@ -2274,7 +2308,7 @@ def test_fully_noisy_channel_saturates_the_identity():
 
 
 def test_converse_chain_on_noiseless_instance():
-    part = partition_from_counts(8, 4, "contiguous")
+    part = partition_from_counts(8, 4)
     cb = Codebook(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
     inst = FanoInstance(partition=part, codebook=cb, channel=Dmc.identity(["0", "1"]))
     chain = converse_chain(inst)

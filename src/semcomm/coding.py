@@ -84,8 +84,13 @@ from .info import (
 BATCH_TRIALS = 4096
 # Element budget of one trial block in the materialized kernels: a block's
 # largest array holds at most this many elements (at least one trial), so
-# the working set stays in cache whatever the codebook size or blocklength.
-BLOCK_ELEMENTS = 2**16
+# the working set stays bounded whatever the codebook size or blocklength.
+# A batch makes a round of numpy calls per block, so the budget sets how
+# many calls a batch makes. At 2^16 they were so many that two pool threads
+# ran fresh materialized batches no faster than one; at 2^18 a batch makes a
+# quarter of them and the pool pays, and at 2^19 the shared-codebook scorer
+# runs slower inline (measured on 2 vCPUs).
+BLOCK_ELEMENTS = 2**18
 # Cap on the messages of a partition or a per-message codebook (check_message_bits).
 FULL_CODEBOOK_CAP = 2**20
 # Cap on |Y|^n * codewords, the (output word, codeword) pairs that
@@ -348,15 +353,17 @@ def _sample_symbols(gen: np.random.Generator, shape, probs: np.ndarray) -> np.nd
     equals searchsorted(cdf, u, side="right"). The symbols come in the
     narrowest unsigned dtype that holds them (uint8 up to 256 symbols), so
     arithmetic on them must widen first. The uniforms are drawn BLOCK_ELEMENTS
-    at a time into the flat output; the generator hands them out in sequence,
-    so the symbols equal those of one gen.random(shape) call.
+    at a time into one reused buffer, so no two blocks of doubles are alive
+    at once; the generator hands them out in sequence, so the symbols equal
+    those of one gen.random(shape) call.
     """
     cdf = _row_cdfs(probs)
     out = np.zeros(shape, dtype=np.min_scalar_type(cdf.size - 1))
     flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, BLOCK_ELEMENTS))
     for block in _blocks(flat.size, 1):
         part = flat[block]
-        u = gen.random(part.size)
+        u = gen.random(out=buf[: part.size])
         for c in cdf[:-1]:
             part += u >= c
     return out
@@ -523,7 +530,7 @@ def _scores_shared(cw: np.ndarray, ys: np.ndarray, score: _CellScore):
     pair's key is the codeword's key against the all-last output plus
     [y_i = b] (weight[x_i, b] - weight[x_i, last]) per position i and output
     b below the last. Each partial sum is an integer below 2 BLOCK_ELEMENTS
-    = 2^17 in magnitude (its terms of either sign add up to part of at most
+    = 2^19 in magnitude (its terms of either sign add up to part of at most
     two keys), exact in float32 (up to 2^24), and so is the key. Keys are in
     range by construction (a test checks them against int64 ones), so the
     lookup clips, which unlike a checked take does not buffer. Otherwise

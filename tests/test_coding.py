@@ -1417,7 +1417,7 @@ def test_per_trial_kernel_matches_loop_reference(name, n, count):
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CHANNELS))
-@pytest.mark.parametrize("n, count", [(1, 3), (200, 1000), (6, 1), (16, 5000)])
+@pytest.mark.parametrize("n, count", [(1, 3), (200, 1000), (6, 1), (16, 5000), (64, 5000)])
 def test_shared_kernel_matches_loop_reference(name, n, count):
     matrix = KERNEL_CHANNELS[name]
     logmat = coding._log_matrix(matrix)
@@ -1447,21 +1447,29 @@ def test_shared_kernel_matches_loop_reference(name, n, count):
 KEY_RULE_CASES = {
     # name: (channel, n, count, trials, keyed); with r weight classes the
     # rule keys a call when (n + 1)^(r - 1) <= min(BLOCK_ELEMENTS, trials * count).
+    # Each refused case names the side of the rule that refuses it.
     "bsc-keyed": ("bsc", 16, 300, 40, True),  # r = 2: 17 keys
-    "bsc-too-many-keys": ("bsc", 2**16, 3, 8, False),  # 2^16 + 1 keys; three codeword chunks
-    "bsc-too-few-pairs": ("bsc", 40, 4, 10, False),  # 40 pairs < 41 keys
+    # Pairs: 24 pairs < 2^17 + 1 keys; two codeword chunks of BLOCK_ELEMENTS // n.
+    "bsc-too-many-keys": ("bsc", 2**17, 3, 8, False),
+    "bsc-too-few-pairs": ("bsc", 40, 4, 10, False),  # pairs: 40 < 41 keys
     "z-keyed": ("z", 12, 64, 100, True),  # r = 4, NEG entries in the table
-    "z-too-many-keys": ("z", 45, 16, 40, False),
+    "z-too-many-keys": ("z", 45, 16, 40, False),  # pairs: 640 < 46^3 = 97336 keys
     "dmc2x3-keyed": ("dmc2x3", 8, 400, 200, True),  # r = 6: 9^5 = 59049 keys
-    "dmc2x3-too-many-keys": ("dmc2x3", 9, 400, 200, False),  # 10^5 keys
+    "dmc2x3-too-many-keys": ("dmc2x3", 9, 400, 200, False),  # pairs: 80000 < 10^5 keys
     # Hard 4-PSK: 16 cells in r = 3 classes of 4, 8 and 4 cells.
     "mpsk-keyed": ("mpsk", 16, 64, 40, True),  # 17^2 = 289 keys
-    "mpsk-too-few-pairs": ("mpsk", 16, 8, 30, False),  # 240 pairs < 289 keys
-    "mpsk-too-many-keys": ("mpsk", 256, 4, 20, False),  # 257^2 > BLOCK_ELEMENTS
-    # Wider than BLOCK_ELEMENTS // n: two codeword chunks, and the copy of
-    # codeword 0 in the last slot ties with it across them.
-    "bsc-wide-keyed": ("bsc", 16, 5000, 20, True),
+    "mpsk-too-few-pairs": ("mpsk", 16, 8, 30, False),  # pairs: 240 < 289 keys
+    "mpsk-too-many-keys": ("mpsk", 256, 4, 20, False),  # pairs: 80 < 257^2 = 66049 keys
+    # The block: mpsk-keyed's call under a budget of KEY_RULE_BLOCKS' 256
+    # elements, so 2560 pairs >= 289 keys > BLOCK_ELEMENTS.
+    "mpsk-block-refuses": ("mpsk", 16, 64, 40, False),
+    # Wider than BLOCK_ELEMENTS // n = 2^14: two codeword chunks, and the
+    # copy of codeword 0 in the last slot ties with it across them.
+    "bsc-wide-keyed": ("bsc", 16, 17000, 20, True),
 }
+# Block budgets below BLOCK_ELEMENTS, for cases whose pairs and keys would
+# be costly to exceed it with.
+KEY_RULE_BLOCKS = {"mpsk-block-refuses": 256}
 KEY_RULE_CHANNELS = {
     "bsc": bsc(0.05).matrix,
     "z": KERNEL_CHANNELS["z"],
@@ -1470,18 +1478,23 @@ KEY_RULE_CHANNELS = {
 }
 
 
-def _key_rule(case):
-    """A case's inputs, and its class count r as distinct log weights."""
+def _key_rule(monkeypatch, case):
+    """A case's inputs, and its class count r as distinct log weights; sets
+    the case's block budget, if it has one."""
     name, n, count, trials, keyed = KEY_RULE_CASES[case]
+    if case in KEY_RULE_BLOCKS:
+        monkeypatch.setattr(coding, "BLOCK_ELEMENTS", KEY_RULE_BLOCKS[case])
     matrix = KEY_RULE_CHANNELS[name]
     classes = np.unique(coding._log_matrix(matrix)).size
     assert ((n + 1) ** (classes - 1) <= min(coding.BLOCK_ELEMENTS, trials * count)) == keyed
+    if case in KEY_RULE_BLOCKS:
+        assert (n + 1) ** (classes - 1) <= trials * count  # the block alone refuses
     return matrix, n, count, trials, keyed, classes
 
 
 @pytest.mark.parametrize("case", list(KEY_RULE_CASES))
 def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case):
-    matrix, n, count, trials, keyed, classes = _key_rule(case)
+    matrix, n, count, trials, keyed, classes = _key_rule(monkeypatch, case)
     logmat = coding._log_matrix(matrix)
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
     # The keyed path combines once, into the 1-D table entries of the
@@ -1506,6 +1519,7 @@ def test_shared_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case
     assert np.array_equal(picks, _ref_decide(ref))
     assert np.any(picks == -1) and np.any(picks >= 0)
     width = coding.BLOCK_ELEMENTS // n
+    assert (count > width) == (case in ("bsc-too-many-keys", "mpsk-block-refuses", "bsc-wide-keyed"))
     if count > width:
         starts = {cols.start for _, cols, _ in coding._scores_shared(cw, ys, _ml(matrix))}
         assert len(starts) == math.ceil(count / width)
@@ -1539,8 +1553,8 @@ def test_circulant_typicality_classes_are_the_ml_classes(order, snr):
 
 @pytest.mark.parametrize("decoder", ["ml", "typicality"])
 @pytest.mark.parametrize("case", list(KEY_RULE_CASES))
-def test_per_trial_scores_bit_match_on_both_sides_of_the_key_rule(case, decoder):
-    matrix, n, count, trials, keyed, classes = _key_rule(case)
+def test_per_trial_scores_bit_match_on_both_sides_of_the_key_rule(monkeypatch, case, decoder):
+    matrix, n, count, trials, keyed, classes = _key_rule(monkeypatch, case)
     cws, ys = _fresh_inputs(matrix, trials, count, n, seed=n * 100 + count)
     logmat = coding._log_matrix(matrix)
     # Under a uniform input these channels' typicality triples fall into
@@ -1578,7 +1592,7 @@ def test_shared_keys_are_exact_in_float32(monkeypatch, case):
     # stay below 2 BLOCK_ELEMENTS in magnitude; float32 holds every integer
     # up to 2^24, so a larger block budget must not pass unnoticed.
     assert 2 * coding.BLOCK_ELEMENTS <= 2**24
-    matrix, n, count, trials, _, classes = _key_rule(case)
+    matrix, n, count, trials, _, classes = _key_rule(monkeypatch, case)
     cw, ys = _shared_inputs(matrix, trials, count, n, seed=n * 100 + count)
     # A table of the keys themselves makes the tiles show the keys. The
     # lookup clips, so a key out of range would show as a clipped one and
